@@ -263,7 +263,11 @@ def integrate(
     return _adaptive(f, a, b, cfg)
 
 
-@lru_cache(maxsize=64)
+# Room for every (nodes, alpha) pair of a gamma-route ladder up to n ~ 256:
+# the cri/cpi route needs n shapes with up to four node counts each, and a
+# smaller cache evicts rules before the ladder comes back to them.  Rules
+# hold at most 512 nodes, so a full cache is a few MB.
+@lru_cache(maxsize=1024)
 def _genlaguerre_rule(nodes: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     # High node counts overflow in scipy's internal Newton polish; the
     # affected far-tail weights underflow to zero and are dropped anyway.
@@ -330,7 +334,12 @@ def gamma_expectation(
         if prev is not None and math.isfinite(est):
             diff = abs(est - prev)
             if diff <= max(cfg.abs_tol, cfg.rel_tol * abs(est)):
-                return IntegrationResult(est, diff, evals)
+                # Two rules can agree to the last bit while both carry the
+                # rounding of the weighted sum (bounded as _eval_panel
+                # bounds a panel) and of norm, whose relative error is the
+                # absolute rounding error of log_gamma(n) before exp.
+                floor = (50.0 + abs(log_gamma(n))) * _EPS * float((w / norm) @ np.abs(gv))
+                return IntegrationResult(est, max(diff, floor), evals)
         prev = est
 
     def weighted(t: np.ndarray) -> np.ndarray:

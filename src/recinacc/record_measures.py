@@ -21,6 +21,7 @@ different arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -361,46 +362,18 @@ def _record_survival_arr(parent: Distribution, spec: RecordSpec, x):
     return np.asarray(record_survival(parent, spec, x), float)
 
 
-def residual_inaccuracy_hazard_forms(
-    parent: Distribution,
-    spec: RecordSpec,
-    config: QuadratureConfig | None = None,
-) -> tuple[MeasureResult, MeasureResult]:
-    """Two double-integral representations weighted by hazard quantities.
+def _hazard_tail_integrand(parent: Distribution, n: int, k: int):
+    """Form one's inner integrand in cumulative-hazard space.
 
-    Form one integrates the parent hazard rate against tail integrals of
-    (-k log survival)^i survival^k; form two integrates the density
-    weight survival^(k-1) pdf against head integrals of
-    (-k log survival)^(i+1).  Both must agree with the direct path.
-
-    Form one's tail integrals are evaluated after substituting the
-    cumulative hazard for the integration variable.  In x-space a heavy
-    tail spreads the mass so thinly that the adaptive integrator can
-    declare convergence below its absolute floor without ever sampling
-    it; in hazard-space the mass sits against the finite endpoint where
-    the first panel sees it.
+    sum_i (ks)^i/i! * e^{-(k+1)s} / f(x(s)), x(s) the record-scale image
+    of the cumulative hazard s.  Points where the transformed abscissa has
+    collapsed onto a support endpoint carry true mass below working
+    precision and are dropped.
     """
-    _require_side(spec, "upper", "hazard double-integral forms")
-    n, k = spec.n, spec.k
-    lo, hi = parent.support
-    if config is None:
-        # double integrals: keep the budgets modest, agreement is checked
-        # at 1e-6 anyway
-        outer_cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400)
-        inner_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=400)
-    else:
-        outer_cfg = config
-        inner_cfg = replace(
-            config, abs_tol=0.1 * config.abs_tol, rel_tol=0.1 * config.rel_tol
-        )
     log_k = math.log(k)
     log_fact = [math.lgamma(i + 1) for i in range(n)]
 
     def tail_sum(s):
-        # sum_i (ks)^i/i! * e^{-(k+1)s} / f(x(s)), x(s) the record-scale
-        # image of the cumulative hazard s.  Points where the transformed
-        # abscissa has collapsed onto a support endpoint carry true mass
-        # below working precision and are dropped.
         s = np.asarray(s, float)
         flat = np.atleast_1d(s).astype(float)
         out = np.zeros(flat.shape)
@@ -418,51 +391,176 @@ def residual_inaccuracy_hazard_forms(
             out[live] = np.where(np.isfinite(lp), acc, 0.0)
         return out.reshape(s.shape)[()]
 
-    def head_piece(i):
-        def f(x):
-            lg = np.asarray(parent.log_survival(x), float)
-            out = np.zeros(lg.shape)
-            m = np.isfinite(lg) & (lg < 0.0)
-            if np.any(m):
-                out[m] = np.exp((i + 1) * (log_k + np.log(-lg[m])))
-            out[~np.isfinite(lg)] = np.inf
-            return out[()]
+    return tail_sum
 
-        return f
+
+def _hazard_head_integrand(parent: Distribution, n: int, k: int):
+    """Form two's inner integrand: sum_i (-k log survival)^(i+1) / i!.
+
+    The n head integrals of form two share their range, so they are
+    integrated as this one sum.  A vanished survival function (past the
+    upper endpoint) is reported as +inf so that an inner range reaching
+    there surfaces as a divergence rather than a silent zero.
+    """
+    log_k = math.log(k)
+    log_fact = [math.lgamma(i + 1) for i in range(n)]
+
+    def head_sum(x):
+        lg = np.asarray(parent.log_survival(x), float)
+        out = np.zeros(lg.shape)
+        m = np.isfinite(lg) & (lg < 0.0)
+        if np.any(m):
+            log_ky = log_k + np.log(-lg[m])
+            acc = np.zeros(log_ky.shape)
+            for i in range(n):
+                acc += np.exp((i + 1) * log_ky - log_fact[i])
+            out[m] = acc
+        out[~np.isfinite(lg)] = np.inf
+        return out[()]
+
+    return head_sum
+
+
+def _knot_chain(integral, anchor: float, cfg: QuadratureConfig):
+    """Running integral between a fixed ``anchor`` and query points.
+
+    Returns ``at(x)``, the integral over the span between ``anchor`` and
+    ``x``.  Every answered query becomes a knot, and a new query only
+    integrates the gap to the nearest knot on the anchor's side of it,
+    adding that knot's value.  ``integral(a, b)`` integrates over (a, b)
+    with a < b; an anchor of -inf or below all queries chains upward, an
+    anchor of +inf or above all queries chains downward.
+
+    Each knot carries the summed error estimate of its chain.  Where a
+    new knot's sum would exceed the tolerance ``cfg`` holds one direct
+    integral to, the knot is integrated directly from the anchor instead,
+    so no knot is less accurate than a direct integral.  Nothing is ever
+    subtracted: a downward chain adds tail pieces, which keeps a small
+    far-tail value free of cancellation.
+    """
+    knots = [anchor]
+    values = [0.0]
+    errors = [0.0]
+
+    def span(a, b):
+        return integral(a, b) if a < b else integral(b, a)
+
+    def at(x: float) -> float:
+        # nearest knot between x and the anchor, inclusive; the anchor
+        # itself always qualifies
+        if anchor < x:
+            j = bisect.bisect_right(knots, x) - 1
+            slot = j + 1
+        else:
+            j = bisect.bisect_left(knots, x)
+            slot = j
+        if knots[j] == x:
+            return values[j]
+        piece = span(knots[j], x)
+        value = values[j] + piece.value
+        err = errors[j] + piece.abs_error_estimate
+        if knots[j] != anchor and err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            direct = span(anchor, x)
+            value, err = direct.value, direct.abs_error_estimate
+        knots.insert(slot, x)
+        values.insert(slot, value)
+        errors.insert(slot, err)
+        return value
+
+    return at
+
+
+def residual_inaccuracy_hazard_forms(
+    parent: Distribution,
+    spec: RecordSpec,
+    config: QuadratureConfig | None = None,
+) -> tuple[MeasureResult, MeasureResult]:
+    """Two double-integral representations weighted by hazard quantities.
+
+    Form one integrates the parent hazard rate against tail integrals of
+    (-k log survival)^i survival^k; form two integrates the density
+    weight survival^(k-1) pdf against head integrals of
+    (-k log survival)^(i+1).  Both must agree with the direct path.
+
+    Form one's tail integrals are evaluated after substituting the
+    cumulative hazard s for the integration variable.  In x-space a heavy
+    tail spreads the mass so thinly that the adaptive integrator can
+    declare convergence below its absolute floor without ever sampling
+    it; in hazard-space the mass sits against the finite endpoint where
+    the first panel sees it.
+
+    Inner integrals are chained over knots (see ``_knot_chain``) within
+    one call.  Form two sums its n head pieces into one integrand, keeps
+    knots t with H(t) = integral from the lower support end to t, anchored
+    at H(lo) = 0, and visits each batch of outer nodes in ascending t, so
+    a node integrates only the gap from the nearest knot below it.  Form
+    one keeps knots s with T(s) = integral from s to infinity, anchored at
+    T(inf) = 0; the cumulative hazard s0 rises with t, so it visits the
+    nodes in descending t and integrates from s0 up to the nearest knot
+    above it; only a node past the largest knot runs a full (s0, inf)
+    tail integral with its tail certification.  A knot whose chained
+    error estimate would exceed the inner tolerance is integrated
+    directly from its anchor instead.
+
+    This is not Fubini: the outer integral stays over t and the inner
+    ones over x (form two) and s (form one), so both forms remain
+    arithmetically distinct from the direct single integral they are
+    checked against.
+    """
+    _require_side(spec, "upper", "hazard double-integral forms")
+    n, k = spec.n, spec.k
+    lo, hi = parent.support
+    if config is None:
+        # double integrals: keep the budgets modest, agreement is checked
+        # at 1e-6 anyway
+        outer_cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400)
+        inner_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=400)
+    else:
+        outer_cfg = config
+        inner_cfg = replace(
+            config, abs_tol=0.1 * config.abs_tol, rel_tol=0.1 * config.rel_tol
+        )
+    tail_sum = _hazard_tail_integrand(parent, n, k)
+    head_sum = _hazard_head_integrand(parent, n, k)
+    tail = _knot_chain(
+        lambda a, b: _quad(tail_sum, (a, b), inner_cfg, "hazard-form tail integral"),
+        math.inf,
+        inner_cfg,
+    )
+    head = _knot_chain(
+        lambda a, b: _quad(head_sum, (a, b), inner_cfg, "hazard-form head integral"),
+        lo,
+        inner_cfg,
+    )
 
     def form_one_outer(ts):
         ts = np.asarray(ts, float)
         flat = np.atleast_1d(ts)
         vals = np.empty(flat.shape)
-        for j, t in enumerate(flat):
+        for j in np.argsort(flat)[::-1]:
+            t = flat[j]
             log_s = float(parent.log_survival(t))
             log_dens = float(parent.log_pdf(t))
             if not (math.isfinite(log_s) and math.isfinite(log_dens)):
                 vals[j] = 0.0
                 continue
             s0 = max(-log_s, 1e-300)
-            inner = _quad(tail_sum, (s0, math.inf), inner_cfg, "hazard-form tail integral")
-            vals[j] = math.exp(log_dens - log_s) * inner.value
+            vals[j] = math.exp(log_dens - log_s) * tail(s0)
         return vals.reshape(ts.shape)[()]
 
     def form_two_outer(ts):
         ts = np.asarray(ts, float)
         flat = np.atleast_1d(ts)
         vals = np.empty(flat.shape)
-        for j, t in enumerate(flat):
+        for j in np.argsort(flat):
+            t = flat[j]
             dens = float(parent.pdf(t))
             s = float(parent.survival(t))
             weight = s ** (k - 1) * dens
             if weight == 0.0 or not math.isfinite(weight):
                 vals[j] = 0.0
                 continue
-            acc = 0.0
-            for i in range(n):
-                inner = _quad(
-                    head_piece(i), (lo, float(t)), inner_cfg, "hazard-form head integral"
-                )
-                acc += math.exp(-log_fact[i]) * inner.value
-            vals[j] = weight * acc
+            vals[j] = weight * head(float(t))
         return vals.reshape(ts.shape)[()]
 
     one = _quad(form_one_outer, (lo, hi), outer_cfg, "hazard-weighted form one")

@@ -78,7 +78,9 @@ def record_log_pdf(parent: Distribution, spec: RecordSpec, x):
     with np.errstate(divide="ignore", invalid="ignore"):
         term = const + base
         if n > 1:
-            term = term + (n - 1) * np.log(-log_g)
+            # where g has vanished (-log g)^(n-1) is infinite, but the
+            # density's limit there is 0: take the limit instead of +inf
+            term = np.where(np.isneginf(log_g), -math.inf, term + (n - 1) * np.log(-log_g))
         if k > 1:
             term = term + (k - 1) * log_g
     # inf - inf combinations arise exactly where the density limit is 0

@@ -8,10 +8,13 @@ pin them against each other and against hand-derived values.
 
 import math
 
+import numpy as np
 import pytest
 
+from recinacc import measures, numerics
 from recinacc import record_measures as RM
 from recinacc.distributions import (
+    make_custom,
     make_exponential,
     make_pareto,
     make_power_decreasing,
@@ -20,6 +23,7 @@ from recinacc.distributions import (
     make_weibull,
 )
 from recinacc.errors import DivergenceError, ParameterError, UnsupportedMethodError
+from recinacc.numerics import QuadratureConfig
 from recinacc.records import RecordSpec
 
 E1 = make_exponential(1.0)
@@ -32,6 +36,16 @@ W12 = make_weibull(1.0, 2.0)
 W205 = make_weibull(2.0, 0.5)
 
 CATALOG = [E1, E2, PAR2, W12, W205, U, PD, P2]
+
+# exponential(2) through make_custom, whose log survival is log(1 - cdf):
+# -inf from x ~ 18.4 on, where the density is still positive
+CUSTOM_E2 = make_custom(
+    lambda x: 2.0 * np.exp(-2.0 * np.asarray(x, float)),
+    lambda x: -np.expm1(-2.0 * np.asarray(x, float)),
+    lambda p: -np.log1p(-np.asarray(p, float)) / 2.0,
+    (0.0, math.inf),
+    name="custom-exponential",
+)
 
 
 def up(n, k=1):
@@ -100,6 +114,26 @@ class TestKerridgeRouteAgreement:
         q = RM.kerridge_record(w, spec, "quadrature")
         assert c.value == pytest.approx(q.value, abs=1e-7)
 
+    @pytest.mark.parametrize("parent,spec", [(PAR2, low(6, 1)), (P2, up(7, 1))])
+    def test_quadrature_reaching_a_vanished_base_function(self, parent, spec):
+        # the integrator refines onto x = 1, where the cdf (lower) or
+        # survival (upper) is exactly 0 and the record density is 0
+        q = RM.kerridge_record(parent, spec, "quadrature")
+        g = RM.kerridge_record(parent, spec, "gamma_expectation")
+        assert q.value == pytest.approx(g.value, abs=1e-9)
+
+    def test_quadrature_on_custom_law_with_underflowing_survival(self):
+        q = RM.kerridge_record(CUSTOM_E2, up(2, 1), "quadrature")
+        assert q.value == pytest.approx(RM.kerridge_record(E2, up(2, 1)).value, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [20, 80])
+    def test_gamma_route_error_estimate_covers_rounding(self, n):
+        # the 64- and 128-node rules agree to the last bit here, so only a
+        # rounding floor keeps the reported error a bound
+        g = RM.kerridge_record(W12, up(n, 1), "gamma_expectation")
+        closed = RM.kerridge_record(W12, up(n, 1), "closed_form").value
+        assert abs(g.value - closed) <= g.abs_error_estimate
+
 
 class TestResidualInaccuracy:
     @pytest.mark.parametrize(
@@ -154,6 +188,43 @@ class TestResidualInaccuracy:
         assert one.value == pytest.approx(direct.value, abs=1e-6)
         assert two.value == pytest.approx(direct.value, abs=1e-6)
 
+    @pytest.mark.parametrize("parent", CATALOG, ids=lambda d: d.name + str(d.params))
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2)])
+    def test_hazard_forms_across_catalog(self, parent, n, k):
+        one, two = RM.residual_inaccuracy_hazard_forms(parent, up(n, k))
+        direct = RM.residual_record_inaccuracy(parent, up(n, k), "quadrature")
+        assert one.value == pytest.approx(direct.value, abs=1e-7)
+        assert two.value == pytest.approx(direct.value, abs=1e-7)
+
+    def test_hazard_forms_evaluation_budget(self, monkeypatch):
+        # the knot chains keep each inner integral to the gap between
+        # neighbouring outer nodes; restarting every inner integral from
+        # the support end took 1.28M evaluations here
+        evaluations = []
+
+        def counting(*args, **kwargs):
+            res = numerics.integrate(*args, **kwargs)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(measures, "integrate", counting)
+        RM.residual_inaccuracy_hazard_forms(PAR2, up(2, 1))
+        assert 0 < sum(evaluations) < 100_000
+
+    def test_gamma_route_reuses_laguerre_rules_at_large_n(self, monkeypatch):
+        spec = up(50, 2)
+        RM.residual_record_inaccuracy(W205, spec, "gamma_expectation")
+        builds = []
+        build = numerics._sp.roots_genlaguerre
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(numerics._sp, "roots_genlaguerre", counting)
+        RM.residual_record_inaccuracy(W205, spec, "gamma_expectation")
+        assert builds == []
+
     def test_requires_upper_records(self):
         with pytest.raises(ParameterError):
             RM.residual_record_inaccuracy(E1, low(1, 1))
@@ -163,6 +234,55 @@ class TestResidualInaccuracy:
             RM.residual_record_inaccuracy(make_pareto(1.0), up(1, 1), "quadrature")
         with pytest.raises(DivergenceError):
             RM.residual_record_inaccuracy(make_pareto(0.5), up(2, 1), "quadrature")
+
+
+class TestHazardFormKnotChain:
+    """The running inner integrals behind the hazard forms, queried in
+    orders the outer integrator does not use."""
+
+    INNER = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=400)
+
+    def _tolerance(self, value):
+        return max(self.INNER.abs_tol, self.INNER.rel_tol * abs(value))
+
+    def _integral(self, fn):
+        return lambda a, b: measures._quad(fn, (a, b), self.INNER, "inner")
+
+    @pytest.mark.parametrize("parent", [PAR2, W205, U, PD], ids=lambda d: d.name + str(d.params))
+    @pytest.mark.parametrize("order", ["descending", "random"])
+    def test_knots_match_direct_inner_integrals(self, parent, order):
+        n, k = 3, 2
+        lo = parent.support[0]
+        head_sum = RM._hazard_head_integrand(parent, n, k)
+        tail_sum = RM._hazard_tail_integrand(parent, n, k)
+        head = RM._knot_chain(self._integral(head_sum), lo, self.INNER)
+        tail = RM._knot_chain(self._integral(tail_sum), math.inf, self.INNER)
+        ts = np.asarray(parent.quantile(np.linspace(0.02, 0.98, 25)), float)
+        if order == "descending":
+            ts = ts[::-1]
+        else:
+            ts = np.random.default_rng(7).permutation(ts)
+        for t in ts:
+            t = float(t)
+            s0 = -float(parent.log_survival(t))
+            want_head = measures._quad(head_sum, (lo, t), self.INNER, "head").value
+            want_tail = measures._quad(tail_sum, (s0, math.inf), self.INNER, "tail").value
+            assert abs(head(t) - want_head) <= self._tolerance(want_head)
+            assert abs(tail(s0) - want_tail) <= self._tolerance(want_tail)
+
+
+    def test_chained_error_past_tolerance_restarts_from_anchor(self):
+        calls = []
+
+        def integral(a, b):
+            calls.append((a, b))
+            return measures.MeasureResult(b - a, "quadrature", 0.6 * self.INNER.abs_tol)
+
+        at = RM._knot_chain(integral, 0.0, self.INNER)
+        assert at(0.01) == 0.01
+        # two chained pieces would carry 1.2 * abs_tol: integrate directly
+        assert at(0.02) == 0.02
+        assert calls == [(0.0, 0.01), (0.01, 0.02), (0.0, 0.02)]
 
 
 class TestPastInaccuracy:

@@ -94,6 +94,19 @@ class TestPointValues:
         assert record_cdf(d, spec, -1.0) == 0.0
         assert record_survival(d, spec, -1.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "parent,spec",
+        [
+            (make_pareto(2.0), RecordSpec("lower", 9, 1)),
+            (make_power_increasing(2), RecordSpec("upper", 10, 1)),
+        ],
+    )
+    def test_density_limit_where_base_function_vanishes(self, parent, spec):
+        # at x = 1 the cdf (lower) or survival (upper) is exactly 0, so
+        # (-log g)^(n-1) is infinite; the density's limit there is 0
+        assert record_log_pdf(parent, spec, 1.0) == -math.inf
+        assert record_pdf(parent, spec, 1.0) == 0.0
+
 
 class TestFirstRecordIsParent:
     @pytest.mark.parametrize("side", ["upper", "lower"])
