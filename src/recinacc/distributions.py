@@ -1,4 +1,4 @@
-"""Parametric distribution catalog with numerically careful closed forms.
+"""Parametric distribution catalog built from log-space family descriptions.
 
 Every distribution carries its density, log-density, cdf, survival
 function, quantile function and inverse survival function as vectorized
@@ -6,6 +6,10 @@ callables.  The log-density and the inverse survival function are
 first-class rather than derived, because record-value integrands push far
 into the tails where exp/log round trips and 1-p cancellations destroy
 precision.
+
+Each catalog family is described once, in log space: its support, five
+formulas for points inside it and the closed forms of the record measures
+it admits.  One function, ``_family``, turns that into a Distribution.
 
 Conventions: support endpoints are open; evaluating a pdf exactly at an
 endpoint returns the one-sided limit, evaluation outside the support
@@ -17,11 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import ConsistencyError, ParameterError
+from .numerics import digamma
 
 __all__ = [
     "Distribution",
@@ -38,20 +44,20 @@ __all__ = [
 _INF = math.inf
 
 
-def _scalarize(a: np.ndarray):
-    # 0-d arrays become numpy scalars (float subclasses); arrays pass through.
-    return a[()]
-
-
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A continuous distribution described by its standard functions.
 
     ``log_cdf`` and ``log_survival`` default to logs of the plain
-    functions, but catalog members supply closed forms: record-value
+    functions, but catalog members supply their own formulas: record-value
     densities need the cumulative hazard -log S(x) far beyond the point
     where S(x) itself underflows.  ``hazard`` (pdf/survival) and
     ``reversed_hazard`` (pdf/cdf) are derived on demand.
+
+    ``closed_forms`` maps a record measure ('kerridge', 'cri', 'cpi') to a
+    function of (side, n, k) giving its exact value, or None on a side it
+    does not cover.  Only catalog factories set it: the name and params of
+    a custom, affine or record law prove nothing about its functions.
     """
 
     name: str
@@ -65,20 +71,13 @@ class Distribution:
     inverse_survival: Callable
     log_cdf: Callable = None
     log_survival: Callable = None
+    closed_forms: Mapping[str, Callable] | None = None
 
     def __post_init__(self) -> None:
         if self.log_cdf is None:
-            def log_cdf(x, _cdf=self.cdf):
-                with np.errstate(divide="ignore"):
-                    return np.log(np.asarray(_cdf(x), float))[()]
-
-            object.__setattr__(self, "log_cdf", log_cdf)
+            object.__setattr__(self, "log_cdf", _log_of(self.cdf))
         if self.log_survival is None:
-            def log_survival(x, _sf=self.survival):
-                with np.errstate(divide="ignore"):
-                    return np.log(np.asarray(_sf(x), float))[()]
-
-            object.__setattr__(self, "log_survival", log_survival)
+            object.__setattr__(self, "log_survival", _log_of(self.survival))
 
     def hazard(self, x):
         return self.pdf(x) / self.survival(x)
@@ -87,133 +86,123 @@ class Distribution:
         return self.pdf(x) / self.cdf(x)
 
 
-def make_exponential(theta: float) -> Distribution:
-    """Exponential with rate theta: density theta * exp(-theta x) on (0, inf)."""
-    theta = float(theta)
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise ParameterError(f"exponential rate must be positive and finite, got {theta}")
-    log_theta = math.log(theta)
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x >= 0.0
-        out[m] = theta * np.exp(-theta * x[m])
-        return _scalarize(out)
-
-    def log_pdf(x):
-        x = np.asarray(x, float)
-        out = np.full(x.shape, -_INF)
-        m = x >= 0.0
-        out[m] = log_theta - theta * x[m]
-        return _scalarize(out)
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x > 0.0
-        out[m] = -np.expm1(-theta * x[m])
-        return _scalarize(out)
-
-    def survival(x):
-        x = np.asarray(x, float)
-        out = np.ones(x.shape)
-        m = x > 0.0
-        out[m] = np.exp(-theta * x[m])
-        return _scalarize(out)
-
-    def quantile(p):
-        p = np.asarray(p, float)
-        return _scalarize(-np.log1p(-p) / theta)
-
-    def inverse_survival(q):
-        q = np.asarray(q, float)
-        return _scalarize(-np.log(q) / theta)
-
-    def log_cdf(x):
-        x = np.asarray(x, float)
-        out = np.full(x.shape, -_INF)
-        m = x > 0.0
+def _log_of(f: Callable) -> Callable:
+    def log_f(x):
         with np.errstate(divide="ignore"):
-            out[m] = np.log(-np.expm1(-theta * x[m]))
-        return _scalarize(out)
+            return np.log(np.asarray(f(x), float))[()]
 
-    def log_survival(x):
+    return log_f
+
+
+def _upper_only(form: Callable) -> Callable:
+    """A closed form of (n, k) that holds for upper records only."""
+    return lambda side, n, k: form(n, k) if side == "upper" else None
+
+
+def _on_support(f, lo: float, hi: float, closed: bool, below: float, above: float):
+    """``f`` on [lo, hi] (``closed``) or (lo, hi), ``below``/``above`` left/right.
+
+    Parents are called millions of times on scalars and short panels,
+    where numpy's per-call overhead is the cost, so points strictly inside
+    the support, the usual case, skip the masks.
+    """
+    half_infinite = hi == _INF
+
+    def on_support(x):
         x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x > 0.0
-        out[m] = -theta * x[m]
-        return _scalarize(out)
+        if x.size and x.min() > lo and (half_infinite or x.max() < hi):
+            return f(x)[()]
+        out = np.full(x.shape, below)
+        out[x >= hi] = above
+        m = (x >= lo) & (x <= hi) if closed else (x > lo) & (x < hi)
+        # at a closed end a log formula takes its limit through log(0)
+        with np.errstate(divide="ignore"):
+            out[m] = f(x[m])
+        return out[()]
+
+    return on_support
+
+
+def _family(
+    name: str,
+    params: dict,
+    support: tuple[float, float],
+    *,
+    log_pdf: Callable,
+    log_survival: Callable,
+    log_cdf: Callable,
+    quantile: Callable,
+    inverse_survival: Callable,
+    **closed_forms: Callable,
+) -> Distribution:
+    """A catalog Distribution from formulas valid inside its support and
+    the closed forms of (side, n, k) of its record measures, by measure.
+
+    ``log_pdf`` holds on the closed support (its endpoint values are the
+    one-sided limits), the log tails on the open one.  pdf, cdf and
+    survival exponentiate their own log forms: cdf = -expm1(log_survival)
+    would lose a cdf below machine epsilon.  They close over the formulas,
+    not the fields, so replacing one field leaves the others unchanged.
+    """
+    lo, hi = support
+
+    def quiet_log_cdf(x):
+        # -expm1 of an underflowing exponent is 0, whose log is the true limit
+        with np.errstate(divide="ignore"):
+            return log_cdf(x)
+
+    def unmasked(f):
+        return lambda p: f(np.asarray(p, float))[()]
 
     return Distribution(
+        name, params, support,
+        pdf=_on_support(lambda x: np.exp(log_pdf(x)), lo, hi, True, 0.0, 0.0),
+        log_pdf=_on_support(log_pdf, lo, hi, True, -_INF, -_INF),
+        cdf=_on_support(lambda x: np.exp(quiet_log_cdf(x)), lo, hi, False, 0.0, 1.0),
+        survival=_on_support(lambda x: np.exp(log_survival(x)), lo, hi, False, 1.0, 0.0),
+        quantile=unmasked(quantile),
+        inverse_survival=unmasked(inverse_survival),
+        log_cdf=_on_support(quiet_log_cdf, lo, hi, False, -_INF, 0.0),
+        log_survival=_on_support(log_survival, lo, hi, False, 0.0, -_INF),
+        closed_forms=closed_forms or None,
+    )
+
+
+def _positive(value: float, what: str) -> float:
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ParameterError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
+def make_exponential(theta: float) -> Distribution:
+    """Exponential with rate theta: density theta * exp(-theta x) on (0, inf)."""
+    theta = _positive(theta, "exponential rate")
+    log_theta = math.log(theta)
+    return _family(
         "exponential", {"theta": theta}, (0.0, _INF),
-        pdf, log_pdf, cdf, survival, quantile, inverse_survival,
-        log_cdf, log_survival,
+        log_pdf=lambda x: log_theta - theta * x,
+        log_survival=lambda x: -theta * x,
+        log_cdf=lambda x: np.log(-np.expm1(-theta * x)),
+        quantile=lambda p: -np.log1p(-p) / theta,
+        inverse_survival=lambda q: -np.log(q) / theta,
+        kerridge=_upper_only(lambda n, k: n / k - math.log(theta)),
+        cri=lambda side, n, k: n * (n + 1) / (2.0 * theta * k**2),
     )
 
 
 def make_pareto(theta: float) -> Distribution:
     """Pareto with tail index theta: density theta * x^-(theta+1) on (1, inf)."""
-    theta = float(theta)
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise ParameterError(f"pareto tail index must be positive and finite, got {theta}")
+    theta = _positive(theta, "pareto tail index")
     log_theta = math.log(theta)
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x >= 1.0
-        out[m] = theta * x[m] ** (-theta - 1.0)
-        return _scalarize(out)
-
-    def log_pdf(x):
-        x = np.asarray(x, float)
-        out = np.full(x.shape, -_INF)
-        m = x >= 1.0
-        out[m] = log_theta - (theta + 1.0) * np.log(x[m])
-        return _scalarize(out)
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x > 1.0
-        out[m] = -np.expm1(-theta * np.log(x[m]))
-        return _scalarize(out)
-
-    def survival(x):
-        x = np.asarray(x, float)
-        out = np.ones(x.shape)
-        m = x > 1.0
-        out[m] = x[m] ** -theta
-        return _scalarize(out)
-
-    def quantile(p):
-        p = np.asarray(p, float)
-        return _scalarize((1.0 - p) ** (-1.0 / theta))
-
-    def inverse_survival(q):
-        q = np.asarray(q, float)
-        return _scalarize(q ** (-1.0 / theta))
-
-    def log_cdf(x):
-        x = np.asarray(x, float)
-        out = np.full(x.shape, -_INF)
-        m = x > 1.0
-        with np.errstate(divide="ignore"):
-            out[m] = np.log(-np.expm1(-theta * np.log(x[m])))
-        return _scalarize(out)
-
-    def log_survival(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x > 1.0
-        out[m] = -theta * np.log(x[m])
-        return _scalarize(out)
-
-    return Distribution(
+    return _family(
         "pareto", {"theta": theta}, (1.0, _INF),
-        pdf, log_pdf, cdf, survival, quantile, inverse_survival,
-        log_cdf, log_survival,
+        log_pdf=lambda x: log_theta - (theta + 1.0) * np.log(x),
+        log_survival=lambda x: -theta * np.log(x),
+        log_cdf=lambda x: np.log(-np.expm1(-theta * np.log(x))),
+        quantile=lambda p: (1.0 - p) ** (-1.0 / theta),
+        inverse_survival=lambda q: q ** (-1.0 / theta),
+        kerridge=_upper_only(lambda n, k: (1.0 + 1.0 / theta) * n / k - math.log(theta)),
     )
 
 
@@ -222,173 +211,59 @@ def make_weibull(lam: float, beta: float) -> Distribution:
 
     beta = 1 reduces to the exponential with rate lam.
     """
-    lam = float(lam)
-    beta = float(beta)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ParameterError(f"weibull scale parameter must be positive and finite, got {lam}")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ParameterError(f"weibull shape parameter must be positive and finite, got {beta}")
+    lam = _positive(lam, "weibull scale parameter")
+    beta = _positive(beta, "weibull shape parameter")
     log_lam_beta = math.log(lam * beta)
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x > 0.0
-        xm = x[m]
-        out[m] = lam * beta * xm ** (beta - 1.0) * np.exp(-lam * xm**beta)
-        if beta == 1.0:
-            out[x == 0.0] = lam
-        elif beta < 1.0:
-            out[x == 0.0] = _INF
-        return _scalarize(out)
-
-    def log_pdf(x):
-        x = np.asarray(x, float)
-        out = np.full(x.shape, -_INF)
-        m = x > 0.0
-        xm = x[m]
-        out[m] = log_lam_beta + (beta - 1.0) * np.log(xm) - lam * xm**beta
-        if beta == 1.0:
-            out[x == 0.0] = math.log(lam)
-        elif beta < 1.0:
-            out[x == 0.0] = _INF
-        return _scalarize(out)
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x > 0.0
-        out[m] = -np.expm1(-lam * x[m] ** beta)
-        return _scalarize(out)
-
-    def survival(x):
-        x = np.asarray(x, float)
-        out = np.ones(x.shape)
-        m = x > 0.0
-        out[m] = np.exp(-lam * x[m] ** beta)
-        return _scalarize(out)
-
-    def quantile(p):
-        p = np.asarray(p, float)
-        return _scalarize((-np.log1p(-p) / lam) ** (1.0 / beta))
-
-    def inverse_survival(q):
-        q = np.asarray(q, float)
-        return _scalarize((-np.log(q) / lam) ** (1.0 / beta))
-
-    def log_cdf(x):
-        x = np.asarray(x, float)
-        out = np.full(x.shape, -_INF)
-        m = x > 0.0
-        with np.errstate(divide="ignore"):
-            out[m] = np.log(-np.expm1(-lam * x[m] ** beta))
-        return _scalarize(out)
-
-    def log_survival(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = x > 0.0
-        out[m] = -lam * x[m] ** beta
-        return _scalarize(out)
-
-    return Distribution(
+    return _family(
         "weibull", {"lambda": lam, "beta": beta}, (0.0, _INF),
-        pdf, log_pdf, cdf, survival, quantile, inverse_survival,
-        log_cdf, log_survival,
+        # xlogy takes the limit at x = 0: log(lam) for beta = 1, +inf below
+        log_pdf=lambda x: log_lam_beta + xlogy(beta - 1.0, x) - lam * x**beta,
+        log_survival=lambda x: -lam * x**beta,
+        log_cdf=lambda x: np.log(-np.expm1(-lam * x**beta)),
+        quantile=lambda p: (-np.log1p(-p) / lam) ** (1.0 / beta),
+        inverse_survival=lambda q: (-np.log(q) / lam) ** (1.0 / beta),
+        kerridge=_upper_only(lambda n, k: (
+            n / k
+            - math.log(beta)
+            - math.log(lam) / beta
+            - (beta - 1.0) / beta * (digamma(n) - math.log(k))
+        )),
     )
 
 
 def make_uniform01() -> Distribution:
     """Uniform on (0, 1)."""
 
-    def pdf(x):
-        x = np.asarray(x, float)
-        return _scalarize(np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0))
+    def cumulative(side, n, k):
+        # the uniform law is symmetric about 1/2, so cdf-side values mirror
+        # the survival-side ones
+        return sum((i + 1) * k**i / (k + 1) ** (i + 2) for i in range(n))
 
-    def log_pdf(x):
-        x = np.asarray(x, float)
-        return _scalarize(np.where((x >= 0.0) & (x <= 1.0), 0.0, -_INF))
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        return _scalarize(np.clip(x, 0.0, 1.0))
-
-    def survival(x):
-        x = np.asarray(x, float)
-        return _scalarize(np.clip(1.0 - x, 0.0, 1.0))
-
-    def quantile(p):
-        p = np.asarray(p, float)
-        return _scalarize(p + 0.0)
-
-    def inverse_survival(q):
-        q = np.asarray(q, float)
-        return _scalarize(1.0 - q)
-
-    def log_cdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return _scalarize(np.log(np.clip(x, 0.0, 1.0)))
-
-    def log_survival(x):
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return _scalarize(np.log1p(-np.clip(x, 0.0, 1.0)))
-
-    return Distribution(
+    return _family(
         "uniform", {}, (0.0, 1.0),
-        pdf, log_pdf, cdf, survival, quantile, inverse_survival,
-        log_cdf, log_survival,
+        log_pdf=np.zeros_like,
+        log_survival=lambda x: np.log1p(-x),
+        log_cdf=np.log,
+        quantile=lambda p: p + 0.0,
+        inverse_survival=lambda q: 1.0 - q,
+        # flat density: the log-density term vanishes identically
+        kerridge=lambda side, n, k: 0.0,
+        cri=cumulative,
+        cpi=cumulative,
     )
 
 
 def make_power_decreasing() -> Distribution:
     """Density 3(1-x)^2 on (0, 1); a strictly decreasing polynomial density."""
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        m = (x >= 0.0) & (x <= 1.0)
-        out[m] = 3.0 * (1.0 - x[m]) ** 2
-        return _scalarize(out)
-
-    def log_pdf(x):
-        x = np.asarray(x, float)
-        out = np.full(x.shape, -_INF)
-        m = (x >= 0.0) & (x < 1.0)
-        out[m] = math.log(3.0) + 2.0 * np.log(1.0 - x[m])
-        return _scalarize(out)
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        return _scalarize(1.0 - np.clip(1.0 - x, 0.0, 1.0) ** 3)
-
-    def survival(x):
-        x = np.asarray(x, float)
-        return _scalarize(np.clip(1.0 - x, 0.0, 1.0) ** 3)
-
-    def quantile(p):
-        p = np.asarray(p, float)
-        return _scalarize(1.0 - (1.0 - p) ** (1.0 / 3.0))
-
-    def inverse_survival(q):
-        q = np.asarray(q, float)
-        return _scalarize(1.0 - q ** (1.0 / 3.0))
-
-    def log_cdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return _scalarize(np.log(-np.expm1(3.0 * np.log1p(-np.clip(x, 0.0, 1.0)))))
-
-    def log_survival(x):
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return _scalarize(3.0 * np.log1p(-np.clip(x, 0.0, 1.0)))
-
-    return Distribution(
+    log_3 = math.log(3.0)
+    return _family(
         "power_decreasing", {}, (0.0, 1.0),
-        pdf, log_pdf, cdf, survival, quantile, inverse_survival,
-        log_cdf, log_survival,
+        log_pdf=lambda x: log_3 + 2.0 * np.log1p(-x),
+        log_survival=lambda x: 3.0 * np.log1p(-x),
+        log_cdf=lambda x: np.log(-np.expm1(3.0 * np.log1p(-x))),
+        quantile=lambda p: 1.0 - (1.0 - p) ** (1.0 / 3.0),
+        inverse_survival=lambda q: 1.0 - q ** (1.0 / 3.0),
+        kerridge=_upper_only(lambda n, k: -math.log(3.0) + 2.0 * n / (3.0 * k)),
     )
 
 
@@ -398,55 +273,22 @@ def make_power_increasing(m: int) -> Distribution:
         raise ParameterError(f"power exponent must be an integer >= 2, got {m!r}")
     m = int(m)
     log_m = math.log(m)
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        mask = (x >= 0.0) & (x <= 1.0)
-        out[mask] = m * x[mask] ** (m - 1)
-        return _scalarize(out)
-
-    def log_pdf(x):
-        x = np.asarray(x, float)
-        out = np.full(x.shape, -_INF)
-        mask = (x > 0.0) & (x <= 1.0)
-        out[mask] = log_m + (m - 1) * np.log(x[mask])
-        return _scalarize(out)
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        return _scalarize(np.clip(x, 0.0, 1.0) ** m)
-
-    def survival(x):
-        x = np.asarray(x, float)
-        return _scalarize(1.0 - np.clip(x, 0.0, 1.0) ** m)
-
-    def quantile(p):
-        p = np.asarray(p, float)
-        return _scalarize(p ** (1.0 / m))
-
-    def inverse_survival(q):
-        q = np.asarray(q, float)
-        return _scalarize((1.0 - q) ** (1.0 / m))
-
-    def log_cdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return _scalarize(m * np.log(np.clip(x, 0.0, 1.0)))
-
-    def log_survival(x):
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return _scalarize(np.log(-np.expm1(m * np.log(np.clip(x, 0.0, 1.0)))))
-
-    return Distribution(
+    return _family(
         "power_increasing", {"m": m}, (0.0, 1.0),
-        pdf, log_pdf, cdf, survival, quantile, inverse_survival,
-        log_cdf, log_survival,
+        log_pdf=lambda x: log_m + (m - 1) * np.log(x),
+        log_survival=lambda x: np.log(-np.expm1(m * np.log(x))),
+        log_cdf=lambda x: m * np.log(x),
+        quantile=lambda p: p ** (1.0 / m),
+        inverse_survival=lambda q: (1.0 - q) ** (1.0 / m),
     )
 
 
 _N_PROBES = 16
+
+
+def _interior_probes(quantile: Callable) -> np.ndarray:
+    # placed by the quantile function, so that infinite supports work
+    return np.asarray(quantile((np.arange(_N_PROBES) + 0.5) / _N_PROBES), float)
 
 
 def make_custom(
@@ -470,15 +312,14 @@ def make_custom(
     the pdf, and quantile(cdf(x)) must return x.  A failure raises
     :class:`ConsistencyError` naming the probe, catching sign errors and
     mismatched parameterizations before they poison downstream integrals.
+    Whatever its ``name`` and ``params``, the result has no closed forms.
     """
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise ParameterError(f"support must satisfy lo < hi, got {support!r}")
 
     if log_pdf is None:
-        def log_pdf(x, _pdf=pdf):
-            with np.errstate(divide="ignore"):
-                return np.log(np.asarray(_pdf(x), float))
+        log_pdf = _log_of(pdf)
 
     if survival is None:
         def survival(x, _cdf=cdf):
@@ -488,8 +329,7 @@ def make_custom(
         def inverse_survival(q, _quantile=quantile):
             return np.asarray(_quantile(1.0 - np.asarray(q, float)), float)
 
-    probes = np.asarray(quantile((np.arange(_N_PROBES) + 0.5) / _N_PROBES), float)
-    for x in probes:
+    for x in _interior_probes(quantile):
         h = 1e-6 * max(1.0, abs(x))
         a = max(x - h, lo)
         b = min(x + h, hi)

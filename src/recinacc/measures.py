@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _interior_probes
 from .errors import (
     DivergenceError,
     IntegrandError,
@@ -52,8 +52,6 @@ _METHODS = ("closed_form", "quadrature", "gamma_expectation", "monte_carlo")
 # u log u -> 0 would otherwise surface as 0 * inf = nan at support edges
 _WEIGHT_FLOOR = 1e-300
 
-_N_PROBES = 16
-
 
 @dataclass(frozen=True)
 class MeasureResult:
@@ -80,10 +78,6 @@ class MeasureResult:
             raise ParameterError("closed_form results must carry abs_error_estimate 0")
 
 
-def _interior_probes(dist: Distribution) -> np.ndarray:
-    return np.asarray(dist.quantile((np.arange(_N_PROBES) + 0.5) / _N_PROBES), float)
-
-
 def _require_density_cover(actual: Distribution, assessed: Distribution, what: str) -> None:
     """The assessed law must put density wherever the actual one does.
 
@@ -99,7 +93,7 @@ def _require_density_cover(actual: Distribution, assessed: Distribution, what: s
             f"{what} diverges: assessed support ({lo_y}, {hi_y}) does not cover "
             f"actual support ({lo_x}, {hi_x})"
         )
-    probes = _interior_probes(actual)
+    probes = _interior_probes(actual.quantile)
     dens = np.asarray(assessed.pdf(probes), float)
     bad = ~(dens > 0.0)
     if np.any(bad):
@@ -317,7 +311,7 @@ def cumulative_residual_inaccuracy(
             "function vanishes before the actual one does "
             f"(assessed upper end {assessed.support[1]} < actual {hi_x})"
         )
-    probes = _interior_probes(actual)
+    probes = _interior_probes(actual.quantile)
     sp = np.asarray(assessed.survival(probes), float)
     if np.any(~(sp > 0.0)):
         x = probes[~(sp > 0.0)][0]
@@ -354,7 +348,7 @@ def cumulative_past_inaccuracy(
             "after the actual one rises "
             f"(assessed lower end {assessed.support[0]} > actual {lo_x})"
         )
-    probes = _interior_probes(actual)
+    probes = _interior_probes(actual.quantile)
     cp = np.asarray(assessed.cdf(probes), float)
     if np.any(~(cp > 0.0)):
         x = probes[~(cp > 0.0)][0]

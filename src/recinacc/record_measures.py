@@ -4,14 +4,18 @@ Three measures are supported, each with several evaluation paths that
 must agree and are tested against one another:
 
 * kerridge: density inaccuracy of assuming the parent density while the
-  data are record values.  Closed forms exist for most catalog parents;
-  the general path is a gamma-weighted expectation through the record
-  representation U = S^{-1}(e^{-T}), T ~ Gamma(n, rate k), with plain
-  x-space quadrature as a cross-check.
+  data are record values.  The general path is a gamma-weighted
+  expectation through the record representation U = S^{-1}(e^{-T}),
+  T ~ Gamma(n, rate k), with plain x-space quadrature as a cross-check.
 * cri: cumulative residual inaccuracy between the upper record's
   survival function and the parent's.
 * cpi: cumulative past inaccuracy between the lower record's cdf and the
   parent's.
+
+Closed forms belong to the parent: a catalog family carries them in
+``Distribution.closed_forms``, and the one dispatcher (``_dispatch``,
+keyed by measure and method) takes them under ``auto`` where they exist.
+Every route is written once for both record sides.
 
 The cri/cpi measures additionally have representation forms (mean
 differences, hazard-weighted double integrals, cdf differences) exposed
@@ -24,6 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.special as _sc
@@ -40,7 +45,6 @@ from .measures import MeasureResult, _quad, kerridge as _generic_kerridge
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
-    digamma,
     gamma_expectation,
 )
 from .records import (
@@ -96,60 +100,7 @@ class RecordMeasureRequest:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-
-def _kerridge_closed(parent: Distribution, spec: RecordSpec) -> float | None:
-    n, k = spec.n, spec.k
-    p = parent.params
-    if parent.name == "uniform":
-        # flat density: the log-density term vanishes identically
-        return 0.0
-    if spec.side != "upper":
-        return None
-    if parent.name == "exponential":
-        return n / k - math.log(p["theta"])
-    if parent.name == "pareto":
-        theta = p["theta"]
-        return (1.0 + 1.0 / theta) * n / k - math.log(theta)
-    if parent.name == "power_decreasing":
-        return -math.log(3.0) + 2.0 * n / (3.0 * k)
-    if parent.name == "weibull":
-        lam, beta = p["lambda"], p["beta"]
-        return (
-            n / k
-            - math.log(beta)
-            - math.log(lam) / beta
-            - (beta - 1.0) / beta * (digamma(n) - math.log(k))
-        )
-    return None
-
-
-def _uniform_cumulative_closed(n: int, k: int) -> float:
-    return sum((i + 1) * k**i / (k + 1) ** (i + 2) for i in range(n))
-
-
-def _cri_closed(parent: Distribution, spec: RecordSpec) -> float | None:
-    n, k = spec.n, spec.k
-    if parent.name == "exponential":
-        return n * (n + 1) / (2.0 * parent.params["theta"] * k**2)
-    if parent.name == "uniform":
-        return _uniform_cumulative_closed(n, k)
-    return None
-
-
-def _cpi_closed(parent: Distribution, spec: RecordSpec) -> float | None:
-    # the uniform law is symmetric about 1/2, so cdf-side values mirror
-    # the survival-side ones
-    if parent.name == "uniform":
-        return _uniform_cumulative_closed(spec.n, spec.k)
-    return None
-
-
-def _closed(value: float | None, what: str) -> MeasureResult:
-    if value is None:
-        raise UnsupportedMethodError(f"no closed form is known for {what}")
-    return MeasureResult(value, "closed_form", 0.0)
+# numeric helpers
 
 
 def _gamma_expect(g, n: int, k: int, config: QuadratureConfig, what: str):
@@ -198,51 +149,34 @@ def _cap_tail_mass(n: int, k: int, cap: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kerridge
-
-
-def kerridge_record(
-    parent: Distribution,
-    spec: RecordSpec,
-    method: str = "auto",
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> MeasureResult:
-    """Kerridge inaccuracy of assuming the parent density for record data."""
-    if method == "auto":
-        value = _kerridge_closed(parent, spec)
-        if value is not None:
-            return MeasureResult(value, "closed_form", 0.0)
-        method = "gamma_expectation"
-    if method == "closed_form":
-        return _closed(_kerridge_closed(parent, spec), f"kerridge on {parent.name}")
-    if method == "gamma_expectation":
-        def surprise(t):
-            x = np.asarray(gamma_transform_point(parent, spec.side, t), float)
-            return -np.asarray(parent.log_pdf(x), float)
-
-        cap = _finite_cap(surprise)
-        res = _gamma_expect(
-            _capped(surprise, cap), spec.n, spec.k, config,
-            f"record kerridge expectation on {parent.name}",
-        )
-        err = res.abs_error_estimate + _cap_tail_mass(spec.n, spec.k, cap)
-        return MeasureResult(res.value, "gamma_expectation", err)
-    if method == "quadrature":
-        return _generic_kerridge(record_distribution(parent, spec), parent, config)
-    if method == "monte_carlo":
-        from .oracle import McConfig, mc_measure
-
-        return mc_measure(RecordMeasureRequest(parent, spec, "kerridge"), McConfig())
-    raise UnsupportedMethodError(f"unknown method {method!r}")
-
-
-# ---------------------------------------------------------------------------
-# cumulative residual inaccuracy (upper records)
+# routes: one implementation per (measure, method), each side-parametrised
 
 
 def _require_side(spec: RecordSpec, side: str, what: str) -> None:
     if spec.side != side:
         raise ParameterError(f"{what} is defined for {side} records, got {spec.side!r}")
+
+
+# the cumulative measure defined on each record side, as messages name it
+_CUMULATIVE_LABEL = {"upper": "residual", "lower": "past"}
+
+
+def _kerridge_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+    def surprise(t):
+        x = np.asarray(gamma_transform_point(parent, spec.side, t), float)
+        return -np.asarray(parent.log_pdf(x), float)
+
+    cap = _finite_cap(surprise)
+    res = _gamma_expect(
+        _capped(surprise, cap), spec.n, spec.k, config,
+        f"record kerridge expectation on {parent.name}",
+    )
+    err = res.abs_error_estimate + _cap_tail_mass(spec.n, spec.k, cap)
+    return MeasureResult(res.value, "gamma_expectation", err)
+
+
+def _kerridge_quadrature(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+    return _generic_kerridge(record_distribution(parent, spec), parent, config)
 
 
 def _cumulative_sum_integrand(parent: Distribution, n: int, k: int, side: str):
@@ -272,6 +206,99 @@ def _cumulative_sum_integrand(parent: Distribution, n: int, k: int, side: str):
     return integrand
 
 
+def _cumulative_quadrature(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+    integrand = _cumulative_sum_integrand(parent, spec.n, spec.k, spec.side)
+    what = f"{_CUMULATIVE_LABEL[spec.side]} record inaccuracy"
+    return _quad(integrand, parent.support, config, what)
+
+
+def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+    """Expectation form: (1/k^2) sum_i (i+1) E[g/pdf at the record].
+
+    g is the parent survival function for upper records (the reciprocal
+    hazard) and the cdf for lower ones (the reciprocal reversed hazard).
+    The expectation runs over the (i+2)-th k-record, which through the
+    gamma representation is E over T ~ Gamma(i+2, k) of e^-t / pdf(x(t)),
+    with x(t) = inverse_survival(e^-t) or quantile(e^-t).
+    """
+    n, k = spec.n, spec.k
+    invert = parent.inverse_survival if spec.side == "upper" else parent.quantile
+
+    def reciprocal_hazard(t):
+        t = np.asarray(t, float)
+        x = np.asarray(invert(np.exp(-t)), float)
+        return np.exp(-t) / np.asarray(parent.pdf(x), float)
+
+    cap = _finite_cap(reciprocal_hazard)
+    capped = _capped(reciprocal_hazard, cap)
+    label = _CUMULATIVE_LABEL[spec.side]
+    total = 0.0
+    err = 0.0
+    for i in range(n):
+        res = _gamma_expect(
+            capped, i + 2, k, config,
+            f"{label} inaccuracy expectation term {i} on {parent.name}",
+        )
+        total += (i + 1) / k**2 * res.value
+        err += (i + 1) / k**2 * (res.abs_error_estimate + _cap_tail_mass(i + 2, k, cap))
+    return MeasureResult(total, "gamma_expectation", err)
+
+
+def _monte_carlo(measure: str, parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+    from .oracle import McConfig, mc_measure
+
+    return mc_measure(RecordMeasureRequest(parent, spec, measure), McConfig())
+
+
+_ROUTES = {
+    ("kerridge", "gamma_expectation"): _kerridge_expectation,
+    ("kerridge", "quadrature"): _kerridge_quadrature,
+    ("cri", "gamma_expectation"): _cumulative_expectation,
+    ("cri", "quadrature"): _cumulative_quadrature,
+    ("cpi", "gamma_expectation"): _cumulative_expectation,
+    ("cpi", "quadrature"): _cumulative_quadrature,
+    **{(measure, "monte_carlo"): partial(_monte_carlo, measure) for measure in _MEASURES},
+}
+_DEFAULT_ROUTE = {"kerridge": "gamma_expectation", "cri": "quadrature", "cpi": "quadrature"}
+_MEASURE_LABEL = {"kerridge": "kerridge", "cri": "residual inaccuracy", "cpi": "past inaccuracy"}
+
+
+def _dispatch(
+    measure: str,
+    parent: Distribution,
+    spec: RecordSpec,
+    method: str,
+    config: QuadratureConfig,
+) -> MeasureResult:
+    """The one route dispatch: ``auto`` takes the family's closed form
+    where it has one on this side, and the measure's default route
+    otherwise."""
+    if method in ("auto", "closed_form"):
+        form = (parent.closed_forms or {}).get(measure)
+        value = None if form is None else form(spec.side, spec.n, spec.k)
+        if value is not None:
+            return MeasureResult(value, "closed_form", 0.0)
+        if method == "closed_form":
+            raise UnsupportedMethodError(
+                f"no closed form is known for {_MEASURE_LABEL[measure]} on {parent.name}"
+            )
+        method = _DEFAULT_ROUTE[measure]
+    route = _ROUTES.get((measure, method))
+    if route is None:
+        raise UnsupportedMethodError(f"unknown method {method!r}")
+    return route(parent, spec, config)
+
+
+def kerridge_record(
+    parent: Distribution,
+    spec: RecordSpec,
+    method: str = "auto",
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> MeasureResult:
+    """Kerridge inaccuracy of assuming the parent density for record data."""
+    return _dispatch("kerridge", parent, spec, method, config)
+
+
 def residual_record_inaccuracy(
     parent: Distribution,
     spec: RecordSpec,
@@ -280,53 +307,22 @@ def residual_record_inaccuracy(
 ) -> MeasureResult:
     """Cumulative residual inaccuracy between the upper record and parent."""
     _require_side(spec, "upper", "residual record inaccuracy")
-    if method == "auto":
-        value = _cri_closed(parent, spec)
-        if value is not None:
-            return MeasureResult(value, "closed_form", 0.0)
-        method = "quadrature"
-    if method == "closed_form":
-        return _closed(_cri_closed(parent, spec), f"residual inaccuracy on {parent.name}")
-    if method == "quadrature":
-        integrand = _cumulative_sum_integrand(parent, spec.n, spec.k, "upper")
-        return _quad(integrand, parent.support, config, "residual record inaccuracy")
-    if method == "gamma_expectation":
-        return _residual_expectation_form(parent, spec, config)
-    if method == "monte_carlo":
-        from .oracle import McConfig, mc_measure
-
-        return mc_measure(RecordMeasureRequest(parent, spec, "cri"), McConfig())
-    raise UnsupportedMethodError(f"unknown method {method!r}")
+    return _dispatch("cri", parent, spec, method, config)
 
 
-def _residual_expectation_form(
-    parent: Distribution, spec: RecordSpec, config: QuadratureConfig
+def past_record_inaccuracy(
+    parent: Distribution,
+    spec: RecordSpec,
+    method: str = "auto",
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MeasureResult:
-    """Expectation form: (1/k^2) sum_i (i+1) E[survival/pdf at the record].
+    """Cumulative past inaccuracy between the lower record and parent."""
+    _require_side(spec, "lower", "past record inaccuracy")
+    return _dispatch("cpi", parent, spec, method, config)
 
-    The expectation runs over the (i+2)-th upper k-record, which through
-    the gamma representation is E over T ~ Gamma(i+2, k) of
-    e^-t / pdf(inverse_survival(e^-t)).
-    """
-    n, k = spec.n, spec.k
 
-    def reciprocal_hazard(t):
-        t = np.asarray(t, float)
-        x = np.asarray(parent.inverse_survival(np.exp(-t)), float)
-        return np.exp(-t) / np.asarray(parent.pdf(x), float)
-
-    cap = _finite_cap(reciprocal_hazard)
-    capped = _capped(reciprocal_hazard, cap)
-    total = 0.0
-    err = 0.0
-    for i in range(n):
-        res = _gamma_expect(
-            capped, i + 2, k, config,
-            f"residual inaccuracy expectation term {i} on {parent.name}",
-        )
-        total += (i + 1) / k**2 * res.value
-        err += (i + 1) / k**2 * (res.abs_error_estimate + _cap_tail_mass(i + 2, k, cap))
-    return MeasureResult(total, "gamma_expectation", err)
+# ---------------------------------------------------------------------------
+# representation forms of the cumulative measures
 
 
 def residual_inaccuracy_mean_difference_form(
@@ -568,62 +564,6 @@ def residual_inaccuracy_hazard_forms(
     return one, two
 
 
-# ---------------------------------------------------------------------------
-# cumulative past inaccuracy (lower records)
-
-
-def past_record_inaccuracy(
-    parent: Distribution,
-    spec: RecordSpec,
-    method: str = "auto",
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> MeasureResult:
-    """Cumulative past inaccuracy between the lower record and parent."""
-    _require_side(spec, "lower", "past record inaccuracy")
-    if method == "auto":
-        value = _cpi_closed(parent, spec)
-        if value is not None:
-            return MeasureResult(value, "closed_form", 0.0)
-        method = "quadrature"
-    if method == "closed_form":
-        return _closed(_cpi_closed(parent, spec), f"past inaccuracy on {parent.name}")
-    if method == "quadrature":
-        integrand = _cumulative_sum_integrand(parent, spec.n, spec.k, "lower")
-        return _quad(integrand, parent.support, config, "past record inaccuracy")
-    if method == "gamma_expectation":
-        return _past_expectation_form(parent, spec, config)
-    if method == "monte_carlo":
-        from .oracle import McConfig, mc_measure
-
-        return mc_measure(RecordMeasureRequest(parent, spec, "cpi"), McConfig())
-    raise UnsupportedMethodError(f"unknown method {method!r}")
-
-
-def _past_expectation_form(
-    parent: Distribution, spec: RecordSpec, config: QuadratureConfig
-) -> MeasureResult:
-    """Mirror of the residual expectation form with reversed-hazard weights."""
-    n, k = spec.n, spec.k
-
-    def reciprocal_reversed_hazard(t):
-        t = np.asarray(t, float)
-        x = np.asarray(parent.quantile(np.exp(-t)), float)
-        return np.exp(-t) / np.asarray(parent.pdf(x), float)
-
-    cap = _finite_cap(reciprocal_reversed_hazard)
-    capped = _capped(reciprocal_reversed_hazard, cap)
-    total = 0.0
-    err = 0.0
-    for i in range(n):
-        res = _gamma_expect(
-            capped, i + 2, k, config,
-            f"past inaccuracy expectation term {i} on {parent.name}",
-        )
-        total += (i + 1) / k**2 * res.value
-        err += (i + 1) / k**2 * (res.abs_error_estimate + _cap_tail_mass(i + 2, k, cap))
-    return MeasureResult(total, "gamma_expectation", err)
-
-
 def past_inaccuracy_cdf_difference_form(
     parent: Distribution,
     spec: RecordSpec,
@@ -646,7 +586,7 @@ def past_inaccuracy_cdf_difference_form(
 
 
 # ---------------------------------------------------------------------------
-# scale/shift behavior and dispatch
+# scale/shift behavior and requests
 
 
 def scale_shift_check(
@@ -675,8 +615,4 @@ def compute_record_measure(
     request: RecordMeasureRequest,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MeasureResult:
-    if request.measure == "kerridge":
-        return kerridge_record(request.parent, request.spec, request.method, config)
-    if request.measure == "cri":
-        return residual_record_inaccuracy(request.parent, request.spec, request.method, config)
-    return past_record_inaccuracy(request.parent, request.spec, request.method, config)
+    return _dispatch(request.measure, request.parent, request.spec, request.method, config)

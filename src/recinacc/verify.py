@@ -56,26 +56,32 @@ def _bracket(name: str, actual: float, expected: float, half_width: float) -> Ch
 
 
 def _make_triangular():
-    """Symmetric triangular law on (0,1), used by the symmetry suite."""
+    """Symmetric triangular law on (0, 1), built through the
+    user-supplied-distribution pathway; used by the symmetry suite."""
 
     def pdf(x):
         x = np.asarray(x, float)
-        out = np.where(x < 0.5, 4.0 * x, 4.0 * (1.0 - x))
-        return np.where((x >= 0.0) & (x <= 1.0), out, 0.0)
+        return np.where(
+            (x >= 0.0) & (x <= 0.5), 4.0 * x,
+            np.where((x > 0.5) & (x <= 1.0), 4.0 * (1.0 - x), 0.0),
+        )[()]
 
     def cdf(x):
-        x = np.clip(np.asarray(x, float), 0.0, 1.0)
-        return np.where(x < 0.5, 2.0 * x * x, 1.0 - 2.0 * (1.0 - x) ** 2)
+        xc = np.clip(np.asarray(x, float), 0.0, 1.0)
+        return np.where(xc <= 0.5, 2.0 * xc * xc, 1.0 - 2.0 * (1.0 - xc) ** 2)[()]
 
     def quantile(p):
         p = np.asarray(p, float)
-        return np.where(
-            p < 0.5,
-            np.sqrt(np.maximum(p, 0.0) / 2.0),
-            1.0 - np.sqrt(np.maximum(1.0 - p, 0.0) / 2.0),
-        )
+        return np.where(p <= 0.5, np.sqrt(p / 2.0), 1.0 - np.sqrt((1.0 - p) / 2.0))[()]
 
-    return make_custom(pdf, cdf, quantile, (0.0, 1.0), name="triangular")
+    def inverse_survival(q):
+        q = np.asarray(q, float)
+        return np.where(q >= 0.5, np.sqrt((1.0 - q) / 2.0), 1.0 - np.sqrt(q / 2.0))[()]
+
+    return make_custom(
+        pdf, cdf, quantile, (0.0, 1.0),
+        name="triangular", inverse_survival=inverse_survival,
+    )
 
 
 def suite_reference_values(seed: int = 0) -> list[CheckResult]:

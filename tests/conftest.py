@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,36 +11,9 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def make_triangular():
-    """Symmetric triangular distribution on (0, 1), built through the
-    user-supplied-distribution pathway."""
-    from recinacc.distributions import make_custom
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        return np.where(
-            (x >= 0.0) & (x <= 0.5), 4.0 * x,
-            np.where((x > 0.5) & (x <= 1.0), 4.0 * (1.0 - x), 0.0),
-        )[()]
-
-    def cdf(x):
-        xc = np.clip(np.asarray(x, float), 0.0, 1.0)
-        return np.where(xc <= 0.5, 2.0 * xc * xc, 1.0 - 2.0 * (1.0 - xc) ** 2)[()]
-
-    def quantile(p):
-        p = np.asarray(p, float)
-        return np.where(p <= 0.5, np.sqrt(p / 2.0), 1.0 - np.sqrt((1.0 - p) / 2.0))[()]
-
-    def inverse_survival(q):
-        q = np.asarray(q, float)
-        return np.where(q >= 0.5, np.sqrt((1.0 - q) / 2.0), 1.0 - np.sqrt(q / 2.0))[()]
-
-    return make_custom(
-        pdf, cdf, quantile, (0.0, 1.0),
-        name="triangular", inverse_survival=inverse_survival,
-    )
-
-
 @pytest.fixture
 def triangular():
-    return make_triangular()
+    """Symmetric triangular law on (0, 1), built through make_custom."""
+    from recinacc.verify import _make_triangular
+
+    return _make_triangular()

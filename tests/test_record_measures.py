@@ -6,6 +6,7 @@ gamma-weighted expectation over the transformed axis).  The grids below
 pin them against each other and against hand-derived values.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from recinacc import measures, numerics
 from recinacc import record_measures as RM
 from recinacc.distributions import (
+    affine_transform,
     make_custom,
     make_exponential,
     make_pareto,
@@ -24,7 +26,7 @@ from recinacc.distributions import (
 )
 from recinacc.errors import DivergenceError, ParameterError, UnsupportedMethodError
 from recinacc.numerics import QuadratureConfig
-from recinacc.records import RecordSpec
+from recinacc.records import RecordSpec, record_distribution
 
 E1 = make_exponential(1.0)
 E2 = make_exponential(2.0)
@@ -99,7 +101,8 @@ class TestKerridgeRouteAgreement:
         g = RM.kerridge_record(parent, spec, "gamma_expectation")
         q = RM.kerridge_record(parent, spec, "quadrature")
         assert g.value == pytest.approx(q.value, abs=1e-7)
-        closed = RM._kerridge_closed(parent, spec)
+        form = (parent.closed_forms or {}).get("kerridge")
+        closed = form(side, n, k) if form else None
         if closed is not None:
             assert g.value == pytest.approx(closed, abs=1e-7)
 
@@ -133,6 +136,84 @@ class TestKerridgeRouteAgreement:
         g = RM.kerridge_record(W12, up(n, 1), "gamma_expectation")
         closed = RM.kerridge_record(W12, up(n, 1), "closed_form").value
         assert abs(g.value - closed) <= g.abs_error_estimate
+
+    def test_gamma_route_normaliser_is_exact_at_large_n(self):
+        # normalising by exp(log_gamma(n)) alone put it 9e-13 off at n=80
+        g = RM.kerridge_record(W12, up(80, 1), "gamma_expectation")
+        closed = RM.kerridge_record(W12, up(80, 1), "closed_form").value
+        assert abs(g.value - closed) <= 1e-13
+
+
+# uniform on (0, 2) and exponential(2) through make_custom, under the
+# names (and, for the exponential, parameters) of catalog families
+CUSTOM_U02 = make_custom(
+    lambda x: np.where((np.asarray(x, float) >= 0.0) & (np.asarray(x, float) <= 2.0), 0.5, 0.0),
+    lambda x: np.clip(np.asarray(x, float), 0.0, 2.0) / 2.0,
+    lambda p: 2.0 * np.asarray(p, float),
+    (0.0, 2.0),
+    name="uniform",
+)
+CUSTOM_E2_AS_THETA5 = make_custom(
+    CUSTOM_E2.pdf, CUSTOM_E2.cdf, CUSTOM_E2.quantile, (0.0, math.inf),
+    name="exponential", params={"theta": 5.0},
+)
+
+
+class TestClosedFormsBelongToTheFamily:
+    @pytest.mark.parametrize("spec", [up(2, 1), low(2, 1)])
+    def test_custom_law_named_uniform_takes_numeric_routes(self, spec):
+        ker = RM.kerridge_record(CUSTOM_U02, spec)
+        if spec.side == "upper":
+            cum = RM.residual_record_inaccuracy(CUSTOM_U02, spec)
+        else:
+            cum = RM.past_record_inaccuracy(CUSTOM_U02, spec)
+        assert ker.value == pytest.approx(math.log(2.0), abs=1e-9)
+        assert cum.value == pytest.approx(1.0, abs=1e-9)
+        assert ker.method != "closed_form" and cum.method != "closed_form"
+
+    def test_custom_law_named_exponential_ignores_its_params(self):
+        res = RM.residual_record_inaccuracy(CUSTOM_E2_AS_THETA5, up(2, 1))
+        assert res.method != "closed_form"
+        assert res.value == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "law",
+        [CUSTOM_U02, affine_transform(E1, 2.0, 1.0), record_distribution(E1, up(1, 1))],
+        ids=["custom", "affine", "record"],
+    )
+    def test_derived_laws_have_no_closed_form(self, law):
+        assert law.closed_forms is None
+        with pytest.raises(UnsupportedMethodError):
+            RM.kerridge_record(law, up(1, 1), "closed_form")
+        with pytest.raises(UnsupportedMethodError):
+            RM.residual_record_inaccuracy(law, up(1, 1), "closed_form")
+
+    def test_replacing_a_callable_keeps_the_closed_forms(self):
+        wrapped = dataclasses.replace(E2, pdf=lambda x: E2.pdf(x))
+        res = RM.kerridge_record(wrapped, up(3, 2))
+        assert res.method == "closed_form"
+        assert res.value == RM.kerridge_record(E2, up(3, 2)).value
+
+    def test_closed_form_cells(self):
+        parents = {
+            "exp1": E1, "pareto2": PAR2, "weib2_0.5": W205, "weib1_2": W12,
+            "uniform": U, "powdec": PD, "powinc2": P2,
+        }
+        cells = {
+            (label, measure, side)
+            for label, parent in parents.items()
+            for measure, form in (parent.closed_forms or {}).items()
+            for side in ("upper", "lower")
+            if (measure, side) not in {("cri", "lower"), ("cpi", "upper")}
+            and form(side, 2, 1) is not None
+        }
+        assert cells == {
+            ("exp1", "kerridge", "upper"), ("pareto2", "kerridge", "upper"),
+            ("weib2_0.5", "kerridge", "upper"), ("weib1_2", "kerridge", "upper"),
+            ("powdec", "kerridge", "upper"), ("uniform", "kerridge", "upper"),
+            ("uniform", "kerridge", "lower"), ("exp1", "cri", "upper"),
+            ("uniform", "cri", "upper"), ("uniform", "cpi", "lower"),
+        }
 
 
 class TestResidualInaccuracy:
