@@ -7,11 +7,14 @@ laws built by :func:`~recinacc.records.record_distribution` pass through
 unchanged; the record-specialized fast paths live in
 :mod:`recinacc.record_measures`.
 
+Each measure is one weighted integral: a weight from the actual law
+(density, survival function or cdf) times a term from the assessed law.
 Density-weighted measures (kerridge, kl_divergence, relative_information,
 extropy_inaccuracy) integrate over the actual support.  The cumulative
-measures integrate survival or cdf weights, which stay nonzero outside
-the actual support, so those run over the union of both supports with
-explicit guards where the weight vanishes.
+measures come in residual (survival) and past (cdf) mirror pairs, each
+pair written once and parameterised by side; their weights stay nonzero
+outside the actual support, so those run over the union of both
+supports with explicit guards where the weight vanishes.
 """
 
 from __future__ import annotations
@@ -78,6 +81,18 @@ class MeasureResult:
             raise ParameterError("closed_form results must carry abs_error_estimate 0")
 
 
+def _require_positive_inside(actual: Distribution, fn, name: str, what: str) -> None:
+    """``fn`` (the assessed law's ``name``) must be positive strictly
+    inside the actual support, probed where the actual quantile puts it."""
+    probes = _interior_probes(actual.quantile)
+    bad = ~(np.asarray(fn(probes), float) > 0.0)
+    if np.any(bad):
+        x = probes[bad][0]
+        raise SupportError(
+            f"{what} diverges: assessed {name} is 0 at x={x!r} inside the actual support"
+        )
+
+
 def _require_density_cover(actual: Distribution, assessed: Distribution, what: str) -> None:
     """The assessed law must put density wherever the actual one does.
 
@@ -93,14 +108,7 @@ def _require_density_cover(actual: Distribution, assessed: Distribution, what: s
             f"{what} diverges: assessed support ({lo_y}, {hi_y}) does not cover "
             f"actual support ({lo_x}, {hi_x})"
         )
-    probes = _interior_probes(actual.quantile)
-    dens = np.asarray(assessed.pdf(probes), float)
-    bad = ~(dens > 0.0)
-    if np.any(bad):
-        x = probes[bad][0]
-        raise SupportError(
-            f"{what} diverges: assessed density is 0 at x={x!r} inside the actual support"
-        )
+    _require_positive_inside(actual, assessed.pdf, "density", what)
 
 
 # Probe ladder for tail-decay certification: x0 * 2^j up to ~1.6e60 * x0.
@@ -157,6 +165,27 @@ def _quad(fn, interval, config: QuadratureConfig, what: str) -> MeasureResult:
     return MeasureResult(res.value, "quadrature", res.abs_error_estimate)
 
 
+def _weighted_integral(weight, term, scale: float, floor: float, interval,
+                       config: QuadratureConfig, what: str) -> MeasureResult:
+    """The skeleton of every measure here: the integral over ``interval``
+    of scale * weight(x) * term(x, weight(x)).
+
+    ``weight`` is a function of the actual law (density, survival or
+    cdf), ``term`` one of the assessed law.  A point whose weight is at
+    or below ``floor`` adds exactly 0, so the term is never multiplied
+    in where the weight has vanished (a log term would give 0 * inf).
+    """
+
+    def integrand(x):
+        w = np.asarray(weight(x), float)
+        out = np.zeros(w.shape)
+        m = w > floor
+        out[m] = scale * w[m] * np.asarray(term(x, w), float)[m]
+        return out[()]
+
+    return _quad(integrand, interval, config, what)
+
+
 def kerridge(
     actual: Distribution,
     assessed: Distribution,
@@ -168,15 +197,10 @@ def kerridge(
     it is the entropy plus the Kullback-Leibler divergence.
     """
     _require_density_cover(actual, assessed, "kerridge inaccuracy")
-
-    def integrand(x):
-        fx = np.asarray(actual.pdf(x), float)
-        out = np.zeros(fx.shape)
-        m = fx > 0.0
-        out[m] = -fx[m] * np.asarray(assessed.log_pdf(x), float)[m]
-        return out[()]
-
-    return _quad(integrand, actual.support, config, "kerridge inaccuracy")
+    return _weighted_integral(
+        actual.pdf, lambda x, fx: assessed.log_pdf(x), -1.0, 0.0, actual.support, config,
+        "kerridge inaccuracy",
+    )
 
 
 def extropy_inaccuracy(
@@ -185,74 +209,9 @@ def extropy_inaccuracy(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MeasureResult:
     """Negative half the overlap integral of the two densities."""
-
-    def integrand(x):
-        fx = np.asarray(actual.pdf(x), float)
-        out = np.zeros(fx.shape)
-        m = fx > 0.0
-        out[m] = -0.5 * fx[m] * np.asarray(assessed.pdf(x), float)[m]
-        return out[()]
-
-    return _quad(integrand, actual.support, config, "extropy inaccuracy")
-
-
-def _union_interval(a: Distribution, b: Distribution) -> tuple[float, float]:
-    return (min(a.support[0], b.support[0]), max(a.support[1], b.support[1]))
-
-
-def cumulative_residual_extropy_inaccuracy(
-    actual: Distribution,
-    assessed: Distribution,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> MeasureResult:
-    """Negative half the integral of the two survival functions' product."""
-    lo = min(actual.support[0], assessed.support[0])
-    if not math.isfinite(lo):
-        raise DivergenceError(
-            "cumulative residual extropy inaccuracy diverges: both survival "
-            "functions tend to 1 toward an infinite lower endpoint"
-        )
-
-    def integrand(x):
-        sx = np.asarray(actual.survival(x), float)
-        out = np.zeros(sx.shape)
-        m = sx > _WEIGHT_FLOOR
-        out[m] = -0.5 * sx[m] * np.asarray(assessed.survival(x), float)[m]
-        return out[()]
-
-    return _quad(
-        integrand,
-        (lo, max(actual.support[1], assessed.support[1])),
-        config,
-        "cumulative residual extropy inaccuracy",
-    )
-
-
-def cumulative_past_extropy_inaccuracy(
-    actual: Distribution,
-    assessed: Distribution,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> MeasureResult:
-    """Negative half the integral of the two cdfs' product."""
-    hi = max(actual.support[1], assessed.support[1])
-    if not math.isfinite(hi):
-        raise DivergenceError(
-            "cumulative past extropy inaccuracy diverges: both cdfs tend to 1 "
-            "toward an infinite upper endpoint"
-        )
-
-    def integrand(x):
-        fx = np.asarray(actual.cdf(x), float)
-        out = np.zeros(fx.shape)
-        m = fx > _WEIGHT_FLOOR
-        out[m] = -0.5 * fx[m] * np.asarray(assessed.cdf(x), float)[m]
-        return out[()]
-
-    return _quad(
-        integrand,
-        (min(actual.support[0], assessed.support[0]), hi),
-        config,
-        "cumulative past extropy inaccuracy",
+    return _weighted_integral(
+        actual.pdf, lambda x, fx: assessed.pdf(x), -0.5, 0.0, actual.support, config,
+        "extropy inaccuracy",
     )
 
 
@@ -264,17 +223,16 @@ def kl_divergence(
     """Kullback-Leibler divergence from the assessed law to the actual one."""
     _require_density_cover(actual, assessed, "kl divergence")
 
-    def integrand(x):
-        fx = np.asarray(actual.pdf(x), float)
-        out = np.zeros(fx.shape)
-        m = fx > 0.0
-        ratio = np.asarray(actual.log_pdf(x), float)[m] - np.asarray(
-            assessed.log_pdf(x), float
-        )[m]
-        out[m] = fx[m] * ratio
-        return out[()]
+    def log_ratio(x, fx):
+        log_fx = np.asarray(actual.log_pdf(x), float)
+        log_gx = np.asarray(assessed.log_pdf(x), float)
+        # -inf - -inf where the actual density vanishes; the weight masks it
+        with np.errstate(invalid="ignore"):
+            return log_fx - log_gx
 
-    return _quad(integrand, actual.support, config, "kl divergence")
+    return _weighted_integral(
+        actual.pdf, log_ratio, 1.0, 0.0, actual.support, config, "kl divergence"
+    )
 
 
 def relative_information(
@@ -283,15 +241,99 @@ def relative_information(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MeasureResult:
     """Half the actual-density-weighted difference of the two densities."""
+    return _weighted_integral(
+        actual.pdf, lambda x, fx: fx - np.asarray(assessed.pdf(x), float), 0.5, 0.0,
+        actual.support, config, "relative information",
+    )
 
-    def integrand(x):
-        fx = np.asarray(actual.pdf(x), float)
-        out = np.zeros(fx.shape)
-        m = fx > 0.0
-        out[m] = 0.5 * fx[m] * (fx[m] - np.asarray(assessed.pdf(x), float)[m])
-        return out[()]
 
-    return _quad(integrand, actual.support, config, "relative information")
+@dataclass(frozen=True)
+class _Side:
+    """One side of the residual/past mirror.
+
+    ``tail`` names the Distribution function that weights the integrand
+    (survival or cdf; its log is ``"log_" + tail``) and ``end`` the
+    support end (0 lower, 1 upper) where that tail vanishes.  Beyond the
+    other end the tail is 1, so it weights the union of both supports.
+    The two texts complete the divergence messages of the two measures.
+    """
+
+    label: str
+    tail: str
+    end: int
+    cover_gap: str
+    open_end: str
+
+
+_RESIDUAL = _Side(
+    "residual", "survival", 1,
+    "the assessed survival function vanishes before the actual one does "
+    "(assessed upper end {y} < actual {x})",
+    "both survival functions tend to 1 toward an infinite lower endpoint",
+)
+_PAST = _Side(
+    "past", "cdf", 0,
+    "the assessed cdf vanishes after the actual one rises "
+    "(assessed lower end {y} > actual {x})",
+    "both cdfs tend to 1 toward an infinite upper endpoint",
+)
+
+
+def _union(actual: Distribution, assessed: Distribution) -> list[float]:
+    return [min(actual.support[0], assessed.support[0]),
+            max(actual.support[1], assessed.support[1])]
+
+
+def _cumulative_inaccuracy(side: _Side, actual: Distribution, assessed: Distribution,
+                           config: QuadratureConfig) -> MeasureResult:
+    what = f"cumulative {side.label} inaccuracy"
+    interval = _union(actual, assessed)
+    end_y = assessed.support[side.end]
+    # the assessed tail must reach the actual one's vanishing end
+    if interval[side.end] != end_y:
+        raise SupportError(
+            f"{what} diverges: "
+            + side.cover_gap.format(y=end_y, x=actual.support[side.end])
+        )
+    _require_positive_inside(actual, getattr(assessed, side.tail), side.tail, what)
+    # past the actual tail's vanishing end the weight is 0
+    interval[side.end] = actual.support[side.end]
+    log_tail = getattr(assessed, "log_" + side.tail)
+    return _weighted_integral(
+        getattr(actual, side.tail), lambda x, w: log_tail(x), -1.0, _WEIGHT_FLOOR,
+        tuple(interval), config, what,
+    )
+
+
+def _cumulative_extropy_inaccuracy(side: _Side, actual: Distribution, assessed: Distribution,
+                                   config: QuadratureConfig) -> MeasureResult:
+    what = f"cumulative {side.label} extropy inaccuracy"
+    interval = _union(actual, assessed)
+    if not math.isfinite(interval[1 - side.end]):
+        raise DivergenceError(f"{what} diverges: {side.open_end}")
+    assessed_tail = getattr(assessed, side.tail)
+    return _weighted_integral(
+        getattr(actual, side.tail), lambda x, w: assessed_tail(x), -0.5, _WEIGHT_FLOOR,
+        tuple(interval), config, what,
+    )
+
+
+def cumulative_residual_extropy_inaccuracy(
+    actual: Distribution,
+    assessed: Distribution,
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> MeasureResult:
+    """Negative half the integral of the two survival functions' product."""
+    return _cumulative_extropy_inaccuracy(_RESIDUAL, actual, assessed, config)
+
+
+def cumulative_past_extropy_inaccuracy(
+    actual: Distribution,
+    assessed: Distribution,
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> MeasureResult:
+    """Negative half the integral of the two cdfs' product."""
+    return _cumulative_extropy_inaccuracy(_PAST, actual, assessed, config)
 
 
 def cumulative_residual_inaccuracy(
@@ -304,35 +346,7 @@ def cumulative_residual_inaccuracy(
     The actual survival weight is nonzero below the actual support's
     lower end, so integration starts at the lower of the two supports.
     """
-    lo_x, hi_x = actual.support
-    if assessed.support[1] < hi_x:
-        raise SupportError(
-            "cumulative residual inaccuracy diverges: the assessed survival "
-            "function vanishes before the actual one does "
-            f"(assessed upper end {assessed.support[1]} < actual {hi_x})"
-        )
-    probes = _interior_probes(actual.quantile)
-    sp = np.asarray(assessed.survival(probes), float)
-    if np.any(~(sp > 0.0)):
-        x = probes[~(sp > 0.0)][0]
-        raise SupportError(
-            f"cumulative residual inaccuracy diverges: assessed survival is 0 "
-            f"at x={x!r} inside the actual support"
-        )
-
-    def integrand(x):
-        sx = np.asarray(actual.survival(x), float)
-        out = np.zeros(sx.shape)
-        m = sx > _WEIGHT_FLOOR
-        out[m] = -sx[m] * np.asarray(assessed.log_survival(x), float)[m]
-        return out[()]
-
-    return _quad(
-        integrand,
-        (min(lo_x, assessed.support[0]), hi_x),
-        config,
-        "cumulative residual inaccuracy",
-    )
+    return _cumulative_inaccuracy(_RESIDUAL, actual, assessed, config)
 
 
 def cumulative_past_inaccuracy(
@@ -341,35 +355,7 @@ def cumulative_past_inaccuracy(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MeasureResult:
     """Cdf analogue of the kerridge measure, the mirror of the residual form."""
-    lo_x, hi_x = actual.support
-    if assessed.support[0] > lo_x:
-        raise SupportError(
-            "cumulative past inaccuracy diverges: the assessed cdf vanishes "
-            "after the actual one rises "
-            f"(assessed lower end {assessed.support[0]} > actual {lo_x})"
-        )
-    probes = _interior_probes(actual.quantile)
-    cp = np.asarray(assessed.cdf(probes), float)
-    if np.any(~(cp > 0.0)):
-        x = probes[~(cp > 0.0)][0]
-        raise SupportError(
-            f"cumulative past inaccuracy diverges: assessed cdf is 0 "
-            f"at x={x!r} inside the actual support"
-        )
-
-    def integrand(x):
-        fx = np.asarray(actual.cdf(x), float)
-        out = np.zeros(fx.shape)
-        m = fx > _WEIGHT_FLOOR
-        out[m] = -fx[m] * np.asarray(assessed.log_cdf(x), float)[m]
-        return out[()]
-
-    return _quad(
-        integrand,
-        (lo_x, max(hi_x, assessed.support[1])),
-        config,
-        "cumulative past inaccuracy",
-    )
+    return _cumulative_inaccuracy(_PAST, actual, assessed, config)
 
 
 def shannon_entropy(

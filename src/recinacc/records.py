@@ -94,25 +94,26 @@ def record_pdf(parent: Distribution, spec: RecordSpec, x):
     return np.exp(record_log_pdf(parent, spec, x))[()]
 
 
-def _k_log_tail(parent: Distribution, spec: RecordSpec, x) -> np.ndarray:
-    log_g = np.asarray(_base_log_function(parent, spec.side)(x), float)
-    return np.maximum(-spec.k * log_g, 0.0)
+def _is_lower_gamma(spec: RecordSpec, cdf: bool) -> bool:
+    # With y = -k log g, the record cdf is the regularized lower incomplete
+    # gamma P(n, y) for upper records and Q(n, y) = 1 - P(n, y) for lower
+    # ones; the record survival function is the other of the two.
+    return (spec.side == "upper") == cdf
+
+
+def _record_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
+    log_g = np.asarray(_base_log_function(parent, spec.side)(np.asarray(x, float)), float)
+    y = np.maximum(-spec.k * log_g, 0.0)
+    gamma_tail = _sp.gammainc if _is_lower_gamma(spec, cdf) else _sp.gammaincc
+    return gamma_tail(spec.n, y)[()]
 
 
 def record_cdf(parent: Distribution, spec: RecordSpec, x):
-    x = np.asarray(x, float)
-    y = _k_log_tail(parent, spec, x)
-    if spec.side == "upper":
-        return _sp.gammainc(spec.n, y)[()]
-    return _sp.gammaincc(spec.n, y)[()]
+    return _record_tail(parent, spec, x, cdf=True)
 
 
 def record_survival(parent: Distribution, spec: RecordSpec, x):
-    x = np.asarray(x, float)
-    y = _k_log_tail(parent, spec, x)
-    if spec.side == "upper":
-        return _sp.gammaincc(spec.n, y)[()]
-    return _sp.gammainc(spec.n, y)[()]
+    return _record_tail(parent, spec, x, cdf=False)
 
 
 def gamma_transform_point(parent: Distribution, side: str, t):
@@ -144,22 +145,13 @@ class RecordDistribution(Distribution):
 
 def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistribution:
     n, k = spec.n, spec.k
+    back = parent.inverse_survival if spec.side == "upper" else parent.quantile
 
-    def quantile(p):
-        p = np.asarray(p, float)
-        if spec.side == "upper":
-            y = _sp.gammaincinv(n, p)
-            return np.asarray(parent.inverse_survival(np.exp(-y / k)), float)[()]
-        y = _sp.gammainccinv(n, p)
-        return np.asarray(parent.quantile(np.exp(-y / k)), float)[()]
-
-    def inverse_survival(q):
-        q = np.asarray(q, float)
-        if spec.side == "upper":
-            y = _sp.gammainccinv(n, q)
-            return np.asarray(parent.inverse_survival(np.exp(-y / k)), float)[()]
-        y = _sp.gammaincinv(n, q)
-        return np.asarray(parent.quantile(np.exp(-y / k)), float)[()]
+    def inverse(level, cdf: bool):
+        # invert the gamma tail for y = -k log g, then g = e^(-y/k)
+        inv = _sp.gammaincinv if _is_lower_gamma(spec, cdf) else _sp.gammainccinv
+        y = inv(n, np.asarray(level, float))
+        return np.asarray(back(np.exp(-y / k)), float)[()]
 
     return RecordDistribution(
         name=f"{spec.side}_record[n={n},k={k}]({parent.name})",
@@ -169,8 +161,8 @@ def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistrib
         log_pdf=lambda x: record_log_pdf(parent, spec, x),
         cdf=lambda x: record_cdf(parent, spec, x),
         survival=lambda x: record_survival(parent, spec, x),
-        quantile=quantile,
-        inverse_survival=inverse_survival,
+        quantile=lambda p: inverse(p, cdf=True),
+        inverse_survival=lambda q: inverse(q, cdf=False),
         parent=parent,
         spec=spec,
     )
