@@ -16,17 +16,16 @@ from pathlib import Path
 
 from recinacc import (
     DivergenceError,
+    RecordMeasureRequest,
     RecordSpec,
     UnsupportedMethodError,
-    kerridge_record,
+    compute_record_measure,
     make_exponential,
     make_pareto,
     make_power_decreasing,
     make_power_increasing,
     make_uniform01,
     make_weibull,
-    past_record_inaccuracy,
-    residual_record_inaccuracy,
 )
 
 FAMILIES = [
@@ -39,15 +38,6 @@ FAMILIES = [
     ("power-dec", make_power_decreasing()),
     ("power-inc(2)", make_power_increasing(2)),
 ]
-
-
-def cell(parent, measure, side, n, k):
-    spec = RecordSpec(side, n, k)
-    if measure == "kerridge":
-        return kerridge_record(parent, spec)
-    if measure == "cri":
-        return residual_record_inaccuracy(parent, spec)
-    return past_record_inaccuracy(parent, spec)
 
 
 def main(argv=None) -> int:
@@ -69,7 +59,9 @@ def main(argv=None) -> int:
                     values = []
                     for n in range(1, args.n_max + 1):
                         try:
-                            res = cell(parent, measure, side, n, k)
+                            res = compute_record_measure(
+                                RecordMeasureRequest(parent, RecordSpec(side, n, k), measure)
+                            )
                         except (DivergenceError, UnsupportedMethodError) as exc:
                             writer.writerow([label, measure, side, n, k, "error", "", ""])
                             print(f"note: {label} {measure} {side} n={n} k={k}: {exc}",

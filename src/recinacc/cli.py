@@ -57,13 +57,21 @@ _GENERIC_MEASURES = {
     "relinfo": M.relative_information,
 }
 
-_DIST_PARAMS = {
-    "exponential": ("theta",),
-    "pareto": ("theta",),
-    "weibull": ("lambda", "beta"),
-    "uniform": (),
-    "power-dec": (),
-    "power-inc": ("m",),
+
+def _power_increasing(m: float) -> Distribution:
+    if m != int(m):
+        raise ParameterError(f"parameter m must be an integer, got {m!r}")
+    return make_power_increasing(int(m))
+
+
+# each --dist choice: its factory and the parameters it takes, in order
+_DISTS = {
+    "exponential": (make_exponential, ("theta",)),
+    "pareto": (make_pareto, ("theta",)),
+    "weibull": (make_weibull, ("lambda", "beta")),
+    "uniform": (make_uniform01, ()),
+    "power-dec": (make_power_decreasing, ()),
+    "power-inc": (_power_increasing, ("m",)),
 }
 
 
@@ -72,7 +80,7 @@ def _fmt(x: float) -> str:
 
 
 def _build_dist(name: str, params: dict[str, float]) -> Distribution:
-    wanted = _DIST_PARAMS[name]
+    factory, wanted = _DISTS[name]
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]
     if missing or extra:
@@ -80,20 +88,7 @@ def _build_dist(name: str, params: dict[str, float]) -> Distribution:
             f"distribution {name} takes parameters {list(wanted)}; "
             f"missing {missing}, unknown {extra}"
         )
-    if name == "exponential":
-        return make_exponential(params["theta"])
-    if name == "pareto":
-        return make_pareto(params["theta"])
-    if name == "weibull":
-        return make_weibull(params["lambda"], params["beta"])
-    if name == "uniform":
-        return make_uniform01()
-    if name == "power-dec":
-        return make_power_decreasing()
-    m = params["m"]
-    if m != int(m):
-        raise ParameterError(f"parameter m must be an integer, got {m!r}")
-    return make_power_increasing(int(m))
+    return factory(*(params[p] for p in wanted))
 
 
 def _parse_params(pairs: list[str]) -> dict[str, float]:
@@ -147,7 +142,7 @@ def _row_csv(row: dict) -> str:
         [
             row["measure"],
             row["dist"],
-            _params_csv(row["params"], _DIST_PARAMS[row["dist"]]),
+            _params_csv(row["params"], _DISTS[row["dist"]][1]),
             row["side"],
             str(row["n"]),
             str(row["k"]),
@@ -166,7 +161,7 @@ def _row_json(row: dict) -> str:
         '"params": {%s}'
         % ", ".join(
             f"{json.dumps(name)}: {_fmt(row['params'][name])}"
-            for name in _DIST_PARAMS[row["dist"]]
+            for name in _DISTS[row["dist"]][1]
         ),
         f'"side": {json.dumps(row["side"])}',
         f'"n": {row["n"]}',
@@ -243,7 +238,7 @@ def cmd_table(args, out=sys.stdout) -> int:
     combos: list[dict[str, float]] = [dict(params)]
     for name, values in grids:
         combos = [{**combo, name: v} for combo in combos for v in sorted(values)]
-    order = _DIST_PARAMS[args.dist]
+    order = _DISTS[args.dist][1]
 
     cells = sorted(
         ((n, k, combo) for n in ns for k in ks for combo in combos),
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, table: bool) -> None:
-        p.add_argument("--dist", required=True, choices=sorted(_DIST_PARAMS))
+        p.add_argument("--dist", required=True, choices=sorted(_DISTS))
         p.add_argument(
             "--param", action="append", default=[], metavar="NAME=VALUE",
             help="distribution parameter, repeatable",

@@ -94,6 +94,29 @@ def _log_of(f: Callable) -> Callable:
     return log_f
 
 
+_LOG_HALF = -math.log(2.0)
+
+
+def _log1mexp(a):
+    """log(1 - e^a) for a <= 0, accurate over the whole range.
+
+    log(-expm1(a)) is exact near 0 but rounds 1 - e^a to 1, and so the
+    result to 0, once e^a drops below machine epsilon; log1p(-exp(a))
+    keeps that e^a but cancels near 0.  Each takes its own side of
+    -log 2.  Arrays wholly on one side, the usual call, skip the masks.
+    """
+    a = np.asarray(a, float)
+    near = a > _LOG_HALF
+    if near.all():
+        return np.log(-np.expm1(a))
+    if not near.any():
+        return np.log1p(-np.exp(a))
+    out = np.empty(a.shape)
+    out[near] = np.log(-np.expm1(a[near]))
+    out[~near] = np.log1p(-np.exp(a[~near]))
+    return out
+
+
 def _upper_only(form: Callable) -> Callable:
     """A closed form of (n, k) that holds for upper records only."""
     return lambda side, n, k: form(n, k) if side == "upper" else None
@@ -183,7 +206,7 @@ def make_exponential(theta: float) -> Distribution:
         "exponential", {"theta": theta}, (0.0, _INF),
         log_pdf=lambda x: log_theta - theta * x,
         log_survival=lambda x: -theta * x,
-        log_cdf=lambda x: np.log(-np.expm1(-theta * x)),
+        log_cdf=lambda x: _log1mexp(-theta * x),
         quantile=lambda p: -np.log1p(-p) / theta,
         inverse_survival=lambda q: -np.log(q) / theta,
         kerridge=_upper_only(lambda n, k: n / k - math.log(theta)),
@@ -199,7 +222,7 @@ def make_pareto(theta: float) -> Distribution:
         "pareto", {"theta": theta}, (1.0, _INF),
         log_pdf=lambda x: log_theta - (theta + 1.0) * np.log(x),
         log_survival=lambda x: -theta * np.log(x),
-        log_cdf=lambda x: np.log(-np.expm1(-theta * np.log(x))),
+        log_cdf=lambda x: _log1mexp(-theta * np.log(x)),
         quantile=lambda p: (1.0 - p) ** (-1.0 / theta),
         inverse_survival=lambda q: q ** (-1.0 / theta),
         kerridge=_upper_only(lambda n, k: (1.0 + 1.0 / theta) * n / k - math.log(theta)),
@@ -219,7 +242,7 @@ def make_weibull(lam: float, beta: float) -> Distribution:
         # xlogy takes the limit at x = 0: log(lam) for beta = 1, +inf below
         log_pdf=lambda x: log_lam_beta + xlogy(beta - 1.0, x) - lam * x**beta,
         log_survival=lambda x: -lam * x**beta,
-        log_cdf=lambda x: np.log(-np.expm1(-lam * x**beta)),
+        log_cdf=lambda x: _log1mexp(-lam * x**beta),
         quantile=lambda p: (-np.log1p(-p) / lam) ** (1.0 / beta),
         inverse_survival=lambda q: (-np.log(q) / lam) ** (1.0 / beta),
         kerridge=_upper_only(lambda n, k: (
@@ -260,7 +283,7 @@ def make_power_decreasing() -> Distribution:
         "power_decreasing", {}, (0.0, 1.0),
         log_pdf=lambda x: log_3 + 2.0 * np.log1p(-x),
         log_survival=lambda x: 3.0 * np.log1p(-x),
-        log_cdf=lambda x: np.log(-np.expm1(3.0 * np.log1p(-x))),
+        log_cdf=lambda x: _log1mexp(3.0 * np.log1p(-x)),
         quantile=lambda p: 1.0 - (1.0 - p) ** (1.0 / 3.0),
         inverse_survival=lambda q: 1.0 - q ** (1.0 / 3.0),
         kerridge=_upper_only(lambda n, k: -math.log(3.0) + 2.0 * n / (3.0 * k)),
@@ -276,7 +299,7 @@ def make_power_increasing(m: int) -> Distribution:
     return _family(
         "power_increasing", {"m": m}, (0.0, 1.0),
         log_pdf=lambda x: log_m + (m - 1) * np.log(x),
-        log_survival=lambda x: np.log(-np.expm1(m * np.log(x))),
+        log_survival=lambda x: _log1mexp(m * np.log(x)),
         log_cdf=lambda x: m * np.log(x),
         quantile=lambda p: p ** (1.0 / m),
         inverse_survival=lambda q: (1.0 - q) ** (1.0 / m),

@@ -9,7 +9,7 @@ truncation point; integrals over the whole line are split at zero.
 Expectations under an integer-shape gamma weight get a dedicated routine
 built on Gauss--Laguerre rules.  Node counts start at 64 and double until
 two successive estimates agree, because fixed rules silently lose accuracy
-on log-singular integrands; if 512 nodes are still not enough the routine
+on log-singular integrands; if 256 nodes are still not enough the routine
 falls back to the adaptive integrator, which handles endpoint singularities
 robustly.
 """
@@ -263,10 +263,10 @@ def integrate(
     return _adaptive(f, a, b, cfg)
 
 
-# Room for every (nodes, alpha) pair of a gamma-route ladder up to n ~ 256:
-# the cri/cpi route needs n shapes with up to four node counts each, and a
+# Room for every (nodes, alpha) pair of a gamma-route ladder up to n ~ 340:
+# the cri/cpi route needs n shapes with up to three node counts each, and a
 # smaller cache evicts rules before the ladder comes back to them.  Rules
-# hold at most 512 nodes, so a full cache is a few MB.
+# hold at most 256 nodes, so a full cache is a few MB.
 @lru_cache(maxsize=1024)
 def _genlaguerre_rule(nodes: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     # High node counts overflow in scipy's internal Newton polish; the
@@ -298,7 +298,7 @@ def gamma_expectation(
 
     Starts from a 64-node generalized Gauss--Laguerre rule (weight
     t^(n-1) e^(-t)) and doubles the node count until two successive
-    estimates agree within tolerance, capping at 512 nodes.  Past the cap
+    estimates agree within tolerance, capping at 256 nodes.  Past the cap
     the adaptive integrator takes over; that path is slower but converges
     on integrands with logarithmic endpoint singularities, which defeat
     any fixed rule.
@@ -310,7 +310,9 @@ def gamma_expectation(
     norm = float(math.factorial(n - 1))
     prev = None
     evals = 0
-    for nodes in (64, 128, 256, 512):
+    # 256 nodes is the last usable rung: scipy's roots_genlaguerre(512, a)
+    # is all NaN, its Newton polish overflowing
+    for nodes in (64, 128, 256):
         x, w = _genlaguerre_rule(nodes, n - 1)
         with np.errstate(all="ignore"):
             gv = np.asarray(g(x / k), dtype=float)

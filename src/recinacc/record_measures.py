@@ -342,7 +342,7 @@ def residual_inaccuracy_mean_difference_form(
     for j in range(1, n + 2):
         rspec = RecordSpec("upper", j, k)
         res = _quad(
-            lambda x, _rspec=rspec: _record_survival_arr(parent, _rspec, x),
+            lambda x, _rspec=rspec: np.asarray(record_survival(parent, _rspec, x), float),
             parent.support,
             config,
             f"record mean (index {j})",
@@ -352,10 +352,6 @@ def residual_inaccuracy_mean_difference_form(
     total = sum((i + 1) / k * (mu[i + 1] - mu[i]) for i in range(n))
     err = sum((i + 1) / k * (mu_err[i + 1] + mu_err[i]) for i in range(n))
     return MeasureResult(total, "quadrature", err)
-
-
-def _record_survival_arr(parent: Distribution, spec: RecordSpec, x):
-    return np.asarray(record_survival(parent, spec, x), float)
 
 
 def _hazard_tail_integrand(parent: Distribution, n: int, k: int):

@@ -79,6 +79,27 @@ class TestClosedFormValues:
         assert make_power_increasing(3).quantile(0.125) == pytest.approx(0.5, rel=1e-15)
 
 
+    def test_log_tails_keep_values_below_machine_epsilon(self):
+        # log(1 - e^a) with e^a below eps: log(-expm1(a)) rounds it to 0
+        def close(value, expected, rel=1e-12):
+            return value == pytest.approx(expected, rel=rel, abs=0.0)
+
+        assert close(make_pareto(2.0).log_cdf(1e9), -1e-18)
+        assert close(make_exponential(1.0).log_cdf(40.0), -math.exp(-40.0))
+        assert close(make_weibull(1.0, 2.0).log_cdf(7.0), -math.exp(-49.0))
+        assert close(make_power_decreasing().log_cdf(1.0 - 1e-7), -1e-21, rel=1e-6)
+        assert close(make_power_increasing(2).log_survival(1e-9), -1e-18)
+
+    def test_log_tails_agree_across_regimes(self):
+        # one array straddling -log 2 matches the same points one by one
+        d = make_exponential(1.0)
+        xs = np.array([1e-12, 1e-3, 0.5, math.log(2.0), 1.0, 40.0, 800.0])
+        together = d.log_cdf(xs)
+        assert list(together) == [d.log_cdf(x) for x in xs]
+        assert together[1] == pytest.approx(math.log(-math.expm1(-1e-3)), rel=1e-15)
+        assert together[-2] == pytest.approx(-math.exp(-40.0), rel=1e-12, abs=0.0)
+
+
 class TestParameterValidation:
     @pytest.mark.parametrize(
         "factory",

@@ -22,6 +22,7 @@ from recinacc.distributions import (
     make_weibull,
 )
 from recinacc.errors import DivergenceError, ParameterError, SupportError
+from recinacc.records import RecordSpec, record_distribution
 
 E1 = make_exponential(1.0)
 E2 = make_exponential(2.0)
@@ -223,6 +224,19 @@ class TestErrorContracts:
             # raised by the decay certifier before quadrature runs, or by
             # the translator with a partial value; either way it is loud
             assert "diverg" in str(exc)
+
+
+class TestFarTails:
+    @pytest.mark.parametrize("theta", [2.0, 3.0])
+    def test_residual_inaccuracy_of_first_lower_record_on_pareto(self, theta):
+        # the first lower 1-record law is the parent, with survival built
+        # from log F; past x ~ 1e8 that log must keep F's x^-theta deficit
+        # or the weight vanishes early (a false divergence at theta = 2, a
+        # value outside its error estimate at theta = 3)
+        parent = make_pareto(theta)
+        record = record_distribution(parent, RecordSpec("lower", 1, 1))
+        r = M.cumulative_residual_inaccuracy(record, parent)
+        assert abs(r.value - theta / (theta - 1.0) ** 2) <= r.abs_error_estimate
 
 
 class TestMeasureResult:

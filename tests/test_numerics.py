@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recinacc import numerics
 from recinacc.errors import (
     DomainError,
     IntegrandError,
@@ -169,6 +170,23 @@ class TestGammaExpectation:
         # E[e^-sT] = (k/(k+s))^n
         r = gamma_expectation(lambda t: np.exp(-2.5 * t), 3, 2)
         assert r.value == pytest.approx((2 / 4.5) ** 3, rel=1e-10)
+
+    def test_exhausted_ladder_builds_only_nonempty_rules(self, monkeypatch):
+        # 1/sqrt(t) defeats every fixed rule, so the ladder runs out and the
+        # adaptive fallback answers; a rung without nodes would estimate 0
+        sizes = []
+        rule = numerics._genlaguerre_rule
+
+        def recording(nodes, alpha):
+            x, w = rule(nodes, alpha)
+            sizes.append(x.size)
+            return x, w
+
+        monkeypatch.setattr(numerics, "_genlaguerre_rule", recording)
+        r = gamma_expectation(lambda t: 1.0 / np.sqrt(t), 1, 1)
+        assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+        assert r.evaluations > sum(sizes)  # the adaptive fallback ran
+        assert sizes and min(sizes) > 0
 
     def test_invalid_shape_rate(self):
         with pytest.raises(DomainError):
