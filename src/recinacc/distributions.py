@@ -98,22 +98,18 @@ _LOG_HALF = -math.log(2.0)
 
 
 def _log1mexp(a):
-    """log(1 - e^a) for a <= 0, accurate over the whole range.
-
-    log(-expm1(a)) is exact near 0 but rounds 1 - e^a to 1, and so the
-    result to 0, once e^a drops below machine epsilon; log1p(-exp(a))
-    keeps that e^a but cancels near 0.  Each takes its own side of
-    -log 2.  Arrays wholly on one side, the usual call, skip the masks.
+    """log(1 - e^a) for a <= 0: log(-expm1(a)) above -log 2, where it is
+    exact, and log1p(-exp(a)) below, where the first form would round
+    1 - e^a to 1 once e^a < eps.  One-sided arrays, the usual call, skip
+    the mask.
     """
     a = np.asarray(a, float)
     near = a > _LOG_HALF
     if near.all():
         return np.log(-np.expm1(a))
-    if not near.any():
-        return np.log1p(-np.exp(a))
-    out = np.empty(a.shape)
-    out[near] = np.log(-np.expm1(a[near]))
-    out[~near] = np.log1p(-np.exp(a[~near]))
+    out = np.log1p(-np.exp(a))
+    if near.any():
+        out[near] = np.log(-np.expm1(a[near]))
     return out
 
 
