@@ -100,16 +100,18 @@ _LOG_HALF = -math.log(2.0)
 def _log1mexp(a):
     """log(1 - e^a) for a <= 0: log(-expm1(a)) above -log 2, where it is
     exact, and log1p(-exp(a)) below, where the first form would round
-    1 - e^a to 1 once e^a < eps.  One-sided arrays, the usual call, skip
-    the mask.
+    1 - e^a to 1 once e^a < eps.  Arrays wholly on one side, the usual
+    call, skip the masked assignment.
     """
     a = np.asarray(a, float)
     near = a > _LOG_HALF
-    if near.all():
+    count = np.count_nonzero(near)
+    if count == 0:
+        return np.log1p(-np.exp(a))
+    if count == a.size:
         return np.log(-np.expm1(a))
     out = np.log1p(-np.exp(a))
-    if near.any():
-        out[near] = np.log(-np.expm1(a[near]))
+    out[near] = np.log(-np.expm1(a[near]))
     return out
 
 
