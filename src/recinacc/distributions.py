@@ -49,9 +49,9 @@ class Distribution:
     """A continuous distribution described by its standard functions.
 
     ``log_cdf`` and ``log_survival`` default to logs of the plain
-    functions, but catalog members supply their own formulas: record-value
-    densities need the cumulative hazard -log S(x) far beyond the point
-    where S(x) itself underflows.  ``hazard`` (pdf/survival) and
+    functions, but catalog members and record laws supply their own
+    formulas: record-value densities need the cumulative hazard -log S(x)
+    far beyond the point where S(x) itself underflows.  ``hazard`` (pdf/survival) and
     ``reversed_hazard`` (pdf/cdf) are derived on demand.
 
     ``closed_forms`` maps a record measure ('kerridge', 'cri', 'cpi') to a

@@ -7,11 +7,11 @@ behaviour is handled by the same adaptive machinery instead of an ad hoc
 truncation point; integrals over the whole line are split at zero.
 
 Expectations under an integer-shape gamma weight get a dedicated routine
-built on Gauss--Laguerre rules.  Node counts start at 64 and double until
-two successive estimates agree, because fixed rules silently lose accuracy
-on log-singular integrands; if 256 nodes are still not enough the routine
-falls back to the adaptive integrator, which handles endpoint singularities
-robustly.
+built on Gauss rules for the normalised Gamma(n, 1) density.  Node counts
+start at 64 and double until two successive estimates agree, because fixed
+rules silently lose accuracy on log-singular integrands; if 256 nodes are
+still not enough the routine falls back to the adaptive integrator, which
+handles endpoint singularities robustly.
 """
 
 from __future__ import annotations
@@ -263,29 +263,46 @@ def integrate(
     return _adaptive(f, a, b, cfg)
 
 
-# Room for every (nodes, alpha) pair of a gamma-route ladder up to n ~ 340:
-# the cri/cpi route needs n shapes with up to three node counts each, and a
-# smaller cache evicts rules before the ladder comes back to them.  Rules
-# hold at most 256 nodes, so a full cache is a few MB.
+# Room for every (nodes, alpha) pair of a kerridge gamma-route ladder up to
+# n ~ 340; rules hold at most 256 nodes, so a full cache is a few MB.
 @lru_cache(maxsize=1024)
 def _genlaguerre_rule(nodes: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    # High node counts overflow in scipy's internal Newton polish; the
-    # affected far-tail weights underflow to zero and are dropped anyway.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, w = _sp.roots_genlaguerre(nodes, alpha)
-    good = np.isfinite(x) & np.isfinite(w) & (w > 0.0)
-    return x[good], w[good]
+    """Gauss rule for the Gamma(alpha + 1, 1) density: E[g(T)] ~ w @ g(x).
+
+    Nodes: eigenvalues of the generalised-Laguerre Jacobi matrix (Golub &
+    Welsch, 1969), polished by one Newton step.  Weights: the Christoffel
+    function 1/sum_{j<nodes} p_j(x)^2 of the orthonormal polynomials
+    (Gautschi, 2004), accurate far into the tail, unlike squared
+    eigenvector components.  They sum to 1; a node whose sum of squares
+    overflows has weight below 1e-308 and is dropped.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    j = np.arange(nodes, dtype=float)
+    a = 2.0 * j + alpha + 1.0
+    b = np.sqrt(j * (j + alpha))
+    x = eigvalsh_tridiagonal(a, b[1:])
+    # p_j and p_j' by b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1}, p_0 = 1;
+    # p_nodes, whose zeros are the nodes, is needed only up to scale
+    a, b = a.tolist(), b.tolist() + [1.0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for polish in (True, False):
+            p_prev, p, d_prev, d, total = 0.0, np.ones_like(x), 0.0, 0.0, 0.0
+            for i in range(nodes):
+                total += p * p
+                shifted = x - a[i]
+                d, d_prev = (shifted * d + p - b[i] * d_prev) / b[i + 1], d
+                p, p_prev = (shifted * p - b[i] * p_prev) / b[i + 1], p
+            if polish:
+                step = p / d
+                x = np.where(np.isfinite(step), x - step, x)
+    keep = np.isfinite(total)
+    return x[keep], 1.0 / total[keep]
 
 
 def _gamma_log_pdf(t: np.ndarray, n: int, k: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        logt = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), -np.inf)
-    if n == 1:
-        body = n * math.log(k) - k * t - log_gamma(n)
-    else:
-        body = n * math.log(k) + (n - 1) * logt - k * t - log_gamma(n)
-    return body
+    return n * math.log(k) + _sp.xlogy(n - 1, t) - k * t - log_gamma(n)
 
 
 def gamma_expectation(
@@ -296,22 +313,19 @@ def gamma_expectation(
 ) -> IntegrationResult:
     """E[g(T)] for T with density k^n t^(n-1) e^(-kt) / (n-1)! on (0, inf).
 
-    Starts from a 64-node generalized Gauss--Laguerre rule (weight
-    t^(n-1) e^(-t)) and doubles the node count until two successive
-    estimates agree within tolerance, capping at 256 nodes.  Past the cap
-    the adaptive integrator takes over; that path is slower but converges
-    on integrands with logarithmic endpoint singularities, which defeat
-    any fixed rule.
+    Starts from a 64-node Gauss rule for the Gamma(n, 1) density, whose
+    weights sum to 1 at every n, and doubles the node count until two
+    successive estimates agree within tolerance, capping at 256 nodes.
+    Past the cap the adaptive integrator takes over; that path is slower
+    but converges on integrands with logarithmic endpoint singularities,
+    which defeat any fixed rule.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"shape n must be an integer >= 1, got {n!r}")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"rate k must be an integer >= 1, got {k!r}")
-    norm = float(math.factorial(n - 1))
     prev = None
     evals = 0
-    # 256 nodes is the last usable rung: scipy's roots_genlaguerre(512, a)
-    # is all NaN, its Newton polish overflowing
     for nodes in (64, 128, 256):
         x, w = _genlaguerre_rule(nodes, n - 1)
         with np.errstate(all="ignore"):
@@ -324,7 +338,7 @@ def gamma_expectation(
             # 1e-300.  Zeroing those nodes changes the estimate by less than
             # the weight itself; a non-finite value at real weight is a
             # genuine integrand failure and must surface.
-            if float(w[bad].sum()) > 1e-250 * norm:
+            if float(w[bad].sum()) > 1e-250:
                 first = float(x[bad][0] / k)
                 raise IntegrandError(
                     f"expectation integrand returned a non-finite value at "
@@ -332,15 +346,14 @@ def gamma_expectation(
                     abscissa=first,
                 )
             gv = np.where(bad, 0.0, gv)
-        est = float(w @ gv) / norm
+        est = float(w @ gv)
         if prev is not None and math.isfinite(est):
             diff = abs(est - prev)
             if diff <= max(cfg.abs_tol, cfg.rel_tol * abs(est)):
                 # Two rules can agree to the last bit while both carry the
                 # rounding of the weighted sum, bounded as _eval_panel
-                # bounds a panel; the |log_gamma(n)| term widens that
-                # bound with the shape.
-                floor = (50.0 + abs(log_gamma(n))) * _EPS * float((w / norm) @ np.abs(gv))
+                # bounds a panel
+                floor = 50.0 * _EPS * float(w @ np.abs(gv))
                 return IntegrationResult(est, max(diff, floor), evals)
         prev = est
 
@@ -355,8 +368,17 @@ def gamma_expectation(
             out[live] = gv * np.exp(lw[live])
         return out
 
-    res = integrate(weighted, (0.0, math.inf), cfg)
-    return IntegrationResult(res.value, res.abs_error_estimate, evals + res.evaluations)
+    # Split at the mode: for large n the mass sits far from 0, where the
+    # mapped tail of one (0, inf) integral squeezes it between the nodes.
+    mode = (n - 1) / k
+    spans = ((0.0, mode), (mode, math.inf)) if mode > 0.0 else ((0.0, math.inf),)
+    part_cfg = replace(cfg, abs_tol=cfg.abs_tol / len(spans), rel_tol=cfg.rel_tol / len(spans))
+    parts = [integrate(weighted, span, part_cfg) for span in spans]
+    return IntegrationResult(
+        sum(p.value for p in parts),
+        sum(p.abs_error_estimate for p in parts),
+        evals + sum(p.evaluations for p in parts),
+    )
 
 
 def log_gamma(x: float) -> float:

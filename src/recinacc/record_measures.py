@@ -103,20 +103,6 @@ class RecordMeasureRequest:
 # numeric helpers
 
 
-def _gamma_expect(g, n: int, k: int, config: QuadratureConfig, what: str):
-    # same contract as _quad: a quadrature breakdown on one of these
-    # expectations means the defining integral could not be certified finite
-    try:
-        return gamma_expectation(g, n, k, config)
-    except NonConvergenceError as exc:
-        raise DivergenceError(
-            f"{what} did not converge and is likely divergent ({exc})",
-            partial_value=exc.partial_value,
-        ) from exc
-    except IntegrandError as exc:
-        raise DivergenceError(f"{what} could not be evaluated ({exc})") from exc
-
-
 def _finite_cap(fn, t_hi: float = 700.0) -> float:
     """Largest probe point where fn(t) still evaluates to a finite number.
 
@@ -144,8 +130,16 @@ def _capped(fn, cap: float):
     return capped_fn
 
 
-def _cap_tail_mass(n: int, k: int, cap: float) -> float:
-    return float(_sc.gammaincc(n, k * cap))
+def _cap_charge(charge: float, value: float, cap: float, config: QuadratureConfig, what: str):
+    """Return ``charge``, the error charged for the gamma mass past the cap.
+    A charge above the tolerance is no bound (from n = 580 at k = 1 on
+    exp(1)), so the route refuses."""
+    if charge > max(config.abs_tol, config.rel_tol * abs(value)):
+        raise UnsupportedMethodError(
+            f"the gamma route cannot certify {what}: the record mass past t={cap:g}, "
+            f"where exp(-t) underflows, is charged {charge:.3g}; use method 'quadrature'"
+        )
+    return charge
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +161,19 @@ def _kerridge_expectation(parent: Distribution, spec: RecordSpec, config: Quadra
         return -np.asarray(parent.log_pdf(x), float)
 
     cap = _finite_cap(surprise)
-    res = _gamma_expect(
-        _capped(surprise, cap), spec.n, spec.k, config,
-        f"record kerridge expectation on {parent.name}",
-    )
-    err = res.abs_error_estimate + _cap_tail_mass(spec.n, spec.k, cap)
+    what = f"record kerridge expectation on {parent.name}"
+    # as in _quad: a breakdown means the integral could not be certified finite
+    try:
+        res = gamma_expectation(_capped(surprise, cap), spec.n, spec.k, config)
+    except NonConvergenceError as exc:
+        raise DivergenceError(
+            f"{what} did not converge and is likely divergent ({exc})",
+            partial_value=exc.partial_value,
+        ) from exc
+    except IntegrandError as exc:
+        raise DivergenceError(f"{what} could not be evaluated ({exc})") from exc
+    charge = float(_sc.gammaincc(spec.n, spec.k * cap))
+    err = res.abs_error_estimate + _cap_charge(charge, res.value, cap, config, what)
     return MeasureResult(res.value, "gamma_expectation", err)
 
 
@@ -213,35 +215,33 @@ def _cumulative_quadrature(parent: Distribution, spec: RecordSpec, config: Quadr
 
 
 def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
-    """Expectation form: (1/k^2) sum_i (i+1) E[g/pdf at the record].
+    """Expectation form: the integral over t > 0 of t Q(n, kt) e^-t / pdf(x(t)).
 
-    g is the parent survival function for upper records (the reciprocal
-    hazard) and the cdf for lower ones (the reciprocal reversed hazard).
-    The expectation runs over the (i+2)-th k-record, which through the
-    gamma representation is E over T ~ Gamma(i+2, k) of e^-t / pdf(x(t)),
-    with x(t) = inverse_survival(e^-t) or quantile(e^-t).
+    e^-t is g(x(t)), the parent survival function for upper records and
+    the cdf for lower ones, so the integrand holds the reciprocal (reversed)
+    hazard.  The measure is (1/k^2) sum_{i<n} (i+1) E[g/pdf] over
+    T ~ Gamma(i+2, k); those weighted gamma densities add up to t Q(n, kt).
     """
     n, k = spec.n, spec.k
-    invert = parent.inverse_survival if spec.side == "upper" else parent.quantile
 
     def reciprocal_hazard(t):
-        t = np.asarray(t, float)
-        x = np.asarray(invert(np.exp(-t)), float)
+        x = np.asarray(gamma_transform_point(parent, spec.side, t), float)
         return np.exp(-t) / np.asarray(parent.pdf(x), float)
 
     cap = _finite_cap(reciprocal_hazard)
     capped = _capped(reciprocal_hazard, cap)
-    label = _CUMULATIVE_LABEL[spec.side]
-    total = 0.0
-    err = 0.0
-    for i in range(n):
-        res = _gamma_expect(
-            capped, i + 2, k, config,
-            f"{label} inaccuracy expectation term {i} on {parent.name}",
-        )
-        total += (i + 1) / k**2 * res.value
-        err += (i + 1) / k**2 * (res.abs_error_estimate + _cap_tail_mass(i + 2, k, cap))
-    return MeasureResult(total, "gamma_expectation", err)
+
+    def integrand(t):
+        return t * _sc.gammaincc(n, k * t) * capped(t)
+
+    what = f"{_CUMULATIVE_LABEL[spec.side]} inaccuracy expectation on {parent.name}"
+    # a non-finite value still surfaces, as an IntegrandError in _quad
+    with np.errstate(all="ignore"):
+        res = _quad(integrand, (0.0, math.inf), config, what)
+    # each term is charged its gamma mass past the cap, where capped() is frozen
+    charge = sum((i + 1) / k**2 * float(_sc.gammaincc(i + 2, k * cap)) for i in range(n))
+    err = res.abs_error_estimate + _cap_charge(charge, res.value, cap, config, what)
+    return MeasureResult(res.value, "gamma_expectation", err)
 
 
 def _monte_carlo(measure: str, parent: Distribution, spec: RecordSpec, config: QuadratureConfig):

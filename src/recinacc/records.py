@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _SIDES = ("upper", "lower")
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,30 @@ def _record_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
     return gamma_tail(spec.n, y)[()]
 
 
+def _record_log_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
+    """log of ``_record_tail``, also where the gamma tail underflows.
+
+    There P(n, y) = y^n e^-y / n! 1F1(1; n+1; y) (small y) and
+    Q(n, y) = e^-y sum_{i<n} y^i / i! (large y) are taken in logs.
+    """
+    log_g = np.asarray(_base_log_function(parent, spec.side)(np.asarray(x, float)), float)
+    y = np.atleast_1d(np.maximum(-spec.k * log_g, 0.0))
+    n, lower = spec.n, _is_lower_gamma(spec, cdf)
+    value = (_sp.gammainc if lower else _sp.gammaincc)(n, y)
+    with np.errstate(divide="ignore"):
+        out = np.log(value)
+        gone = (value < _TINY) & np.isfinite(y)
+        if np.any(gone):
+            yg = y[gone]
+            log_y = np.log(yg)
+            if lower:
+                out[gone] = n * log_y - yg - math.lgamma(n + 1) + np.log(_sp.hyp1f1(1, n + 1, yg))
+            else:
+                i = np.arange(n)
+                out[gone] = -yg + _sp.logsumexp(i * log_y[:, None] - _sp.gammaln(i + 1), axis=1)
+    return out.reshape(log_g.shape)[()]
+
+
 def record_cdf(parent: Distribution, spec: RecordSpec, x):
     return _record_tail(parent, spec, x, cdf=True)
 
@@ -161,6 +186,8 @@ def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistrib
         log_pdf=lambda x: record_log_pdf(parent, spec, x),
         cdf=lambda x: record_cdf(parent, spec, x),
         survival=lambda x: record_survival(parent, spec, x),
+        log_cdf=lambda x: _record_log_tail(parent, spec, x, cdf=True),
+        log_survival=lambda x: _record_log_tail(parent, spec, x, cdf=False),
         quantile=lambda p: inverse(p, cdf=True),
         inverse_survival=lambda q: inverse(q, cdf=False),
         parent=parent,

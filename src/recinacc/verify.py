@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import stats
 
 from . import measures as M
 from . import oracle as O
@@ -323,6 +322,10 @@ def suite_symmetry(seed: int = 0) -> list[CheckResult]:
 
 def suite_oracle(seed: int = 42) -> list[CheckResult]:
     """Simulation against analytics: stream scans, transform draws, MC bars."""
+    # imported here: scipy.stats is the slowest import in the package and
+    # only this suite uses it
+    from scipy import stats
+
     e1 = make_exponential(1.0)
     u = make_uniform01()
     out = []

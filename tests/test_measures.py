@@ -14,6 +14,7 @@ from scipy import integrate as si
 
 from recinacc import measures as M
 from recinacc.distributions import (
+    affine_transform,
     make_exponential,
     make_pareto,
     make_power_decreasing,
@@ -237,6 +238,40 @@ class TestFarTails:
         record = record_distribution(parent, RecordSpec("lower", 1, 1))
         r = M.cumulative_residual_inaccuracy(record, parent)
         assert abs(r.value - theta / (theta - 1.0) ** 2) <= r.abs_error_estimate
+
+    @pytest.mark.parametrize(
+        "parent,side,n,k,expected",
+        [
+            # 30-digit mpmath integrals of -S(x) log S_record(x)
+            (E1, "lower", 2, 1, 2.454294313414039),
+            (E1, "lower", 3, 2, 2.761770037173339),
+            (E1, "lower", 5, 3, 4.418984092069877),
+            (E1, "upper", 3, 2, 0.6266724522858908),
+            (E1, "upper", 5, 3, 0.5659458229861756),
+            (W12, "lower", 2, 1, 1.156764667678625),
+            (W12, "lower", 3, 2, 1.174842932096495),
+            (W12, "lower", 5, 3, 1.842876889767854),
+            (W12, "upper", 3, 2, 0.2176657308908995),
+            (W12, "upper", 5, 3, 0.1788453674230931),
+            (W205, "lower", 3, 2, 2.861835873190297),
+            (W205, "lower", 5, 3, 4.661319264690315),
+            (affine_transform(E1, 2.0, -1.0), "lower", 2, 1, 4.908588626828078),
+            (affine_transform(E1, 2.0, -1.0), "lower", 3, 2, 5.523540074346678),
+            (affine_transform(E1, 2.0, -1.0), "lower", 5, 3, 8.837968184139754),
+            (affine_transform(E1, 2.0, -1.0), "upper", 3, 2, 1.253344904571782),
+            (affine_transform(E1, 2.0, -1.0), "upper", 5, 3, 1.131891645972351),
+        ],
+    )
+    def test_residual_inaccuracy_against_record_law_with_underflowing_tail(
+        self, parent, side, n, k, expected
+    ):
+        # the record law's log survival must keep its value where
+        # gammainc/gammaincc underflow to 0 (a lower record's P(n, y) far
+        # right, an upper record's Q(n, y) far right); log of the plain
+        # value gave -inf there and a false DivergenceError
+        record = record_distribution(parent, RecordSpec(side, n, k))
+        r = M.cumulative_residual_inaccuracy(parent, record)
+        assert abs(r.value - expected) <= r.abs_error_estimate
 
 
 class TestMeasureResult:

@@ -188,6 +188,23 @@ class TestGammaExpectation:
         assert r.evaluations > sum(sizes)  # the adaptive fallback ran
         assert sizes and min(sizes) > 0
 
+    @pytest.mark.parametrize("n", [1, 20, 172])
+    def test_far_tail_moment_within_estimate(self, n):
+        # E[e^{T/2}] = 2^n weighs the far tail of the rule; squared
+        # eigenvector components put it off by 1e26 at 128 nodes
+        r = gamma_expectation(lambda t: np.exp(t / 2.0), n, 1)
+        assert abs(r.value - 2.0**n) <= r.abs_error_estimate
+
+    def test_adaptive_fallback_finds_mass_far_from_zero(self):
+        # the kink at 700 defeats the fixed rules; one (0, inf) integral then
+        # missed the mass near t = 600 and returned 2.6e-83
+        from scipy.special import gammaincc
+
+        n, c = 600, 700.0
+        exact = n - (n * gammaincc(n + 1, c) - c * gammaincc(n, c))  # E[min(T, c)]
+        r = gamma_expectation(lambda t: np.minimum(t, c), n, 1)
+        assert abs(r.value - exact) <= r.abs_error_estimate <= 1e-9 * exact
+
     def test_invalid_shape_rate(self):
         with pytest.raises(DomainError):
             gamma_expectation(lambda t: t, 0, 1)
@@ -195,6 +212,32 @@ class TestGammaExpectation:
             gamma_expectation(lambda t: t, 2, 0)
         with pytest.raises(DomainError):
             gamma_expectation(lambda t: t, 2.5, 1)
+
+
+class TestGammaRule:
+    @pytest.mark.parametrize("alpha", [0, 19, 170, 171, 300, 1000])
+    @pytest.mark.parametrize("nodes", [64, 128, 256])
+    def test_normalised_weights_and_mean(self, alpha, nodes):
+        x, w = numerics._genlaguerre_rule(nodes, alpha)
+        assert abs(w.sum() - 1.0) <= 1e-14
+        assert abs(w @ x - (alpha + 1)) <= 1e-14 * (alpha + 1)
+
+    @pytest.mark.parametrize("nodes", [64, 128, 256])
+    def test_far_tail_weights_match_scipy(self, nodes):
+        # scipy's rule for t^19 e^-t, divided by 19!.  Against 40-digit
+        # values both rules are accurate to about 1.3e-12 relative (scipy's
+        # weights at 128 nodes are that far off), so they agree within
+        # 3e-12; squared eigenvector components put the last 64-node
+        # weight at 2.2e-57 instead of 9.6e-88.
+        from scipy.special import roots_genlaguerre
+
+        x, w = numerics._genlaguerre_rule(nodes, 19)
+        xs, ws = roots_genlaguerre(nodes, 19)
+        ws = ws / math.factorial(19)
+        live = ws > 1e-300
+        assert x.size >= np.count_nonzero(live)
+        np.testing.assert_allclose(x[: live.sum()], xs[live], rtol=1e-13)
+        np.testing.assert_allclose(w[: live.sum()], ws[live], rtol=3e-12)
 
 
 class TestLogGamma:

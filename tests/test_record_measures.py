@@ -129,13 +129,28 @@ class TestKerridgeRouteAgreement:
         q = RM.kerridge_record(CUSTOM_E2, up(2, 1), "quadrature")
         assert q.value == pytest.approx(RM.kerridge_record(E2, up(2, 1)).value, abs=1e-9)
 
-    @pytest.mark.parametrize("n", [20, 80])
+    @pytest.mark.parametrize("n", [20, 80, 171, 172, 300])
     def test_gamma_route_error_estimate_covers_rounding(self, n):
         # the 64- and 128-node rules agree to the last bit here, so only a
         # rounding floor keeps the reported error a bound
         g = RM.kerridge_record(W12, up(n, 1), "gamma_expectation")
         closed = RM.kerridge_record(W12, up(n, 1), "closed_form").value
         assert abs(g.value - closed) <= g.abs_error_estimate
+
+    @pytest.mark.parametrize("n", [171, 172, 300])
+    def test_gamma_route_past_the_factorial_overflow(self, n):
+        # (n-1)! overflows a double from n = 172; the rule needs no normaliser
+        g = RM.kerridge_record(E1, up(n, 1), "gamma_expectation")
+        assert abs(g.value - n) <= g.abs_error_estimate
+        assert g.abs_error_estimate <= 1e-9 * n
+
+    def test_gamma_route_refuses_mass_past_the_cap(self):
+        # at n = 1000 the record mass lies past t = 700, where exp(-t)
+        # underflows and the capped integrand stands still: 700 for 1000
+        with pytest.raises(UnsupportedMethodError):
+            RM.kerridge_record(E1, up(1000, 1), "gamma_expectation")
+        with pytest.raises(UnsupportedMethodError):
+            RM.residual_record_inaccuracy(E2, up(1000, 1), "gamma_expectation")
 
     def test_gamma_route_normaliser_is_exact_at_large_n(self):
         # normalising by exp(log_gamma(n)) alone put it 9e-13 off at n=80
@@ -292,19 +307,20 @@ class TestResidualInaccuracy:
         RM.residual_inaccuracy_hazard_forms(PAR2, up(2, 1))
         assert 0 < sum(evaluations) < 100_000
 
-    def test_gamma_route_reuses_laguerre_rules_at_large_n(self, monkeypatch):
+    def test_gamma_route_reuses_laguerre_rules_at_large_n(self):
         spec = up(50, 2)
-        RM.residual_record_inaccuracy(W205, spec, "gamma_expectation")
-        builds = []
-        build = numerics._sp.roots_genlaguerre
+        RM.kerridge_record(W205, spec, "gamma_expectation")
+        misses = numerics._genlaguerre_rule.cache_info().misses
+        RM.kerridge_record(W205, spec, "gamma_expectation")
+        assert numerics._genlaguerre_rule.cache_info().misses == misses
 
-        def counting(*args):
-            builds.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(numerics._sp, "roots_genlaguerre", counting)
-        RM.residual_record_inaccuracy(W205, spec, "gamma_expectation")
-        assert builds == []
+    @pytest.mark.parametrize("n", [100, 300])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gamma_route_at_large_n(self, n, k):
+        # one t-space integral; the per-shape ladders overflowed from n = 171
+        res = RM.residual_record_inaccuracy(E2, up(n, k), "gamma_expectation")
+        closed = n * (n + 1) / (2 * E2.params["theta"] * k**2)
+        assert abs(res.value - closed) <= res.abs_error_estimate <= 1e-9 * closed
 
     def test_requires_upper_records(self):
         with pytest.raises(ParameterError):
