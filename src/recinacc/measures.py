@@ -81,11 +81,14 @@ class MeasureResult:
             raise ParameterError("closed_form results must carry abs_error_estimate 0")
 
 
-def _require_positive_inside(actual: Distribution, fn, name: str, what: str) -> None:
+def _require_positive_inside(actual: Distribution, fn, name: str, what: str,
+                             end: float = math.nan) -> None:
     """``fn`` (the assessed law's ``name``) must be positive strictly
-    inside the actual support, probed where the actual quantile puts it."""
+    inside the actual support, probed where the actual quantile puts it.
+    A probe that rounded onto ``end``, where fn is 0 by definition, is
+    not counted."""
     probes = _interior_probes(actual.quantile)
-    bad = ~(np.asarray(fn(probes), float) > 0.0)
+    bad = ~(np.asarray(fn(probes), float) > 0.0) & (probes != end)
     if np.any(bad):
         x = probes[bad][0]
         raise SupportError(
@@ -295,7 +298,7 @@ def _cumulative_inaccuracy(side: _Side, actual: Distribution, assessed: Distribu
             f"{what} diverges: "
             + side.cover_gap.format(y=end_y, x=actual.support[side.end])
         )
-    _require_positive_inside(actual, getattr(assessed, side.tail), side.tail, what)
+    _require_positive_inside(actual, getattr(assessed, side.tail), side.tail, what, end_y)
     # past the actual tail's vanishing end the weight is 0
     interval[side.end] = actual.support[side.end]
     log_tail = getattr(assessed, "log_" + side.tail)

@@ -36,7 +36,6 @@ class McConfig:
 
     samples: int = 100_000
     seed: int = 0
-    batch: int = 4096
 
     def __post_init__(self) -> None:
         if not (isinstance(self.samples, (int, np.integer)) and self.samples >= 1000):
@@ -45,8 +44,6 @@ class McConfig:
             )
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.batch, (int, np.integer)) and self.batch >= 1):
-            raise ParameterError(f"batch must be a positive integer, got {self.batch!r}")
 
 
 def stream_extract_records(
@@ -196,11 +193,8 @@ def mc_measure(request, cfg: McConfig = McConfig()) -> MeasureResult:
 
     if request.measure == "kerridge":
         draws = sample_record(parent, spec, root, cfg.samples)
-        pieces = []
-        for lo in range(0, cfg.samples, cfg.batch):
-            chunk = draws[lo : lo + cfg.batch]
-            pieces.append(-np.asarray(parent.log_pdf(chunk), float))
-        mean, var, m = _functional_mean(np.concatenate(pieces), "kerridge surprise")
+        surprise = -np.asarray(parent.log_pdf(draws), float)
+        mean, var, m = _functional_mean(surprise, "kerridge surprise")
         return MeasureResult(mean, "monte_carlo", 3.0 * np.sqrt(var / m))
 
     # cumulative measures: one substream per term of the order expansion

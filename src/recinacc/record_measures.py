@@ -12,6 +12,9 @@ must agree and are tested against one another:
 * cpi: cumulative past inaccuracy between the lower record's cdf and the
   parent's.
 
+The quadrature route of each measure is its generic two-distribution
+measure (:mod:`recinacc.measures`) on the record law and the parent.
+
 Closed forms belong to the parent: a catalog family carries them in
 ``Distribution.closed_forms``, and the one dispatcher (``_dispatch``,
 keyed by measure and method) takes them under ``auto`` where they exist.
@@ -41,7 +44,8 @@ from .errors import (
     ParameterError,
     UnsupportedMethodError,
 )
-from .measures import MeasureResult, _quad, kerridge as _generic_kerridge
+from . import measures as _measures
+from .measures import MeasureResult, _quad
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -137,7 +141,8 @@ def _cap_charge(charge: float, value: float, cap: float, config: QuadratureConfi
     if charge > max(config.abs_tol, config.rel_tol * abs(value)):
         raise UnsupportedMethodError(
             f"the gamma route cannot certify {what}: the record mass past t={cap:g}, "
-            f"where exp(-t) underflows, is charged {charge:.3g}; use method 'quadrature'"
+            f"the last probe where the integrand is finite, is charged {charge:.3g}; "
+            "use method 'quadrature'"
         )
     return charge
 
@@ -161,57 +166,23 @@ def _kerridge_expectation(parent: Distribution, spec: RecordSpec, config: Quadra
         return -np.asarray(parent.log_pdf(x), float)
 
     cap = _finite_cap(surprise)
+    charge = float(_sc.gammaincc(spec.n, spec.k * cap))
     what = f"record kerridge expectation on {parent.name}"
     # as in _quad: a breakdown means the integral could not be certified finite
     try:
         res = gamma_expectation(_capped(surprise, cap), spec.n, spec.k, config)
     except NonConvergenceError as exc:
+        # a cap short of the record mass (x(t) rounding onto a support end)
+        # stalls the ladder too: then the cap failed, not the integral
+        _cap_charge(charge, exc.partial_value, cap, config, what)
         raise DivergenceError(
             f"{what} did not converge and is likely divergent ({exc})",
             partial_value=exc.partial_value,
         ) from exc
     except IntegrandError as exc:
         raise DivergenceError(f"{what} could not be evaluated ({exc})") from exc
-    charge = float(_sc.gammaincc(spec.n, spec.k * cap))
     err = res.abs_error_estimate + _cap_charge(charge, res.value, cap, config, what)
     return MeasureResult(res.value, "gamma_expectation", err)
-
-
-def _kerridge_quadrature(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
-    return _generic_kerridge(record_distribution(parent, spec), parent, config)
-
-
-def _cumulative_sum_integrand(parent: Distribution, n: int, k: int, side: str):
-    """The direct integrand: sum_i (k^i/i!) g^k (-log g)^(i+1).
-
-    g is the parent survival function for upper records and the cdf for
-    lower ones.  Assembled in log space so huge cumulative hazards and
-    underflowing weights cannot produce inf*0.
-    """
-    log_g_fn = parent.log_survival if side == "upper" else parent.log_cdf
-    log_k = math.log(k)
-    log_fact = [math.lgamma(i + 1) for i in range(n)]
-
-    def integrand(x):
-        lg = np.asarray(log_g_fn(x), float)
-        out = np.zeros(lg.shape)
-        m = np.isfinite(lg) & (lg < 0.0)
-        if np.any(m):
-            lgm = lg[m]
-            log_y = np.log(-lgm)
-            acc = np.zeros(lgm.shape)
-            for i in range(n):
-                acc += np.exp(i * log_k - log_fact[i] + k * lgm + (i + 1) * log_y)
-            out[m] = acc
-        return out[()]
-
-    return integrand
-
-
-def _cumulative_quadrature(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
-    integrand = _cumulative_sum_integrand(parent, spec.n, spec.k, spec.side)
-    what = f"{_CUMULATIVE_LABEL[spec.side]} record inaccuracy"
-    return _quad(integrand, parent.support, config, what)
 
 
 def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
@@ -244,6 +215,20 @@ def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: Quad
     return MeasureResult(res.value, "gamma_expectation", err)
 
 
+# each measure's generic form, named in recinacc.measures and looked up
+# there at call time, so that a wrapper installed on that module sees it
+_GENERIC = {
+    "kerridge": "kerridge",
+    "cri": "cumulative_residual_inaccuracy",
+    "cpi": "cumulative_past_inaccuracy",
+}
+
+
+def _quadrature(measure: str, parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+    generic = getattr(_measures, _GENERIC[measure])
+    return generic(record_distribution(parent, spec), parent, config)
+
+
 def _monte_carlo(measure: str, parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
     from .oracle import McConfig, mc_measure
 
@@ -252,11 +237,9 @@ def _monte_carlo(measure: str, parent: Distribution, spec: RecordSpec, config: Q
 
 _ROUTES = {
     ("kerridge", "gamma_expectation"): _kerridge_expectation,
-    ("kerridge", "quadrature"): _kerridge_quadrature,
     ("cri", "gamma_expectation"): _cumulative_expectation,
-    ("cri", "quadrature"): _cumulative_quadrature,
     ("cpi", "gamma_expectation"): _cumulative_expectation,
-    ("cpi", "quadrature"): _cumulative_quadrature,
+    **{(measure, "quadrature"): partial(_quadrature, measure) for measure in _MEASURES},
     **{(measure, "monte_carlo"): partial(_monte_carlo, measure) for measure in _MEASURES},
 }
 _DEFAULT_ROUTE = {"kerridge": "gamma_expectation", "cri": "quadrature", "cpi": "quadrature"}

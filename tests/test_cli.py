@@ -240,3 +240,18 @@ class TestVerify:
         report = json.loads(res.stdout.splitlines()[-1])
         assert "PCG64" in report["generator"]
         assert report["seed"] == 42
+
+
+class TestColdStart:
+    def test_cli_import_leaves_out_scipy_stats_and_linalg(self):
+        # each takes a large share of a cold start; only the oracle suite
+        # and the Laguerre rule builder import them, on first use
+        probe = (
+            "import sys, recinacc.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

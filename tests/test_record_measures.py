@@ -24,7 +24,12 @@ from recinacc.distributions import (
     make_uniform01,
     make_weibull,
 )
-from recinacc.errors import DivergenceError, ParameterError, UnsupportedMethodError
+from recinacc.errors import (
+    DivergenceError,
+    ParameterError,
+    RecinaccError,
+    UnsupportedMethodError,
+)
 from recinacc.numerics import QuadratureConfig
 from recinacc.records import RecordSpec, record_distribution
 
@@ -151,6 +156,21 @@ class TestKerridgeRouteAgreement:
             RM.kerridge_record(E1, up(1000, 1), "gamma_expectation")
         with pytest.raises(UnsupportedMethodError):
             RM.residual_record_inaccuracy(E2, up(1000, 1), "gamma_expectation")
+
+    @pytest.mark.parametrize("n", [60, 80])
+    def test_gamma_route_refuses_a_cap_short_of_the_record_mass(self, n):
+        # x(t) = 1 - e^(-t/2) rounds onto 1, where the density is 0, before
+        # the record mass ends: the cap failed, not the integral (finite)
+        with pytest.raises(UnsupportedMethodError):
+            RM.kerridge_record(PD, up(n, 1), "gamma_expectation")
+
+    def test_quadrature_refuses_record_mass_on_a_zero_of_the_density(self):
+        # the record law's quantiles round onto x = 1, where the parent
+        # density is 0; x-space quadrature cannot resolve that mass (with
+        # that probe skipped, as the cri/cpi cover check skips it, the
+        # value came out 1e-41 against 65.568), so it must raise
+        with pytest.raises(RecinaccError):
+            RM.kerridge_record(PD, up(100, 1), "quadrature")
 
     def test_gamma_route_normaliser_is_exact_at_large_n(self):
         # normalising by exp(log_gamma(n)) alone put it 9e-13 off at n=80
@@ -418,6 +438,27 @@ class TestPastInaccuracy:
     def test_requires_lower_records(self):
         with pytest.raises(ParameterError):
             RM.past_record_inaccuracy(E1, up(1, 1))
+
+
+class TestQuadratureRouteIsTheGenericMeasure:
+    def test_routes_equal_the_generic_measures_on_the_record_law(self):
+        for route, generic, spec in [
+            (RM.residual_record_inaccuracy, measures.cumulative_residual_inaccuracy, up(2, 3)),
+            (RM.past_record_inaccuracy, measures.cumulative_past_inaccuracy, low(2, 3)),
+        ]:
+            law = record_distribution(W205, spec)
+            assert route(W205, spec, "quadrature") == generic(law, W205)
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_record_probes_on_the_vanishing_end_of_the_survival(self, n):
+        # the record law's quantiles round onto x = 1, where the parent
+        # survival is 0 by definition: no gap in the cover
+        res = measures.cumulative_residual_inaccuracy(record_distribution(P2, up(n, 1)), P2)
+        assert abs(res.value - (2.0 - 2.0 * math.log(2.0))) <= res.abs_error_estimate
+
+    def test_record_probes_on_the_vanishing_end_of_the_cdf(self):
+        res = measures.cumulative_past_inaccuracy(record_distribution(PAR2, low(40, 1)), PAR2)
+        assert abs(res.value - 2.0 * math.log(2.0)) <= res.abs_error_estimate
 
 
 class TestScaleShift:
