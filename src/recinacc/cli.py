@@ -79,8 +79,9 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _build_dist(name: str, params: dict[str, float]) -> Distribution:
-    factory, wanted = _DISTS[name]
+def _param_names(name: str, params: dict[str, float]) -> tuple[str, ...]:
+    """The parameter names distribution ``name`` takes, once ``params`` has exactly them."""
+    wanted = _DISTS[name][1]
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]
     if missing or extra:
@@ -88,7 +89,11 @@ def _build_dist(name: str, params: dict[str, float]) -> Distribution:
             f"distribution {name} takes parameters {list(wanted)}; "
             f"missing {missing}, unknown {extra}"
         )
-    return factory(*(params[p] for p in wanted))
+    return wanted
+
+
+def _build_dist(name: str, params: dict[str, float]) -> Distribution:
+    return _DISTS[name][0](*(params[p] for p in _param_names(name, params)))
 
 
 def _parse_params(pairs: list[str]) -> dict[str, float]:
@@ -238,7 +243,7 @@ def cmd_table(args, out=sys.stdout) -> int:
     combos: list[dict[str, float]] = [dict(params)]
     for name, values in grids:
         combos = [{**combo, name: v} for combo in combos for v in sorted(values)]
-    order = _DISTS[args.dist][1]
+    order = _param_names(args.dist, combos[0])  # every combo has the same names
 
     cells = sorted(
         ((n, k, combo) for n in ns for k in ks for combo in combos),

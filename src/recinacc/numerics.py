@@ -1,7 +1,10 @@
 """Adaptive quadrature and the small set of special functions the package needs.
 
 The integration core is a 15-point Gauss--Kronrod rule with bisection
-refinement driven by a worst-panel-first heap.  Semi-infinite integrals
+refinement driven by a worst-panel-first heap.  One integrand call takes
+a heap's first panel, 15 abscissae, and each later call both halves of a
+bisected panel, 30 abscissae; so the integrand must be elementwise, each
+value depending on its own abscissa only.  Semi-infinite integrals
 over (a, inf) are mapped onto (0, 1) through u = 1/(1 + x - a), so tail
 behaviour is handled by the same adaptive machinery instead of an ad hoc
 truncation point; integrals over the whole line are split at zero.
@@ -130,41 +133,51 @@ def _same(v):
     return v
 
 
-def _eval_panel(f: Callable, a: float, b: float, to_x: Callable = _same) -> tuple[float, float]:
-    """Apply the Gauss--Kronrod pair to one panel; returns (value, error).
+def _eval_panels(f: Callable, edges: tuple, to_x: Callable = _same) -> list[tuple[float, float]]:
+    """Apply the Gauss--Kronrod pair to each panel between consecutive
+    ``edges``, with one call to ``f`` for all of them; returns one
+    (value, error) per panel.
 
     The error estimate rescales |K - G| against the panel's total
     variation, which credits smooth panels with their true (much smaller)
-    error instead of the raw rule difference.  ``to_x`` maps the panel's
-    variable to the caller's x, in which a non-finite value is reported.
+    error instead of the raw rule difference.  ``to_x`` maps the panels'
+    variable to the caller's x, in which the first non-finite value, in
+    left-to-right order, is reported.
     """
-    half = 0.5 * (b - a)
-    if half == 0.0:  # panel collapsed by rounding; it holds no mass
-        return 0.0, 0.0
-    mid = 0.5 * (a + b)
-    xs = mid + half * _NODES
+    spans = [(b - a, 0.5 * (b - a), 0.5 * (a + b)) for a, b in zip(edges, edges[1:])]
+    live = [span for span in spans if span[1] != 0.0]  # a collapsed panel holds no mass
+    if not live:
+        return [(0.0, 0.0)] * len(spans)
+    xs = np.concatenate([mid + half * _NODES for _, half, mid in live])
     fx = np.asarray(f(xs), dtype=float)
     if fx.shape != xs.shape:
-        fx = np.broadcast_to(np.asarray(fx, dtype=float), xs.shape)
+        fx = np.broadcast_to(fx, xs.shape)
     bad = ~np.isfinite(fx)
     if bad.any():
         i = int(np.argmax(bad))
         x = to_x(xs[i])
         raise IntegrandError(f"integrand returned {fx[i]!r} at x={x!r}", abscissa=float(x))
-    kronrod = half * float(_WK @ fx)
-    gauss = half * float(_WGAUSS @ fx)
-    resabs = abs(half) * float(_WK @ np.abs(fx))
-    resasc = abs(half) * float(_WK @ np.abs(fx - kronrod / (b - a)))
-    err = abs(kronrod - gauss)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return kronrod, err
+    panels = iter(fx.reshape(-1, 15))
+    out = []
+    for width, half, _ in spans:
+        if half == 0.0:
+            out.append((0.0, 0.0))
+            continue
+        fp = next(panels)
+        kronrod = half * float(_WK @ fp)
+        gauss = half * float(_WGAUSS @ fp)
+        resabs = abs(half) * float(_WK @ np.abs(fp))
+        resasc = abs(half) * float(_WK @ np.abs(fp - kronrod / width))
+        err = abs(kronrod - gauss)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        out.append((kronrod, max(err, 50.0 * _EPS * resabs)))
+    return out
 
 
 def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
               to_x: Callable = _same) -> IntegrationResult:
-    value, err = _eval_panel(f, a, b, to_x)
+    [(value, err)] = _eval_panels(f, (a, b), to_x)
     evals = 15
     # Heap entries: (-error, tiebreak, a, b, value, error).  Panels that are
     # negligible or at the width floor are retired from the heap for good.
@@ -188,8 +201,7 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
         if width_floor or negligible:
             continue
         pm = 0.5 * (pa + pb)
-        lv, le = _eval_panel(f, pa, pm, to_x)
-        rv, re = _eval_panel(f, pm, pb, to_x)
+        (lv, le), (rv, re) = _eval_panels(f, (pa, pm, pb), to_x)
         evals += 30
         total_val += lv + rv - pv
         total_err += le + re - pe
@@ -244,9 +256,11 @@ def integrate(
     """Integrate ``f`` over ``interval`` adaptively.
 
     ``interval`` is an ``(a, b)`` pair; either endpoint may be infinite.
-    The integrand must accept numpy arrays (it is evaluated 15 abscissae
-    at a time) and is never called exactly at the endpoints, so integrable
-    endpoint singularities are fine.
+    The integrand must accept numpy arrays and act on them elementwise: it
+    gets 15 abscissae for the first panel of each piece (an infinite
+    interval is integrated in two or four pieces) and 30, both halves of a
+    bisected panel, on every later call.  It is never called exactly at the
+    endpoints, so integrable endpoint singularities are fine.
 
     Raises :class:`IntegrandError` on a non-finite integrand value and
     :class:`NonConvergenceError` (carrying the partial value) when the

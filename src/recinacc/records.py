@@ -148,7 +148,7 @@ def gamma_transform_point(parent: Distribution, side: str, t):
     if side not in _SIDES:
         raise ParameterError(f"side must be 'upper' or 'lower', got {side!r}")
     t = np.asarray(t, float)
-    if np.any(t <= 0.0) or np.any(np.isnan(t)):
+    if not np.all(t > 0.0):  # also rejects NaN
         raise DomainError("gamma transform requires t > 0")
     e = np.exp(-t)
     if side == "upper":

@@ -7,10 +7,19 @@ byte-level determinism of seeded runs.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+# Children import the package from this checkout's src, as the tests do.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run_cli(*args):
@@ -19,6 +28,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=600,
+        env=CHILD_ENV,
     )
 
 
@@ -137,6 +147,16 @@ class TestExitCodes:
         )
         assert res.returncode == 3
 
+    def test_table_missing_parameter_is_usage_error(self):
+        # the same message and exit code as compute, not a traceback
+        args = ("--dist", "exponential", "--measure", "kerridge", "--side", "upper")
+        res = run_cli("table", *args, "--n", "1..2", "--k", "1")
+        single = run_cli("compute", *args, "--n", "1", "--k", "1")
+        assert res.returncode == single.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == single.stderr
+        assert "missing ['theta']" in res.stderr
+
     def test_empty_range_exits_two(self):
         res = run_cli(
             "table", "--dist", "uniform", "--measure", "cri",
@@ -251,7 +271,8 @@ class TestColdStart:
             "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
         )
         res = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600,
+            env=CHILD_ENV,
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"

@@ -123,6 +123,97 @@ class TestIntegrate:
         assert r.value == pytest.approx(anti(b) - anti(a), abs=1e-9, rel=1e-9)
 
 
+class TestPanelEvaluation:
+    """One integrand call per panel tree start, then one per bisection."""
+
+    @staticmethod
+    def counted(f):
+        sizes = []
+
+        def wrapped(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        return wrapped, sizes
+
+    @pytest.mark.parametrize(
+        "f,interval,starts",
+        [
+            (lambda x: np.exp(-x) * np.cos(5.0 * x), (0.0, 3.0), 1),
+            (lambda x: -np.log(x), (0.0, 1.0), 1),
+            # head (a, a + 1) and mapped tail are two panel trees
+            (lambda x: x * x * np.exp(-x) / (1.0 + x), (0.0, math.inf), 2),
+        ],
+    )
+    def test_one_call_per_start_and_per_bisection(self, f, interval, starts):
+        wrapped, sizes = self.counted(f)
+        r = integrate(wrapped, interval)
+        bisections = (r.evaluations - 15 * starts) // 30
+        assert bisections > 0
+        assert len(sizes) == starts + bisections
+        assert sum(sizes) == r.evaluations
+        # each tree's first call is its one 15-point panel; every later
+        # call carries both halves of a bisected panel
+        assert sizes[0] == 15
+        assert sizes.count(15) == starts
+        assert set(sizes) == {15, 30}
+        if starts == 1:
+            assert sizes[1:] == [30] * bisections
+
+    @staticmethod
+    def nan_near_quarters(x):
+        # NaN near 1/4 and 3/4 only: neither is a node of the (0, 1) panel,
+        # and each is the midpoint node of one of its two halves
+        x = np.asarray(x, dtype=float)
+        near = (np.abs(x - 0.25) < 0.01) | (np.abs(x - 0.75) < 0.01)
+        return np.where(near, np.nan, -np.log(x))
+
+    def test_both_halves_non_finite_reports_the_left_one(self):
+        wrapped, sizes = self.counted(self.nan_near_quarters)
+        with pytest.raises(IntegrandError) as exc:
+            integrate(wrapped, (0.0, 1.0))
+        assert sizes == [15, 30]
+        assert exc.value.abscissa == 0.25
+
+    @pytest.mark.parametrize(
+        "interval,sign",
+        [((0.0, math.inf), 1.0), ((-math.inf, 0.0), -1.0), ((-math.inf, math.inf), -1.0)],
+    )
+    def test_both_halves_non_finite_reported_in_x_on_infinite_intervals(self, interval, sign):
+        # the first tail bisection splits u in (0, 1); both halves fail at
+        # their midpoints u = 1/4 and 3/4, i.e. |x| = 4 and 4/3.  The left
+        # half in u, the far one in x, is reported, in x and with its sign.
+        def f(x):
+            u = 1.0 / np.abs(x)  # u = 1/(1 + |x| - 1) on the tail
+            return np.where(np.isnan(self.nan_near_quarters(u)), np.nan, np.exp(-np.abs(x)))
+
+        wrapped, sizes = self.counted(f)
+        with pytest.raises(IntegrandError) as exc:
+            integrate(wrapped, interval)
+        assert sizes[-1] == 30
+        assert exc.value.abscissa == sign * 4.0
+        assert repr(exc.value.abscissa) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "f,interval,value,error",
+        [
+            (lambda x: np.exp(-x) * np.cos(5.0 * x), (0.0, 3.0),
+             "0x1.79ff9d79c7d17p-5", "0x1.14516c2ab0000p-45"),
+            (lambda x: x * x * np.exp(-x) / (1.0 + x), (0.0, math.inf),
+             "0x1.3154710477cc4p-1", "0x1.e1e7a8eb84504p-33"),
+            (lambda x: np.exp(-0.5 * x * x) * np.cos(2.0 * x), (-math.inf, math.inf),
+             "0x1.5b607c16eda28p-2", "0x1.404880aa75d5bp-39"),
+            (lambda x: -np.log(x) / np.sqrt(x), (0.0, 1.0),
+             "0x1.ffffffff8aa02p+1", "0x1.0c90e782fdc2ep-28"),
+        ],
+    )
+    def test_results_pinned_to_the_bit(self, f, interval, value, error):
+        # values from the one-panel-per-call integrator: evaluating both
+        # halves of a bisection in one call must not move a bit
+        r = integrate(f, interval)
+        assert (r.value.hex(), r.abs_error_estimate.hex()) == (value, error)
+
+
 class TestQuadratureConfig:
     def test_defaults(self):
         cfg = QuadratureConfig()

@@ -179,6 +179,14 @@ class TestGammaTransform:
         with pytest.raises(ParameterError):
             gamma_transform_point(d, "sideways", 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, 0.0])
+    def test_one_bad_point_in_an_array_raises(self, bad):
+        t = np.array([0.5, bad, 2.0])
+        with pytest.raises(DomainError, match=r"gamma transform requires t > 0"):
+            gamma_transform_point(make_exponential(1.0), "upper", t)
+        with pytest.raises(DomainError, match=r"gamma transform requires t > 0"):
+            gamma_transform_point(make_uniform01(), "lower", t)
+
     @pytest.mark.parametrize(
         "d,side,n,k,power,exact",
         [
