@@ -4,7 +4,9 @@ Output is deterministic byte-for-byte for identical invocations,
 including seeded Monte Carlo runs.  Reals are serialized with 17
 significant digits so every printed value round-trips to the exact
 float.  Exit codes: 0 success, 1 failed verification, 2 usage or
-unsupported-combination errors, 3 divergent or non-evaluable integrals.
+unsupported-combination errors, 3 divergent or non-evaluable integrals,
+Monte Carlo contamination or any other failed evaluation.  A package
+error ends in one line on standard error, never in a traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from .distributions import (
     Distribution,
@@ -35,7 +39,18 @@ from .oracle import McConfig, mc_measure
 from .record_measures import RecordMeasureRequest, compute_record_measure
 from .records import RecordSpec, record_distribution
 
-CSV_HEADER = "measure,dist,params,side,n,k,method,value,abs_error_estimate,seed"
+# the output columns, in order; JSON rows leave out a None seed and add
+# "error" when it is set
+_FIELDS = ("measure", "dist", "params", "side", "n", "k", "method", "value",
+           "abs_error_estimate", "seed")
+
+# each failure kind: its stderr prefix and exit code; the first match wins
+_FAILURES = (
+    ((ParameterError, UnsupportedMethodError), "error", 2),
+    (DivergenceError, "divergent", 3),
+    (QuadratureError, "quadrature failure", 3),
+    (RecinaccError, "failed", 3),
+)
 
 _METHOD_TOKENS = {
     "auto": "auto",
@@ -59,7 +74,7 @@ _GENERIC_MEASURES = {
 
 
 def _power_increasing(m: float) -> Distribution:
-    if m != int(m):
+    if not float(m).is_integer():
         raise ParameterError(f"parameter m must be an integer, got {m!r}")
     return make_power_increasing(int(m))
 
@@ -121,111 +136,79 @@ def _parse_range(raw: str, flag: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
-def _evaluate(dist_name, params, measure, side, n, k, method_token, seed):
-    parent = _build_dist(dist_name, params)
-    spec = RecordSpec(side, n, k)
-    method = _METHOD_TOKENS[method_token]
-    if measure in _RECORD_MEASURES:
-        request = RecordMeasureRequest(parent, spec, measure, method)
+def _failure(exc: RecinaccError) -> tuple[str, int]:
+    return next((prefix, code) for kind, prefix, code in _FAILURES if isinstance(exc, kind))
+
+
+def _evaluate(args, params, n, k):
+    parent = _build_dist(args.dist, params)
+    spec = RecordSpec(args.side, n, k)
+    method = _METHOD_TOKENS[args.method]
+    if args.measure in _RECORD_MEASURES:
+        request = RecordMeasureRequest(parent, spec, args.measure, method)
         if method == "monte_carlo":
-            return mc_measure(request, McConfig(seed=seed)), True
-        return compute_record_measure(request), False
-    fn = _GENERIC_MEASURES[measure]
+            return mc_measure(request, McConfig(seed=args.seed))
+        return compute_record_measure(request)
+    fn = _GENERIC_MEASURES[args.measure]
     if method not in ("auto", "quadrature"):
         raise UnsupportedMethodError(
-            f"measure {measure} only has the quadrature route, not {method_token}"
+            f"measure {args.measure} only has the quadrature route, not {args.method}"
         )
-    return fn(record_distribution(parent, spec), parent), False
+    return fn(record_distribution(parent, spec), parent)
 
 
-def _params_csv(params: dict[str, float], order: tuple[str, ...]) -> str:
-    return ";".join(f"{name}={_fmt(params[name])}" for name in order)
-
-
-def _row_csv(row: dict) -> str:
-    return ",".join(
-        [
-            row["measure"],
-            row["dist"],
-            _params_csv(row["params"], _DISTS[row["dist"]][1]),
-            row["side"],
-            str(row["n"]),
-            str(row["k"]),
-            row["method"],
-            _fmt(row["value"]) if row["value"] is not None else "",
-            _fmt(row["abs_error_estimate"]) if row["abs_error_estimate"] is not None else "",
-            str(row["seed"]) if row["seed"] is not None else "",
-        ]
-    )
-
-
-def _row_json(row: dict) -> str:
-    parts = [
-        f'"measure": {json.dumps(row["measure"])}',
-        f'"dist": {json.dumps(row["dist"])}',
-        '"params": {%s}'
-        % ", ".join(
-            f"{json.dumps(name)}: {_fmt(row['params'][name])}"
-            for name in _DISTS[row["dist"]][1]
-        ),
-        f'"side": {json.dumps(row["side"])}',
-        f'"n": {row["n"]}',
-        f'"k": {row["k"]}',
-        f'"method": {json.dumps(row["method"])}',
-    ]
-    if row["value"] is not None:
-        parts.append(f'"value": {_fmt(row["value"])}')
-    else:
-        parts.append('"value": null')
-    if row["abs_error_estimate"] is not None:
-        parts.append(f'"abs_error_estimate": {_fmt(row["abs_error_estimate"])}')
-    else:
-        parts.append('"abs_error_estimate": null')
-    if row["seed"] is not None:
-        parts.append(f'"seed": {row["seed"]}')
-    if row.get("error"):
-        parts.append(f'"error": {json.dumps(row["error"])}')
-    return "{%s}" % ", ".join(parts)
-
-
-def _make_row(args, params, n, k, result=None, stochastic=False, error=None):
-    return {
-        "measure": args.measure,
-        "dist": args.dist,
-        "params": params,
-        "side": args.side,
-        "n": n,
-        "k": k,
-        "method": result.method if result is not None else "error",
-        "value": result.value if result is not None else None,
-        "abs_error_estimate": result.abs_error_estimate if result is not None else None,
-        "seed": args.seed if stochastic else None,
-        "error": error,
+def _make_row(args, params, n, k, result=None, error=None):
+    row = {
+        "measure": args.measure, "dist": args.dist, "params": params, "side": args.side,
+        "n": n, "k": k, "method": "error", "value": None, "abs_error_estimate": None,
+        "seed": None, "error": error,
     }
+    if result is not None:
+        row.update(
+            method=result.method, value=result.value,
+            abs_error_estimate=result.abs_error_estimate,
+            seed=args.seed if result.method == "monte_carlo" else None,
+        )
+    return row
+
+
+def _field(row: dict, name: str, as_json: bool) -> str:
+    value = row[name]
+    if name == "params":
+        order = _DISTS[row["dist"]][1]
+        if as_json:
+            return "{%s}" % ", ".join(f"{json.dumps(p)}: {_fmt(value[p])}" for p in order)
+        return ";".join(f"{p}={_fmt(value[p])}" for p in order)
+    if value is None:
+        return "null" if as_json else ""
+    if isinstance(value, str):
+        return json.dumps(value) if as_json else value
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
+    # out=None prints to sys.stdout as it is at call time
     if fmt == "csv":
-        print(CSV_HEADER, file=out)
+        print(",".join(_FIELDS), file=out)
         for row in rows:
-            print(_row_csv(row), file=out)
-    else:
-        for row in rows:
-            print(_row_json(row), file=out)
+            print(",".join(_field(row, name, False) for name in _FIELDS), file=out)
+        return
+    for row in rows:
+        names = [f for f in _FIELDS if f != "seed" or row["seed"] is not None]
+        names += ["error"] if row["error"] else []
+        print("{%s}" % ", ".join(f'"{f}": {_field(row, f, True)}' for f in names), file=out)
 
 
-def cmd_compute(args, out=sys.stdout) -> int:
+def cmd_compute(args, out=None) -> int:
     params = _parse_params(args.param)
-    result, stochastic = _evaluate(
-        args.dist, params, args.measure, args.side, args.n, args.k,
-        args.method, args.seed,
-    )
-    row = _make_row(args, params, args.n, args.k, result, stochastic)
+    row = _make_row(args, params, args.n, args.k, _evaluate(args, params, args.n, args.k))
     _emit([row], args.format, out)
     return 0
 
 
-def cmd_table(args, out=sys.stdout) -> int:
+def cmd_table(args, out=None) -> int:
     params = _parse_params(args.param)
     ns = _parse_range(args.n, "--n")
     ks = _parse_range(args.k, "--k")
@@ -253,29 +236,18 @@ def cmd_table(args, out=sys.stdout) -> int:
     )
 
     rows = []
-    failures = 0
-    usage_failures = 0
+    codes = []  # the exit code of each failed cell
     for n, k, combo in cells:
         try:
-            result, stochastic = _evaluate(
-                args.dist, combo, args.measure, args.side, n, k,
-                args.method, args.seed,
-            )
-            rows.append(_make_row(args, combo, n, k, result, stochastic))
-        except (ParameterError, UnsupportedMethodError) as exc:
-            failures += 1
-            usage_failures += 1
-            rows.append(_make_row(args, combo, n, k, error=str(exc)))
-        except (DivergenceError, QuadratureError, RecinaccError) as exc:
-            failures += 1
+            rows.append(_make_row(args, combo, n, k, _evaluate(args, combo, n, k)))
+        except RecinaccError as exc:
+            codes.append(_failure(exc)[1])
             rows.append(_make_row(args, combo, n, k, error=str(exc)))
     _emit(rows, args.format, out)
-    if failures == len(rows):
-        return 2 if usage_failures == failures else 3
-    return 0
+    return max(codes) if len(codes) == len(rows) else 0
 
 
-def cmd_verify(args, out=sys.stdout) -> int:
+def cmd_verify(args, out=None) -> int:
     report = V.run_suite(args.suite, args.seed)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
@@ -336,16 +308,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (ParameterError, UnsupportedMethodError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"divergent: {exc}", file=sys.stderr)
-        return 3
-    except QuadratureError as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return 3
+        # every non-finite value is caught where it matters (the
+        # integrator's IntegrandError, the Monte Carlo contamination
+        # check), so numpy's own warnings would only be noise
+        with np.errstate(all="ignore"):
+            return args.fn(args)
+    except RecinaccError as exc:
+        prefix, code = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,18 +1,26 @@
-"""End-to-end command-line behavior through real subprocesses.
+"""End-to-end command-line behavior.
 
 Covers the serialization contracts (fixed CSV header, NDJSON rows,
 17-significant-digit round-tripping), exit codes, grid ordering, and
-byte-level determinism of seeded runs.
+byte-level determinism of seeded runs.  Most tests run ``cli.main`` in
+this process; the ones about the process itself (cold-start imports,
+determinism across fresh interpreters, the exit status of
+``python -m recinacc``) start real subprocesses.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+
+from recinacc import cli
 
 # Children import the package from this checkout's src, as the tests do.
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -23,6 +31,24 @@ CHILD_ENV = {
 
 
 def run_cli(*args):
+    """``recinacc ARGS`` in this process: its stdout, its stderr (warnings
+    included, as a fresh process would print them) and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = 0 if exc.code is None else exc.code
+    shown = "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue() + shown)
+
+
+def run_module(*args):
+    """``python -m recinacc ARGS`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "recinacc", *args],
         capture_output=True,
@@ -102,6 +128,52 @@ class TestCompute:
         assert row["method"] == "quadrature"
 
 
+class TestRowBytes:
+    def test_closed_form_csv_row(self):
+        res = run_cli(
+            "compute", "--dist", "exponential", "--param", "theta=2",
+            "--measure", "cri", "--side", "upper", "--n", "3", "--k", "2",
+        )
+        assert res.stdout == HEADER + "\ncri,exponential,theta=2,upper,3,2,closed_form,0.75,0,\n"
+
+    def test_seeded_monte_carlo_json_row(self):
+        res = run_cli(
+            "compute", "--dist", "exponential", "--param", "theta=1",
+            "--measure", "kerridge", "--side", "upper", "--n", "2", "--k", "1",
+            "--method", "mc", "--seed", "5", "--format", "json",
+        )
+        assert res.stdout == (
+            '{"measure": "kerridge", "dist": "exponential", "params": {"theta": 1}, '
+            '"side": "upper", "n": 2, "k": 1, "method": "monte_carlo", '
+            '"value": 1.9967062565014453, "abs_error_estimate": 0.01338352574517236, '
+            '"seed": 5}\n'
+        )
+
+    def test_json_error_row(self):
+        res = run_cli(
+            "table", "--dist", "power-inc", "--param", "m=2", "--measure", "cpi",
+            "--side", "lower", "--n", "1", "--k", "1", "--method", "closed",
+            "--format", "json",
+        )
+        assert res.returncode == 2
+        assert res.stdout == (
+            '{"measure": "cpi", "dist": "power-inc", "params": {"m": 2}, '
+            '"side": "lower", "n": 1, "k": 1, "method": "error", "value": null, '
+            '"abs_error_estimate": null, '
+            '"error": "no closed form is known for past inaccuracy on power_increasing"}\n'
+        )
+
+    def test_redirect_stdout_captures_main(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([
+                "compute", "--dist", "uniform", "--measure", "cri",
+                "--side", "upper", "--n", "2", "--k", "1",
+            ])
+        assert code == 0
+        assert buf.getvalue().splitlines()[0] == HEADER
+
+
 class TestExitCodes:
     def test_missing_parameter_is_usage_error(self):
         res = run_cli(
@@ -156,6 +228,40 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr == single.stderr
         assert "missing ['theta']" in res.stderr
+
+    @pytest.mark.parametrize("m", ["inf", "nan", "2.5"])
+    def test_non_integer_power_is_usage_error(self, m):
+        res = run_cli(
+            "compute", "--dist", "power-inc", "--param", f"m={m}",
+            "--measure", "cpi", "--side", "lower", "--n", "1", "--k", "1",
+        )
+        assert res.returncode == 2
+        assert res.stderr == f"error: parameter m must be an integer, got {float(m)!r}\n"
+
+    # one cell of each failure kind: a usage error, a divergence and a
+    # Monte Carlo estimate contaminated by non-finite values
+    @pytest.mark.parametrize("cell", [
+        ("--dist", "uniform", "--measure", "kij", "--method", "gamma", "--side", "upper"),
+        ("--dist", "pareto", "--param", "theta=0.5", "--measure", "cri", "--side", "upper"),
+        ("--dist", "pareto", "--param", "theta=0.001", "--measure", "cpi",
+         "--side", "lower", "--method", "mc"),
+    ])
+    def test_compute_exits_like_a_one_cell_table(self, cell):
+        single = run_cli("compute", *cell, "--n", "1", "--k", "1")
+        table = run_cli("table", *cell, "--n", "1", "--k", "1")
+        assert single.returncode == table.returncode in (2, 3)
+        assert single.stdout == ""
+        assert len(single.stderr.splitlines()) == 1
+        assert "Traceback" not in single.stderr
+
+    def test_contamination_exits_three(self):
+        res = run_cli(
+            "compute", "--dist", "pareto", "--param", "theta=0.001", "--measure", "cpi",
+            "--side", "lower", "--n", "1", "--k", "1", "--method", "mc",
+        )
+        assert res.returncode == 3
+        assert res.stderr.startswith("failed: cpi term 0: ")
+        assert res.stderr.endswith("non-finite, above the 0.01% tolerance\n")
 
     def test_empty_range_exits_two(self):
         res = run_cli(
@@ -225,6 +331,44 @@ class TestTable:
         assert res.returncode == 3
 
 
+class TestNumpyWarnings:
+    # both print correct error rows; numpy's warnings about the same
+    # non-finite values would only be noise above them
+    def test_overflowing_generic_measure_table(self):
+        res = run_cli(
+            "table", "--dist", "weibull", "--param", "lambda=2", "--param", "beta=0.5",
+            "--measure", "kij", "--side", "lower", "--n", "2..4", "--k", "1..2",
+        )
+        assert res.returncode == 0
+        assert ",error,,," in res.stdout
+        assert "RuntimeWarning" not in res.stderr
+
+    def test_contaminated_monte_carlo_table(self):
+        res = run_cli(
+            "table", "--dist", "pareto", "--param", "theta=0.001", "--measure", "cpi",
+            "--side", "lower", "--n", "1", "--k", "1", "--method", "mc",
+        )
+        assert res.returncode == 3
+        assert "RuntimeWarning" not in res.stderr
+
+
+class TestModuleEntryPoint:
+    # the exit status a shell sees from python -m recinacc
+    @pytest.mark.parametrize("code, args", [
+        (0, ("--dist", "exponential", "--param", "theta=2", "--measure", "kerridge",
+             "--side", "upper")),
+        (2, ("--dist", "exponential", "--measure", "kerridge", "--side", "upper")),
+        (3, ("--dist", "pareto", "--param", "theta=0.001", "--measure", "cpi",
+             "--side", "lower", "--method", "mc")),
+    ])
+    def test_exit_status(self, code, args):
+        res = run_module("compute", *args, "--n", "1", "--k", "1")
+        assert res.returncode == code
+        assert "Traceback" not in res.stderr
+        assert bool(res.stdout) == (code == 0)
+        assert len(res.stderr.splitlines()) == (code != 0)
+
+
 class TestDeterminism:
     def test_seeded_tables_are_byte_identical(self):
         args = (
@@ -232,11 +376,11 @@ class TestDeterminism:
             "--measure", "kerridge", "--side", "upper", "--n", "1..2", "--k", "1..2",
             "--method", "mc", "--seed", "11",
         )
-        first = run_cli(*args)
-        second = run_cli(*args)
+        first = run_module(*args)
+        second = run_module(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
-        other = run_cli(*args[:-1], "12")
+        other = run_module(*args[:-1], "12")
         assert other.stdout != first.stdout
 
 
