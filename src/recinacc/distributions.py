@@ -350,7 +350,7 @@ def make_custom(
         def inverse_survival(q, _quantile=quantile):
             return np.asarray(_quantile(1.0 - np.asarray(q, float)), float)
 
-    for x in _interior_probes(quantile):
+    for x in _interior_probes(quantile).tolist():
         h = 1e-6 * max(1.0, abs(x))
         a = max(x - h, lo)
         b = min(x + h, hi)

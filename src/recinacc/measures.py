@@ -27,12 +27,12 @@ import numpy as np
 from .distributions import Distribution, _interior_probes
 from .errors import (
     DivergenceError,
-    IntegrandError,
     NonConvergenceError,
     ParameterError,
+    QuadratureError,
     SupportError,
 )
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate, integrate_each
 
 __all__ = [
     "MeasureResult",
@@ -90,7 +90,7 @@ def _require_positive_inside(actual: Distribution, fn, name: str, what: str,
     probes = _interior_probes(actual.quantile)
     bad = ~(np.asarray(fn(probes), float) > 0.0) & (probes != end)
     if np.any(bad):
-        x = probes[bad][0]
+        x = float(probes[bad][0])
         raise SupportError(
             f"{what} diverges: assessed {name} is 0 at x={x!r} inside the actual support"
         )
@@ -153,18 +153,49 @@ def _certify_integrable_tail(fn, interval, what: str) -> None:
             )
 
 
+def _diverged(exc: QuadratureError, what: str) -> DivergenceError:
+    """A quadrature failure as the DivergenceError the measures raise:
+    a breakdown means the integral could not be certified finite."""
+    if isinstance(exc, NonConvergenceError):
+        out = DivergenceError(
+            f"{what} did not converge and is likely divergent "
+            f"(partial value {exc.partial_value!r})",
+            partial_value=exc.partial_value,
+        )
+    else:
+        out = DivergenceError(f"{what} has a non-integrable singularity: {exc}")
+    out.__cause__ = exc
+    return out
+
+
+def _quad_each(fn, intervals, config: QuadratureConfig, what: str):
+    """:func:`_quad` over each interval, as if one after another, the
+    integrals sharing integrand calls (``integrate_each``).
+
+    Returns the IntegrationResults of the intervals before the first one
+    that fails its tail certification or its integration, and that
+    failure (None if none does).
+    """
+    certified, error = [], None
+    for interval in intervals:
+        try:
+            _certify_integrable_tail(fn, interval, what)
+        except DivergenceError as exc:
+            error = exc
+            break
+        certified.append(interval)
+    results, failure = integrate_each(fn, certified, config)
+    if isinstance(failure, QuadratureError):
+        failure = _diverged(failure, what)
+    return results, failure if failure is not None else error
+
+
 def _quad(fn, interval, config: QuadratureConfig, what: str) -> MeasureResult:
     _certify_integrable_tail(fn, interval, what)
     try:
         res = integrate(fn, interval, config)
-    except NonConvergenceError as exc:
-        raise DivergenceError(
-            f"{what} did not converge and is likely divergent "
-            f"(partial value {exc.partial_value!r})",
-            partial_value=exc.partial_value,
-        ) from exc
-    except IntegrandError as exc:
-        raise DivergenceError(f"{what} has a non-integrable singularity: {exc}") from exc
+    except QuadratureError as exc:
+        raise _diverged(exc, what) from exc
     return MeasureResult(res.value, "quadrature", res.abs_error_estimate)
 
 

@@ -1,13 +1,17 @@
 """Adaptive quadrature and the small set of special functions the package needs.
 
 The integration core is a 15-point Gauss--Kronrod rule with bisection
-refinement driven by a worst-panel-first heap.  One integrand call takes
-a heap's first panel, 15 abscissae, and each later call both halves of a
-bisected panel, 30 abscissae; so the integrand must be elementwise, each
-value depending on its own abscissa only.  Semi-infinite integrals
-over (a, inf) are mapped onto (0, 1) through u = 1/(1 + x - a), so tail
-behaviour is handled by the same adaptive machinery instead of an ad hoc
-truncation point; integrals over the whole line are split at zero.
+refinement driven by a worst-panel-first heap (QUADPACK's QAG scheme).
+Independent integrals advance together, each with its own heap and
+budget: every round makes one integrand call on the abscissae of every
+unfinished integral's next panels, 15 for its first panel and 30 for
+both halves of a bisected one.  One call may so carry the abscissae of
+many integrals, and the integrand must be elementwise, each value
+depending on its own abscissa only; each integral's result is then the
+one it gets alone, to the bit.  Semi-infinite integrals over (a, inf)
+are mapped onto (0, 1) through u = 1/(1 + x - a), so tail behaviour is
+handled by the same adaptive machinery instead of an ad hoc truncation
+point; integrals over the whole line are split at zero.
 
 Expectations under an integer-shape gamma weight get a dedicated routine
 built on Gauss rules for the normalised Gamma(n, 1) density.  Node counts
@@ -23,17 +27,24 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, IntegrandError, NonConvergenceError, ParameterError
+from .errors import (
+    DomainError,
+    IntegrandError,
+    NonConvergenceError,
+    ParameterError,
+    RecinaccError,
+)
 
 __all__ = [
     "QuadratureConfig",
     "IntegrationResult",
     "integrate",
+    "integrate_each",
     "gamma_expectation",
     "log_gamma",
     "digamma",
@@ -119,9 +130,10 @@ for _i, _w in zip((1, 3, 5), _WG[:-1]):
     _WGAUSS[_i] = _w
     _WGAUSS[14 - _i] = _w
 _WGAUSS[7] = _WG[-1]
+_WKG = np.stack([_WK, _WGAUSS])
 
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # Panels whose content and error both fall below this fraction of the
 # running scale are accepted as-is; this is what bounds how far into a
@@ -129,55 +141,75 @@ _EPS = np.finfo(float).eps
 _TAIL_MASS_BOUND = 1e-14
 
 
-def _same(v):
-    return v
+class _Piece(NamedTuple):
+    """One adaptive integral over (a, b) in its own variable v.  The
+    integrand sees x = sign * v, or on a mapped tail (``split`` set)
+    x = sign * y with y = split + (1 - v) / v, where its value is divided
+    by v^2."""
+
+    a: float
+    b: float
+    cfg: QuadratureConfig
+    sign: float = 1.0
+    split: float | None = None
 
 
-def _eval_panels(f: Callable, edges: tuple, to_x: Callable = _same) -> list[tuple[float, float]]:
-    """Apply the Gauss--Kronrod pair to each panel between consecutive
-    ``edges``, with one call to ``f`` for all of them; returns one
-    (value, error) per panel.
+def _halved(cfg: QuadratureConfig) -> QuadratureConfig:
+    return replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=0.5 * cfg.rel_tol)
 
-    The error estimate rescales |K - G| against the panel's total
-    variation, which credits smooth panels with their true (much smaller)
-    error instead of the raw rule difference.  ``to_x`` maps the panels'
-    variable to the caller's x, in which the first non-finite value, in
-    left-to-right order, is reported.
+
+def _half_line(a: float, sign: float, cfg: QuadratureConfig) -> list[_Piece]:
+    """The pieces of the integral over (a, inf) for sign 1, over (-inf, -a)
+    for sign -1, in y = sign * x.
+
+    The first unit of the range stays in y-space so that an integrable
+    singularity at the finite endpoint is refined there (no node can
+    round onto it); only the genuine tail goes through
+    u = 1/(1 + y - split), dy = du/u^2.  For very large a the unit offset
+    would round away, so widen it until the head panel is representable.
     """
-    spans = [(b - a, 0.5 * (b - a), 0.5 * (a + b)) for a, b in zip(edges, edges[1:])]
-    live = [span for span in spans if span[1] != 0.0]  # a collapsed panel holds no mass
-    if not live:
-        return [(0.0, 0.0)] * len(spans)
-    xs = np.concatenate([mid + half * _NODES for _, half, mid in live])
-    fx = np.asarray(f(xs), dtype=float)
-    if fx.shape != xs.shape:
-        fx = np.broadcast_to(fx, xs.shape)
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        i = int(np.argmax(bad))
-        x = to_x(xs[i])
-        raise IntegrandError(f"integrand returned {fx[i]!r} at x={x!r}", abscissa=float(x))
-    panels = iter(fx.reshape(-1, 15))
-    out = []
-    for width, half, _ in spans:
-        if half == 0.0:
-            out.append((0.0, 0.0))
-            continue
-        fp = next(panels)
-        kronrod = half * float(_WK @ fp)
-        gauss = half * float(_WGAUSS @ fp)
-        resabs = abs(half) * float(_WK @ np.abs(fp))
-        resasc = abs(half) * float(_WK @ np.abs(fp - kronrod / width))
-        err = abs(kronrod - gauss)
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        out.append((kronrod, max(err, 50.0 * _EPS * resabs)))
-    return out
+    split = a + max(1.0, 8.0 * abs(a) * _EPS)
+    half = _halved(cfg)
+    return [_Piece(a, split, half, sign), _Piece(0.0, 1.0, half, sign, split)]
 
 
-def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
-              to_x: Callable = _same) -> IntegrationResult:
-    [(value, err)] = _eval_panels(f, (a, b), to_x)
+def _pieces(interval: tuple[float, float], cfg: QuadratureConfig) -> list[_Piece]:
+    """An interval as one finite piece, or the two or four pieces of a half
+    or whole line (split at zero), each with its share of the tolerance."""
+    a, b = float(interval[0]), float(interval[1])
+    if math.isnan(a) or math.isnan(b):
+        raise DomainError("interval endpoints must not be NaN")
+    if a >= b:
+        raise DomainError(f"interval must satisfy a < b, got ({a}, {b})")
+    if math.isinf(a) and math.isinf(b):
+        half = _halved(cfg)
+        return _half_line(0.0, -1.0, half) + _half_line(0.0, 1.0, half)
+    if math.isinf(a):
+        return _half_line(-b, -1.0, cfg)
+    if math.isinf(b):
+        return _half_line(a, 1.0, cfg)
+    return [_Piece(a, b, cfg)]
+
+
+def _join(parts: list[IntegrationResult]) -> IntegrationResult:
+    """Sum an interval's pieces pairwise: head + tail, then left + right."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    left, right = _join(parts[:mid]), _join(parts[mid:])
+    return IntegrationResult(
+        left.value + right.value,
+        left.abs_error_estimate + right.abs_error_estimate,
+        left.evaluations + right.evaluations,
+    )
+
+
+def _refine(a: float, b: float, cfg: QuadratureConfig):
+    """One adaptive integral as a generator: it yields the edges of the
+    panels it needs next, (a, b) and then (left, mid, right) of each
+    bisection, is sent one (value, error) per panel, and returns its
+    IntegrationResult or raises NonConvergenceError."""
+    [(value, err)] = yield (a, b)
     evals = 15
     # Heap entries: (-error, tiebreak, a, b, value, error).  Panels that are
     # negligible or at the width floor are retired from the heap for good.
@@ -201,7 +233,7 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
         if width_floor or negligible:
             continue
         pm = 0.5 * (pa + pb)
-        (lv, le), (rv, re) = _eval_panels(f, (pa, pm, pb), to_x)
+        (lv, le), (rv, re) = yield (pa, pm, pb)
         evals += 30
         total_val += lv + rv - pv
         total_err += le + re - pe
@@ -218,34 +250,143 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
     )
 
 
-def _half_line(f: Callable, a: float, sign: float, cfg: QuadratureConfig) -> IntegrationResult:
-    """Integral of f over (a, inf) for sign 1, over (-inf, -a) for sign -1.
+def _panel_rules(fp: np.ndarray, half: list, width: list) -> list[tuple[float, float]]:
+    """The Gauss--Kronrod pair on each row of ``fp``, the 15 values of one
+    panel of half-width ``half``: one (value, error) per panel.
 
-    Integrates g(y) = f(sign * y) over (a, inf).  The first unit of the
-    range stays in y-space so that an integrable singularity at the finite
-    endpoint is refined there (no node can round onto it); only the
-    genuine tail goes through u = 1/(1 + y - split), dy = du/u^2.  For very
-    large a the unit offset would round away, so widen it until the head
-    panel is representable.
+    The error estimate rescales |K - G| against the panel's total
+    variation, which credits smooth panels with their true (much smaller)
+    error instead of the raw rule difference.  ``np.vecdot`` sums each row
+    as ``_WK @ row`` does, to the bit (a matrix product would not), and
+    the rest is the per-panel scalar arithmetic, numpy's vectorised power
+    not being libm's to the last bit.
     """
-    g = f if sign > 0 else lambda y: np.asarray(f(-np.asarray(y, float)), float)
-    split = a + max(1.0, 8.0 * abs(a) * _EPS)
+    sums = np.vecdot(fp[:, None, :], _WKG).tolist()
+    kronrod = [h * ks for h, (ks, _) in zip(half, sums)]
+    # rows 0: |f|, 1: |f - K/width|, against each panel's own mean
+    centre = np.array([[0.0] * len(half), [k / w for k, w in zip(kronrod, width)]])
+    res = np.vecdot(np.abs(fp - centre[:, :, None]), _WK).tolist()
+    out = []
+    for h, k, (_, gs), rabs, rasc in zip(half, kronrod, sums, *res):
+        err = abs(k - h * gs)
+        rabs, rasc = abs(h) * rabs, abs(h) * rasc
+        if rasc != 0.0 and err != 0.0:
+            err = rasc * min(1.0, (200.0 * err / rasc) ** 1.5)
+        out.append((k, max(err, 50.0 * _EPS * rabs)))
+    return out
 
-    def to_y(u):
-        return split + (1.0 - u) / u
 
-    def mapped(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.asarray(g(to_y(u)), dtype=float) / (u * u)
+def _advance(f: Callable, pieces: list[_Piece]):
+    """Run the adaptive integrals ``pieces`` together, one integrand call
+    per round on the abscissae of every live piece's next panels.
 
-    half = replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=0.5 * cfg.rel_tol)
-    head = _adaptive(g, a, split, half, lambda y: sign * y)
-    tail = _adaptive(mapped, 0.0, 1.0, half, lambda u: sign * to_y(u))
-    return IntegrationResult(
-        head.value + tail.value,
-        head.abs_error_estimate + tail.abs_error_estimate,
-        head.evaluations + tail.evaluations,
-    )
+    Each piece refines as it would alone.  Returns the results of the
+    pieces before the first one, in order, that failed, and that
+    failure (None if none did): a piece is dropped once an earlier one
+    fails, so the outcome is that of running the pieces one by one.  A
+    non-finite value fails its piece with the first such abscissa, left
+    to right in the piece's variable, reported in x.
+    """
+    refiners = [_refine(p.a, p.b, p.cfg) for p in pieces]
+    asks = [next(r) for r in refiners]
+    done: list[IntegrationResult | None] = [None] * len(pieces)
+    stop, failure = len(pieces), None
+    live = list(range(len(pieces)))
+    while live:
+        owner, half, centre, width, rows, mapped = [], [], [], [], [], []
+        for i in live:
+            edges = asks[i]
+            first = len(owner)
+            slots = []
+            for a, b in zip(edges, edges[1:]):
+                h = 0.5 * (b - a)
+                if h == 0.0:  # a collapsed panel holds no mass
+                    slots.append(None)
+                    continue
+                slots.append(len(owner))
+                owner.append(i)
+                half.append(h)
+                centre.append(0.5 * (a + b))
+                width.append(b - a)
+            rows.append(slots)
+            p = pieces[i]
+            if (p.sign < 0.0 or p.split is not None) and len(owner) > first:
+                mapped.append((slice(first, len(owner)), p))
+        first_bad = stop
+        if owner:
+            x = np.array(centre)[:, None] + np.array(half)[:, None] * _NODES
+            jacobians = []
+            for rs, p in mapped:
+                if p.split is not None:
+                    u = x[rs]
+                    jacobians.append((rs, u * u))
+                    x[rs] = p.split + (1.0 - u) / u
+                if p.sign < 0.0:
+                    x[rs] *= p.sign
+            fx = np.asarray(f(x.ravel()), dtype=float)
+            fx = fx.reshape(x.shape) if fx.size == x.size else np.broadcast_to(fx, x.shape)
+            if jacobians:
+                fx = fx.copy()
+                for rs, uu in jacobians:
+                    fx[rs] /= uu
+            finite = np.isfinite(fx)
+            good = len(owner)
+            if not finite.all():
+                r = int(np.argmin(finite.all(axis=1)))
+                c = int(np.argmin(finite[r]))
+                first_bad, bad_x = owner[r], float(x[r, c])
+                bad = IntegrandError(
+                    f"integrand returned {float(fx[r, c])!r} at x={bad_x!r}", abscissa=bad_x
+                )
+                good = owner.index(first_bad)
+            panels = _panel_rules(fx[:good], half[:good], width[:good])
+        for i, slots in zip(live, rows):
+            if i == first_bad:
+                stop, failure = i, bad
+                break
+            try:
+                asks[i] = refiners[i].send([(0.0, 0.0) if r is None else panels[r] for r in slots])
+            except StopIteration as end:
+                done[i] = end.value
+            except NonConvergenceError as exc:
+                stop, failure = i, exc
+                break
+        live = [i for i in live if i < stop and done[i] is None]
+    return done[:stop], failure
+
+
+def integrate_each(
+    f: Callable,
+    intervals,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> tuple[list[IntegrationResult], RecinaccError | None]:
+    """Integrate ``f`` over each of ``intervals``, the integrals sharing
+    integrand calls; see :func:`integrate` for one.
+
+    Each integral's value, error estimate and evaluation count are those
+    it gets alone.  Returns the results of the intervals before the first
+    one, in order, that fails, and that failure (a DomainError,
+    IntegrandError or NonConvergenceError; None if none fails): the same
+    outcome as integrating them one after another.
+    """
+    pieces: list[_Piece] = []
+    ends = []
+    failure = None
+    for interval in intervals:
+        try:
+            pieces += _pieces(interval, cfg)
+        except DomainError as exc:
+            failure = exc
+            break
+        ends.append(len(pieces))
+    done, error = _advance(f, pieces)
+    results, start = [], 0
+    for end in ends:
+        if end > len(done):
+            break
+        results.append(_join(done[start:end]))
+        start = end
+    return results, error if error is not None else failure
 
 
 def integrate(
@@ -256,35 +397,23 @@ def integrate(
     """Integrate ``f`` over ``interval`` adaptively.
 
     ``interval`` is an ``(a, b)`` pair; either endpoint may be infinite.
-    The integrand must accept numpy arrays and act on them elementwise: it
-    gets 15 abscissae for the first panel of each piece (an infinite
-    interval is integrated in two or four pieces) and 30, both halves of a
-    bisected panel, on every later call.  It is never called exactly at the
-    endpoints, so integrable endpoint singularities are fine.
+    An infinite interval is integrated in two pieces (a half line: a unit
+    head and a mapped tail) or four (the whole line, split at zero), and
+    every round of refinement makes one integrand call on the abscissae of
+    all pieces' next panels: 15 for a piece's first panel, 30 for both
+    halves of a bisected one.  One call may so carry the abscissae of many
+    integrals (see :func:`integrate_each`), and the integrand must accept
+    numpy arrays and act on them elementwise.  It is never called exactly
+    at the endpoints, so integrable endpoint singularities are fine.
 
     Raises :class:`IntegrandError` on a non-finite integrand value and
     :class:`NonConvergenceError` (carrying the partial value) when the
     subdivision budget runs out.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if math.isnan(a) or math.isnan(b):
-        raise DomainError("interval endpoints must not be NaN")
-    if a >= b:
-        raise DomainError(f"interval must satisfy a < b, got ({a}, {b})")
-    if math.isinf(a) and math.isinf(b):
-        half = replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=0.5 * cfg.rel_tol)
-        left = _half_line(f, 0.0, -1.0, half)
-        right = _half_line(f, 0.0, 1.0, half)
-        return IntegrationResult(
-            left.value + right.value,
-            left.abs_error_estimate + right.abs_error_estimate,
-            left.evaluations + right.evaluations,
-        )
-    if math.isinf(a):
-        return _half_line(f, -b, -1.0, cfg)
-    if math.isinf(b):
-        return _half_line(f, a, 1.0, cfg)
-    return _adaptive(f, a, b, cfg)
+    results, failure = integrate_each(f, [interval], cfg)
+    if failure is not None:
+        raise failure
+    return results[0]
 
 
 # Room for every (nodes, alpha) pair of a kerridge gamma-route ladder up to
@@ -384,7 +513,9 @@ def gamma_expectation(
     mode = (n - 1) / k
     spans = ((0.0, mode), (mode, math.inf)) if mode > 0.0 else ((0.0, math.inf),)
     part_cfg = replace(cfg, abs_tol=cfg.abs_tol / len(spans), rel_tol=cfg.rel_tol / len(spans))
-    parts = [integrate(weighted, span, part_cfg) for span in spans]
+    parts, failure = integrate_each(weighted, spans, part_cfg)
+    if failure is not None:
+        raise failure
     return IntegrationResult(
         sum(p.value for p in parts),
         sum(p.abs_error_estimate for p in parts),

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedMethodError,
 )
 from . import measures as _measures
-from .measures import MeasureResult, _quad
+from .measures import MeasureResult, _quad, _quad_each
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -396,51 +396,70 @@ def _hazard_head_integrand(parent: Distribution, n: int, k: int):
     return head_sum
 
 
-def _knot_chain(integral, anchor: float, cfg: QuadratureConfig):
+def _knot_chain(integrals, anchor: float, cfg: QuadratureConfig):
     """Running integral between a fixed ``anchor`` and query points.
 
-    Returns ``at(x)``, the integral over the span between ``anchor`` and
-    ``x``.  Every answered query becomes a knot, and a new query only
-    integrates the gap to the nearest knot on the anchor's side of it,
-    adding that knot's value.  ``integral(a, b)`` integrates over (a, b)
-    with a < b; an anchor of -inf or below all queries chains upward, an
-    anchor of +inf or above all queries chains downward.
+    Returns ``at(xs)``, the integrals over the spans between ``anchor``
+    and each of ``xs``, answered as if one by one in the order given.
+    Every answered query becomes a knot, and a new query only integrates
+    the gap to the nearest knot on the anchor's side of it, adding that
+    knot's value.  ``at`` plans every query's gap by that insertion
+    order, integrates all the gaps in one call of ``integrals``, and then
+    settles the values in query order.  ``integrals(spans)`` integrates
+    over each (a, b), a < b, and returns the results up to the first
+    failure and that failure, or None; an anchor of -inf or below all
+    queries chains upward, an anchor of +inf or above all queries chains
+    downward.
 
     Each knot carries the summed error estimate of its chain.  Where a
     new knot's sum would exceed the tolerance ``cfg`` holds one direct
     integral to, the knot is integrated directly from the anchor instead,
     so no knot is less accurate than a direct integral.  Nothing is ever
     subtracted: a downward chain adds tail pieces, which keeps a small
-    far-tail value free of cancellation.
+    far-tail value free of cancellation.  A call that raises leaves the
+    chain as it was.
     """
     knots = [anchor]
-    values = [0.0]
-    errors = [0.0]
+    known = {anchor: (0.0, 0.0)}  # knot -> (value, error)
 
     def span(a, b):
-        return integral(a, b) if a < b else integral(b, a)
+        return (a, b) if a < b else (b, a)
 
-    def at(x: float) -> float:
-        # nearest knot between x and the anchor, inclusive; the anchor
-        # itself always qualifies
-        if anchor < x:
-            j = bisect.bisect_right(knots, x) - 1
-            slot = j + 1
-        else:
-            j = bisect.bisect_left(knots, x)
-            slot = j
-        if knots[j] == x:
-            return values[j]
-        piece = span(knots[j], x)
-        value = values[j] + piece.value
-        err = errors[j] + piece.abs_error_estimate
-        if knots[j] != anchor and err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-            direct = span(anchor, x)
-            value, err = direct.value, direct.abs_error_estimate
-        knots.insert(slot, x)
-        values.insert(slot, value)
-        errors.insert(slot, err)
-        return value
+    def at(xs) -> list[float]:
+        planned = knots.copy()
+        bases, gaps = [], []
+        for x in xs:
+            # nearest knot between x and the anchor, inclusive; the anchor
+            # itself always qualifies
+            if anchor < x:
+                j = bisect.bisect_right(planned, x) - 1
+                slot = j + 1
+            else:
+                j = bisect.bisect_left(planned, x)
+                slot = j
+            bases.append(planned[j])
+            if planned[j] != x:
+                gaps.append(span(planned[j], x))
+                planned.insert(slot, x)
+        pieces, failure = integrals(gaps)
+        pieces = iter(pieces)
+        out = []
+        for x, base in zip(xs, bases):
+            if base != x:
+                piece = next(pieces, None)
+                if piece is None:
+                    raise failure
+                value, err = known[base]
+                value, err = value + piece.value, err + piece.abs_error_estimate
+                if base != anchor and err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+                    direct, error = integrals([span(anchor, x)])
+                    if error is not None:
+                        raise error
+                    value, err = direct[0].value, direct[0].abs_error_estimate
+                known[x] = (value, err)
+            out.append(known[x][0])
+        knots[:] = planned
+        return out
 
     return at
 
@@ -475,7 +494,13 @@ def residual_inaccuracy_hazard_forms(
     above it; only a node past the largest knot runs a full (s0, inf)
     tail integral with its tail certification.  A knot whose chained
     error estimate would exceed the inner tolerance is integrated
-    directly from its anchor instead.
+    directly from its anchor instead.  The gaps of all nodes of one outer
+    integrand call are integrated as one batch (``integrate_each``), so
+    they share their integrand calls; each gap's result, and so each
+    node's value, is the one it gets when the nodes are visited one by
+    one.  A node's value depends, within the inner tolerance, on the
+    knots laid before it, so the outer integrands are elementwise only to
+    that tolerance.
 
     This is not Fubini: the outer integral stays over t and the inner
     ones over x (form two) and s (form one), so both forms remain
@@ -498,12 +523,12 @@ def residual_inaccuracy_hazard_forms(
     tail_sum = _hazard_tail_integrand(parent, n, k)
     head_sum = _hazard_head_integrand(parent, n, k)
     tail = _knot_chain(
-        lambda a, b: _quad(tail_sum, (a, b), inner_cfg, "hazard-form tail integral"),
+        lambda spans: _quad_each(tail_sum, spans, inner_cfg, "hazard-form tail integral"),
         math.inf,
         inner_cfg,
     )
     head = _knot_chain(
-        lambda a, b: _quad(head_sum, (a, b), inner_cfg, "hazard-form head integral"),
+        lambda spans: _quad_each(head_sum, spans, inner_cfg, "hazard-form head integral"),
         lo,
         inner_cfg,
     )
@@ -511,31 +536,31 @@ def residual_inaccuracy_hazard_forms(
     def form_one_outer(ts):
         ts = np.asarray(ts, float)
         flat = np.atleast_1d(ts)
-        vals = np.empty(flat.shape)
-        for j in np.argsort(flat)[::-1]:
-            t = flat[j]
-            log_s = float(parent.log_survival(t))
-            log_dens = float(parent.log_pdf(t))
-            if not (math.isfinite(log_s) and math.isfinite(log_dens)):
-                vals[j] = 0.0
-                continue
-            s0 = max(-log_s, 1e-300)
-            vals[j] = math.exp(log_dens - log_s) * tail(s0)
+        order = np.argsort(flat)[::-1]
+        log_s = np.asarray(parent.log_survival(flat[order]), float)
+        log_dens = np.asarray(parent.log_pdf(flat[order]), float)
+        live = np.isfinite(log_s) & np.isfinite(log_dens)
+        log_s, log_dens = log_s[live].tolist(), log_dens[live].tolist()
+        values = tail([max(-ls, 1e-300) for ls in log_s])
+        vals = np.zeros(flat.shape)
+        vals[order[live]] = [
+            math.exp(ld - ls) * value for ld, ls, value in zip(log_dens, log_s, values)
+        ]
         return vals.reshape(ts.shape)[()]
 
     def form_two_outer(ts):
         ts = np.asarray(ts, float)
         flat = np.atleast_1d(ts)
-        vals = np.empty(flat.shape)
-        for j in np.argsort(flat):
-            t = flat[j]
-            dens = float(parent.pdf(t))
-            s = float(parent.survival(t))
-            weight = s ** (k - 1) * dens
-            if weight == 0.0 or not math.isfinite(weight):
-                vals[j] = 0.0
-                continue
-            vals[j] = weight * head(float(t))
+        order = np.argsort(flat)
+        x = flat[order]
+        weight = np.array([
+            s ** (k - 1) * dens
+            for s, dens in zip(np.asarray(parent.survival(x), float).tolist(),
+                               np.asarray(parent.pdf(x), float).tolist())
+        ])
+        live = (weight != 0.0) & np.isfinite(weight)
+        vals = np.zeros(flat.shape)
+        vals[order[live]] = weight[live] * np.array(head(x[live].tolist()))
         return vals.reshape(ts.shape)[()]
 
     one = _quad(form_one_outer, (lo, hi), outer_cfg, "hazard-weighted form one")

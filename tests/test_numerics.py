@@ -29,6 +29,7 @@ from recinacc.numerics import (
 )
 
 EULER_GAMMA = 0.5772156649015329
+DEFAULT = QuadratureConfig()
 
 
 class TestIntegrate:
@@ -124,7 +125,7 @@ class TestIntegrate:
 
 
 class TestPanelEvaluation:
-    """One integrand call per panel tree start, then one per bisection."""
+    """One integrand call per round: every live piece's next panels."""
 
     @staticmethod
     def counted(f):
@@ -143,22 +144,23 @@ class TestPanelEvaluation:
             (lambda x: -np.log(x), (0.0, 1.0), 1),
             # head (a, a + 1) and mapped tail are two panel trees
             (lambda x: x * x * np.exp(-x) / (1.0 + x), (0.0, math.inf), 2),
+            (lambda x: np.exp(-0.5 * x * x) * np.cos(2.0 * x), (-math.inf, math.inf), 4),
         ],
     )
-    def test_one_call_per_start_and_per_bisection(self, f, interval, starts):
+    def test_one_call_per_round(self, f, interval, starts):
         wrapped, sizes = self.counted(f)
         r = integrate(wrapped, interval)
         bisections = (r.evaluations - 15 * starts) // 30
         assert bisections > 0
-        assert len(sizes) == starts + bisections
         assert sum(sizes) == r.evaluations
-        # each tree's first call is its one 15-point panel; every later
-        # call carries both halves of a bisected panel
-        assert sizes[0] == 15
-        assert sizes.count(15) == starts
-        assert set(sizes) == {15, 30}
+        # the first call carries every tree's 15-point panel; every later
+        # call both halves of one bisected panel per tree still refining
+        assert sizes[0] == 15 * starts
+        assert all(size % 30 == 0 and 0 < size <= 30 * starts for size in sizes[1:])
         if starts == 1:
             assert sizes[1:] == [30] * bisections
+        else:
+            assert len(sizes) < starts + bisections
 
     @staticmethod
     def nan_near_quarters(x):
@@ -176,10 +178,12 @@ class TestPanelEvaluation:
         assert exc.value.abscissa == 0.25
 
     @pytest.mark.parametrize(
-        "interval,sign",
-        [((0.0, math.inf), 1.0), ((-math.inf, 0.0), -1.0), ((-math.inf, math.inf), -1.0)],
+        "interval,sign,last",
+        [((0.0, math.inf), 1.0, 30), ((-math.inf, 0.0), -1.0, 30),
+         ((-math.inf, math.inf), -1.0, 60)],
     )
-    def test_both_halves_non_finite_reported_in_x_on_infinite_intervals(self, interval, sign):
+    def test_both_halves_non_finite_reported_in_x_on_infinite_intervals(self, interval, sign,
+                                                                         last):
         # the first tail bisection splits u in (0, 1); both halves fail at
         # their midpoints u = 1/4 and 3/4, i.e. |x| = 4 and 4/3.  The left
         # half in u, the far one in x, is reported, in x and with its sign.
@@ -190,9 +194,11 @@ class TestPanelEvaluation:
         wrapped, sizes = self.counted(f)
         with pytest.raises(IntegrandError) as exc:
             integrate(wrapped, interval)
-        assert sizes[-1] == 30
+        # on the whole line both tails bisect in the same call and both
+        # fail; the left one, first in order, is reported
+        assert sizes[-1] == last
         assert exc.value.abscissa == sign * 4.0
-        assert repr(exc.value.abscissa) in str(exc.value)
+        assert str(exc.value) == f"integrand returned nan at x={sign * 4.0!r}"
 
     @pytest.mark.parametrize(
         "f,interval,value,error",
@@ -212,6 +218,135 @@ class TestPanelEvaluation:
         # halves of a bisection in one call must not move a bit
         r = integrate(f, interval)
         assert (r.value.hex(), r.abs_error_estimate.hex()) == (value, error)
+
+
+def _outcome(r):
+    """A result or failure, to the bit."""
+    if isinstance(r, Exception):
+        return (type(r), str(r), getattr(r, "abscissa", None), getattr(r, "partial_value", None))
+    return (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations)
+
+
+def _alone(f, interval, cfg):
+    try:
+        return integrate(f, interval, cfg)
+    except QuadratureError as exc:
+        return exc
+
+
+def _piecewise(x):
+    # a different integrand on each interval of BATCH: a log singularity
+    # at 0, an oscillation, an algebraic half-line tail and an
+    # exponential left half-line
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.select(
+            [x < -1.0, x < 1.0, x < 3.0],
+            [np.exp(x), -np.log(np.abs(x)) / np.sqrt(np.abs(x)), np.exp(-x) * np.cos(5.0 * x)],
+            x**-1.5,
+        )
+
+
+BATCH = [(0.0, 1.0), (1.0, 3.0), (3.0, math.inf), (-math.inf, -1.0), (1.5, 2.5)]
+
+
+class TestBatchedIntegrals:
+    """integrate_each: every integral as it comes out alone, in fewer calls."""
+
+    @pytest.mark.parametrize(
+        "f,intervals",
+        [
+            (_piecewise, BATCH),
+            (lambda x: np.exp(-0.5 * x * x) * np.cos(2.0 * x),
+             [(-math.inf, math.inf), (0.0, 1.0), (-math.inf, 0.5), (0.25, math.inf)]),
+        ],
+    )
+    def test_each_result_is_the_single_result(self, f, intervals):
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return f(x)
+
+        results, failure = numerics.integrate_each(counted, intervals)
+        batch_calls = len(calls)
+        singles = [_alone(counted, iv, DEFAULT) for iv in intervals]
+        assert failure is None
+        assert [_outcome(r) for r in results] == [_outcome(r) for r in singles]
+        assert sum(calls[:batch_calls]) == sum(r.evaluations for r in results)
+        assert batch_calls < len(calls) - batch_calls
+
+    @pytest.mark.parametrize("bad_at", [0.5, 2.0, 2.2, 5.0, -3.0])
+    def test_first_failure_in_order_is_the_single_failure(self, bad_at):
+        # non-finite in one narrow spot: every interval holding it fails
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x - bad_at) < 0.02, np.nan, _piecewise(x))
+
+        results, failure = numerics.integrate_each(f, BATCH)
+        singles = [_alone(f, iv, DEFAULT) for iv in BATCH]
+        first = next(i for i, r in enumerate(singles) if isinstance(r, Exception))
+        assert [_outcome(r) for r in results] == [_outcome(r) for r in singles[:first]]
+        assert isinstance(failure, IntegrandError)
+        assert _outcome(failure) == _outcome(singles[first])
+
+    @pytest.mark.parametrize("budget", [1, 3, 4])
+    def test_tiny_subdivision_budget(self, budget):
+        cfg = QuadratureConfig(max_subdivisions=budget)
+        intervals = [BATCH[i] for i in (4, 1, 3, 0, 2)]
+        results, failure = numerics.integrate_each(_piecewise, intervals, cfg)
+        singles = [_alone(_piecewise, iv, cfg) for iv in intervals]
+        failed = [i for i, r in enumerate(singles) if isinstance(r, Exception)]
+        assert failed and failed[0] > 0  # some integrals finish before the first failure
+        assert [_outcome(r) for r in results] == [_outcome(r) for r in singles[:failed[0]]]
+        assert isinstance(failure, NonConvergenceError)
+        assert _outcome(failure) == _outcome(singles[failed[0]])
+
+    def test_bad_interval_stops_the_batch_there(self):
+        results, failure = numerics.integrate_each(_piecewise, [(0.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
+        assert [_outcome(r) for r in results] == [_outcome(_alone(_piecewise, (0.0, 1.0), DEFAULT))]
+        assert isinstance(failure, DomainError)
+
+    def test_panel_sums_match_the_per_panel_loop(self):
+        # reference: each panel summed on its own with `@`
+        def per_panel(fp, half, width):
+            out = []
+            for row, h, w in zip(fp, half, width):
+                kronrod = h * float(numerics._WK @ row)
+                gauss = h * float(numerics._WGAUSS @ row)
+                resabs = abs(h) * float(numerics._WK @ np.abs(row))
+                resasc = abs(h) * float(numerics._WK @ np.abs(row - kronrod / w))
+                err = abs(kronrod - gauss)
+                if resasc != 0.0 and err != 0.0:
+                    err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+                out.append((kronrod, max(err, 50.0 * numerics._EPS * resabs)))
+            return out
+
+        rng = np.random.default_rng(3)
+        for panels in (1, 2, 3, 17, 200):
+            scale = 10.0 ** rng.uniform(-200, 200, size=(panels, 1))
+            fp = rng.standard_normal((panels, 15)) * scale
+            fp[rng.random(fp.shape) < 0.1] = 0.0
+            half = (10.0 ** rng.uniform(-12, 3, size=panels)).tolist()
+            width = [2.0 * h for h in half]
+            assert numerics._panel_rules(fp, half, width) == per_panel(fp, half, width)
+
+
+class TestMessages:
+    """Error messages print plain floats, not numpy reprs."""
+
+    def test_integrand_error(self):
+        with pytest.raises(IntegrandError) as exc:
+            integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), (0.0, 1.0))
+        x = exc.value.abscissa
+        assert type(x) is float
+        assert str(exc.value) == f"integrand returned inf at x={x!r}"
+
+    def test_non_convergence(self):
+        with pytest.raises(NonConvergenceError) as exc:
+            integrate(lambda x: -np.log(x), (0.0, 1.0), QuadratureConfig(max_subdivisions=3))
+        assert "np." not in str(exc.value)
+        assert repr(exc.value.partial_value) in str(exc.value)
 
 
 class TestQuadratureConfig:

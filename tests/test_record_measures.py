@@ -28,6 +28,7 @@ from recinacc.errors import (
     DivergenceError,
     ParameterError,
     RecinaccError,
+    SupportError,
     UnsupportedMethodError,
 )
 from recinacc.numerics import QuadratureConfig
@@ -172,6 +173,19 @@ class TestKerridgeRouteAgreement:
         with pytest.raises(RecinaccError):
             RM.kerridge_record(PD, up(100, 1), "quadrature")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_refusals_print_plain_floats(self):
+        # the density cover check's probe rounded onto inf (D5's refusal on
+        # an unbounded parent), and D3's non-finite integrand value
+        with pytest.raises(SupportError) as exc:
+            RM.kerridge_record(E1, up(5000, 1), "quadrature")
+        assert "is 0 at x=inf inside" in str(exc.value)
+        with pytest.raises(DivergenceError) as exc:
+            RM.past_record_inaccuracy(PAR2, low(1, 1), "gamma_expectation")
+        assert str(exc.value).endswith(
+            "non-integrable singularity: integrand returned inf at x=3.0356619899362827e-17"
+        )
+
     def test_gamma_route_normaliser_is_exact_at_large_n(self):
         # normalising by exp(log_gamma(n)) alone put it 9e-13 off at n=80
         g = RM.kerridge_record(W12, up(80, 1), "gamma_expectation")
@@ -315,15 +329,18 @@ class TestResidualInaccuracy:
     def test_hazard_forms_evaluation_budget(self, monkeypatch):
         # the knot chains keep each inner integral to the gap between
         # neighbouring outer nodes; restarting every inner integral from
-        # the support end took 1.28M evaluations here
+        # the support end took 1.28M evaluations here.  Every integral,
+        # outer or inner, single or batched, goes through integrate_each.
         evaluations = []
+        real = numerics.integrate_each
 
         def counting(*args, **kwargs):
-            res = numerics.integrate(*args, **kwargs)
-            evaluations.append(res.evaluations)
-            return res
+            results, failure = real(*args, **kwargs)
+            evaluations.extend(r.evaluations for r in results)
+            return results, failure
 
-        monkeypatch.setattr(measures, "integrate", counting)
+        monkeypatch.setattr(numerics, "integrate_each", counting)
+        monkeypatch.setattr(measures, "integrate_each", counting)
         RM.residual_inaccuracy_hazard_forms(PAR2, up(2, 1))
         assert 0 < sum(evaluations) < 100_000
 
@@ -362,8 +379,18 @@ class TestHazardFormKnotChain:
     def _tolerance(self, value):
         return max(self.INNER.abs_tol, self.INNER.rel_tol * abs(value))
 
-    def _integral(self, fn):
-        return lambda a, b: measures._quad(fn, (a, b), self.INNER, "inner")
+    def _integrals(self, fn):
+        return lambda spans: measures._quad_each(fn, spans, self.INNER, "inner")
+
+    @staticmethod
+    def _in_batches(at, xs, sizes=(1, 4, 8)):
+        """at() over xs in consecutive batches of the given sizes, the last
+        taking the rest."""
+        out, start = [], 0
+        for size in sizes:
+            out += at(xs[start:start + size])
+            start += size
+        return out + at(xs[start:])
 
     @pytest.mark.parametrize("parent", [PAR2, W205, U, PD], ids=lambda d: d.name + str(d.params))
     @pytest.mark.parametrize("order", ["descending", "random"])
@@ -372,34 +399,103 @@ class TestHazardFormKnotChain:
         lo = parent.support[0]
         head_sum = RM._hazard_head_integrand(parent, n, k)
         tail_sum = RM._hazard_tail_integrand(parent, n, k)
-        head = RM._knot_chain(self._integral(head_sum), lo, self.INNER)
-        tail = RM._knot_chain(self._integral(tail_sum), math.inf, self.INNER)
+        head = RM._knot_chain(self._integrals(head_sum), lo, self.INNER)
+        tail = RM._knot_chain(self._integrals(tail_sum), math.inf, self.INNER)
         ts = np.asarray(parent.quantile(np.linspace(0.02, 0.98, 25)), float)
         if order == "descending":
             ts = ts[::-1]
         else:
             ts = np.random.default_rng(7).permutation(ts)
-        for t in ts:
-            t = float(t)
-            s0 = -float(parent.log_survival(t))
+        ts = ts.tolist()
+        s0s = [-float(parent.log_survival(t)) for t in ts]
+        heads = self._in_batches(head, ts)
+        tails = self._in_batches(tail, s0s)
+        for t, s0, got_head, got_tail in zip(ts, s0s, heads, tails):
             want_head = measures._quad(head_sum, (lo, t), self.INNER, "head").value
             want_tail = measures._quad(tail_sum, (s0, math.inf), self.INNER, "tail").value
-            assert abs(head(t) - want_head) <= self._tolerance(want_head)
-            assert abs(tail(s0) - want_tail) <= self._tolerance(want_tail)
+            assert abs(got_head - want_head) <= self._tolerance(want_head)
+            assert abs(got_tail - want_tail) <= self._tolerance(want_tail)
 
+    @pytest.mark.parametrize("parent", [PAR2, W205, U, PD], ids=lambda d: d.name + str(d.params))
+    def test_batch_answers_are_the_one_by_one_answers(self, parent):
+        lo = parent.support[0]
+        head_sum = RM._hazard_head_integrand(parent, 3, 2)
+        ts = np.asarray(parent.quantile(np.linspace(0.02, 0.98, 25)), float)
+        ts = np.random.default_rng(11).permutation(ts).tolist()
+        ts = ts[:10] + [lo, ts[3], ts[12]] + ts[10:] + [ts[0], ts[20]]  # anchor, duplicates
+        one = RM._knot_chain(self._integrals(head_sum), lo, self.INNER)
+        singles = [one([t])[0] for t in ts]
+        batched = RM._knot_chain(self._integrals(head_sum), lo, self.INNER)
+        got = self._in_batches(batched, ts)
+        assert [v.hex() for v in got] == [v.hex() for v in singles]
+
+    @staticmethod
+    def _fake(calls, error):
+        # values that carry the order of their sums into their last bits
+        def integrals(spans):
+            calls.extend(spans)
+            return [measures.MeasureResult(math.atan(b) - math.atan(a), "quadrature", error)
+                    for a, b in spans], None
+
+        return integrals
 
     def test_chained_error_past_tolerance_restarts_from_anchor(self):
         calls = []
 
-        def integral(a, b):
-            calls.append((a, b))
-            return measures.MeasureResult(b - a, "quadrature", 0.6 * self.INNER.abs_tol)
+        def integrals(spans):
+            calls.extend(spans)
+            return [measures.MeasureResult(b - a, "quadrature", 0.6 * self.INNER.abs_tol)
+                    for a, b in spans], None
 
-        at = RM._knot_chain(integral, 0.0, self.INNER)
-        assert at(0.01) == 0.01
+        at = RM._knot_chain(integrals, 0.0, self.INNER)
+        assert at([0.01]) == [0.01]
         # two chained pieces would carry 1.2 * abs_tol: integrate directly
-        assert at(0.02) == 0.02
+        assert at([0.02]) == [0.02]
         assert calls == [(0.0, 0.01), (0.01, 0.02), (0.0, 0.02)]
+        # asked together, the same gaps and restart in the same order
+        calls.clear()
+        at = RM._knot_chain(integrals, 0.0, self.INNER)
+        assert at([0.01, 0.02]) == [0.01, 0.02]
+        assert calls == [(0.0, 0.01), (0.01, 0.02), (0.0, 0.02)]
+
+    @pytest.mark.parametrize("anchor", [0.0, math.inf])
+    def test_batch_restarts_and_duplicates_as_one_by_one(self, anchor):
+        # the third piece of a chain passes the tolerance and restarts
+        cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-15)
+        xs = [0.5, 0.25, 0.75, 0.125, 0.375, 0.25, 0.625, 0.875, 0.0625, 0.5, 0.3, 0.31,
+              0.32, 0.33, 0.34]
+        if anchor == 0.0:
+            xs.append(anchor)
+        one_calls, batch_calls = [], []
+        one = RM._knot_chain(self._fake(one_calls, 0.4 * cfg.abs_tol), anchor, cfg)
+        singles = [one([x])[0] for x in xs]
+        batched = RM._knot_chain(self._fake(batch_calls, 0.4 * cfg.abs_tol), anchor, cfg)
+        got = self._in_batches(batched, xs, sizes=(2, 7))
+        assert [v.hex() for v in got] == [v.hex() for v in singles]
+        # the same gaps and restarts, the restarts after each batch's gaps
+        assert sorted(batch_calls) == sorted(one_calls)
+        new_knots = len(set(xs) - {anchor})
+        assert len(one_calls) - new_knots >= 2  # restarts
+
+    def test_failed_batch_raises_the_first_failure_and_leaves_the_chain(self):
+        calls = []
+        good = self._fake(calls, 0.0)
+
+        def failing(spans):
+            results, _ = good(spans)
+            return results[:2], DivergenceError("third gap failed")
+
+        at = RM._knot_chain(good, 0.0, self.INNER)
+        before = at([0.5])
+        chain_calls = len(calls)
+        at_failing = RM._knot_chain(failing, 0.0, self.INNER)
+        with pytest.raises(DivergenceError, match="third gap failed"):
+            at_failing([0.1, 0.2, 0.3, 0.4])
+        # the failed call added no knot: 0.25 still chains from 0, not 0.2
+        calls.clear()
+        assert at([0.25]) == [math.atan(0.25)]
+        assert calls == [(0.0, 0.25)]
+        assert before == [math.atan(0.5)] and chain_calls == 1
 
 
 class TestPastInaccuracy:
