@@ -32,7 +32,7 @@ from .errors import (
     QuadratureError,
     SupportError,
 )
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate, integrate_each
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate_each
 
 __all__ = [
     "MeasureResult",
@@ -169,12 +169,14 @@ def _diverged(exc: QuadratureError, what: str) -> DivergenceError:
 
 
 def _quad_each(fn, intervals, config: QuadratureConfig, what: str):
-    """:func:`_quad` over each interval, as if one after another, the
-    integrals sharing integrand calls (``integrate_each``).
+    """Certify the tail of ``fn`` on each interval and integrate it there,
+    the integrals sharing integrand calls (``integrate_each``); a failed
+    integration becomes a DivergenceError (``_diverged``).
 
     Returns the IntegrationResults of the intervals before the first one
     that fails its tail certification or its integration, and that
-    failure (None if none does).
+    failure (None if none does): for an ``fn`` that returns rather than
+    raises, the outcome of one interval after another.
     """
     certified, error = [], None
     for interval in intervals:
@@ -191,12 +193,10 @@ def _quad_each(fn, intervals, config: QuadratureConfig, what: str):
 
 
 def _quad(fn, interval, config: QuadratureConfig, what: str) -> MeasureResult:
-    _certify_integrable_tail(fn, interval, what)
-    try:
-        res = integrate(fn, interval, config)
-    except QuadratureError as exc:
-        raise _diverged(exc, what) from exc
-    return MeasureResult(res.value, "quadrature", res.abs_error_estimate)
+    results, failure = _quad_each(fn, [interval], config, what)
+    if failure is not None:
+        raise failure
+    return MeasureResult(results[0].value, "quadrature", results[0].abs_error_estimate)
 
 
 def _weighted_integral(weight, term, scale: float, floor: float, interval,

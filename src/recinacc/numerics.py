@@ -8,7 +8,8 @@ unfinished integral's next panels, 15 for its first panel and 30 for
 both halves of a bisected one.  One call may so carry the abscissae of
 many integrals, and the integrand must be elementwise, each value
 depending on its own abscissa only; each integral's result is then the
-one it gets alone, to the bit.  Semi-infinite integrals over (a, inf)
+one it gets alone, to the bit, as long as the integrand returns values
+rather than raising.  Semi-infinite integrals over (a, inf)
 are mapped onto (0, 1) through u = 1/(1 + x - a), so tail behaviour is
 handled by the same adaptive machinery instead of an ad hoc truncation
 point; integrals over the whole line are split at zero.
@@ -283,9 +284,12 @@ def _advance(f: Callable, pieces: list[_Piece]):
     Each piece refines as it would alone.  Returns the results of the
     pieces before the first one, in order, that failed, and that
     failure (None if none did): a piece is dropped once an earlier one
-    fails, so the outcome is that of running the pieces one by one.  A
-    non-finite value fails its piece with the first such abscissa, left
-    to right in the piece's variable, reported in x.
+    fails, so for an ``f`` that returns values the outcome is that of
+    running the pieces one by one.  A non-finite value fails its piece
+    with the first such abscissa, left to right in the piece's variable,
+    reported in x.  An exception ``f`` raises propagates from the round
+    it is raised in, whichever piece's abscissae caused it, where a run
+    one by one could first have stopped on an earlier piece's failure.
     """
     refiners = [_refine(p.a, p.b, p.cfg) for p in pieces]
     asks = [next(r) for r in refiners]
@@ -366,8 +370,11 @@ def integrate_each(
     Each integral's value, error estimate and evaluation count are those
     it gets alone.  Returns the results of the intervals before the first
     one, in order, that fails, and that failure (a DomainError,
-    IntegrandError or NonConvergenceError; None if none fails): the same
-    outcome as integrating them one after another.
+    IntegrandError or NonConvergenceError; None if none fails): for an
+    ``f`` that returns values, the same outcome as integrating them one
+    after another.  An exception raised by ``f`` itself propagates from
+    the shared call, even where an earlier integral would have failed
+    first alone.
     """
     pieces: list[_Piece] = []
     ends = []

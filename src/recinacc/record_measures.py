@@ -563,6 +563,14 @@ def residual_inaccuracy_hazard_forms(
         vals[order[live]] = weight[live] * np.array(head(x[live].tolist()))
         return vals.reshape(ts.shape)[()]
 
+    # Over a half line (lo, inf) the outer head (lo, lo + 1) and mapped
+    # tail share integrand calls, so one call may hold nodes on both sides
+    # of lo + 1.  Their values are still those of running head then tail
+    # only because the outer tail certification probes t = |lo| + 1 first
+    # and so lays a knot at the split in both chains before either piece
+    # runs: no node then chains from a knot on the other side.  For lo < 0,
+    # or the whole line (split at 0, probed at +-1), that knot is missing
+    # and values can move in the last bits, within the inner tolerance.
     one = _quad(form_one_outer, (lo, hi), outer_cfg, "hazard-weighted form one")
     two = _quad(form_two_outer, (lo, hi), outer_cfg, "hazard-weighted form two")
     return one, two

@@ -480,22 +480,27 @@ class TestHazardFormKnotChain:
     def test_failed_batch_raises_the_first_failure_and_leaves_the_chain(self):
         calls = []
         good = self._fake(calls, 0.0)
+        failing = []
 
-        def failing(spans):
+        def integrals(spans):
             results, _ = good(spans)
-            return results[:2], DivergenceError("third gap failed")
+            if failing:
+                return results[:2], DivergenceError("third gap failed")
+            return results, None
 
-        at = RM._knot_chain(good, 0.0, self.INNER)
-        before = at([0.5])
-        chain_calls = len(calls)
-        at_failing = RM._knot_chain(failing, 0.0, self.INNER)
+        at = RM._knot_chain(integrals, 0.0, self.INNER)
+        assert at([0.5]) == [math.atan(0.5)]
+        failing.append(True)
         with pytest.raises(DivergenceError, match="third gap failed"):
-            at_failing([0.1, 0.2, 0.3, 0.4])
-        # the failed call added no knot: 0.25 still chains from 0, not 0.2
+            at([0.1, 0.2, 0.3, 0.4])
+        assert calls[1:] == [(0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4)]
+        # the failed call added no knot: 0.25 still chains from 0, not 0.2,
+        # and 0.75 from 0.5
+        failing.clear()
         calls.clear()
-        assert at([0.25]) == [math.atan(0.25)]
-        assert calls == [(0.0, 0.25)]
-        assert before == [math.atan(0.5)] and chain_calls == 1
+        assert at([0.25, 0.75]) == [math.atan(0.25),
+                                    math.atan(0.5) + (math.atan(0.75) - math.atan(0.5))]
+        assert calls == [(0.0, 0.25), (0.5, 0.75)]
 
 
 class TestPastInaccuracy:
