@@ -7,7 +7,7 @@ first-class rather than derived, because record-value integrands push far
 into the tails where exp/log round trips and 1-p cancellations destroy
 precision.
 
-Each catalog family is described once, in log space: its support, five
+Each catalog family is described once, in log space: its support, six
 formulas for points inside it and the closed forms of the record measures
 it admits.  One function, ``_family``, turns that into a Distribution.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -54,6 +55,11 @@ class Distribution:
     far beyond the point where S(x) itself underflows.  ``hazard`` (pdf/survival) and
     ``reversed_hazard`` (pdf/cdf) are derived on demand.
 
+    ``log_pdf_at_tail(side, t)`` is log f(x(t)) at x(t) = S^-1(e^-t) for
+    upper records and F^-1(e^-t) for lower ones, t > 0.  Catalog families
+    give it without forming x(t), which rounds onto a support end far out;
+    other laws compose ``log_pdf`` with the inverse.
+
     ``closed_forms`` maps a record measure ('kerridge', 'cri', 'cpi') to a
     function of (side, n, k) giving its exact value, or None on a side it
     does not cover.  Only catalog factories set it: the name and params of
@@ -71,6 +77,7 @@ class Distribution:
     inverse_survival: Callable
     log_cdf: Callable = None
     log_survival: Callable = None
+    log_pdf_at_tail: Callable = None
     closed_forms: Mapping[str, Callable] | None = None
 
     def __post_init__(self) -> None:
@@ -78,6 +85,9 @@ class Distribution:
             object.__setattr__(self, "log_cdf", _log_of(self.cdf))
         if self.log_survival is None:
             object.__setattr__(self, "log_survival", _log_of(self.survival))
+        if self.log_pdf_at_tail is None:
+            object.__setattr__(self, "log_pdf_at_tail", partial(
+                _log_pdf_through_inverse, self.log_pdf, self.quantile, self.inverse_survival))
 
     def hazard(self, x):
         return self.pdf(x) / self.survival(x)
@@ -94,7 +104,21 @@ def _log_of(f: Callable) -> Callable:
     return log_f
 
 
-_LOG_HALF = -math.log(2.0)
+_LOG_2 = math.log(2.0)
+_LOG_HALF = -_LOG_2
+
+
+def _log_pdf_through_inverse(log_pdf: Callable, quantile: Callable,
+                             inverse_survival: Callable, side: str, t):
+    """``log_pdf`` at the inverse of e^-t, below t = log 2 at the other
+    inverse of 1 - e^-t, which e^-t near 1 would round."""
+    t = np.asarray(t, float)
+    far, near = (inverse_survival, quantile) if side == "upper" else (quantile, inverse_survival)
+    # where an inverse rounds onto a support end the value is not finite,
+    # and the routes refuse it
+    with np.errstate(all="ignore"):
+        x = np.where(t < _LOG_2, near(-np.expm1(-t)), far(np.exp(-t)))
+        return np.asarray(log_pdf(x), float)[()]
 
 
 def _log1mexp(a):
@@ -110,8 +134,9 @@ def _log1mexp(a):
         return np.log1p(-np.exp(a))
     if count == a.size:
         return np.log(-np.expm1(a))
-    out = np.log1p(-np.exp(a))
-    out[near] = np.log(-np.expm1(a[near]))
+    # the log1p form would take log(0) where e^a rounds to 1, near a = 0
+    out = np.log(-np.expm1(a))
+    out[~near] = np.log1p(-np.exp(a[~near]))
     return out
 
 
@@ -154,13 +179,16 @@ def _family(
     log_cdf: Callable,
     quantile: Callable,
     inverse_survival: Callable,
+    log_pdf_by_tails: Callable,
     **closed_forms: Callable,
 ) -> Distribution:
     """A catalog Distribution from formulas valid inside its support and
     the closed forms of (side, n, k) of its record measures, by measure.
 
     ``log_pdf`` holds on the closed support (its endpoint values are the
-    one-sided limits), the log tails on the open one.  pdf, cdf and
+    one-sided limits), the log tails on the open one.  ``log_pdf_by_tails``
+    gives log f from (log S, log F), which at x(t) are (-t, log(1 - e^-t))
+    for upper records and the reverse for lower ones.  pdf, cdf and
     survival exponentiate their own log forms: cdf = -expm1(log_survival)
     would lose a cdf below machine epsilon.  They close over the formulas,
     not the fields, so replacing one field leaves the others unchanged.
@@ -175,6 +203,11 @@ def _family(
     def unmasked(f):
         return lambda p: f(np.asarray(p, float))[()]
 
+    def log_pdf_at_tail(side, t):
+        t = np.asarray(t, float)
+        tails = (-t, _log1mexp(-t))
+        return log_pdf_by_tails(*(tails if side == "upper" else tails[::-1]))[()]
+
     return Distribution(
         name, params, support,
         pdf=_on_support(lambda x: np.exp(log_pdf(x)), lo, hi, True, 0.0, 0.0),
@@ -185,6 +218,7 @@ def _family(
         inverse_survival=unmasked(inverse_survival),
         log_cdf=_on_support(quiet_log_cdf, lo, hi, False, -_INF, 0.0),
         log_survival=_on_support(log_survival, lo, hi, False, 0.0, -_INF),
+        log_pdf_at_tail=log_pdf_at_tail,
         closed_forms=closed_forms or None,
     )
 
@@ -207,6 +241,7 @@ def make_exponential(theta: float) -> Distribution:
         log_cdf=lambda x: _log1mexp(-theta * x),
         quantile=lambda p: -np.log1p(-p) / theta,
         inverse_survival=lambda q: -np.log(q) / theta,
+        log_pdf_by_tails=lambda log_s, log_f: log_theta + log_s,
         kerridge=_upper_only(lambda n, k: n / k - math.log(theta)),
         cri=lambda side, n, k: n * (n + 1) / (2.0 * theta * k**2),
     )
@@ -223,6 +258,7 @@ def make_pareto(theta: float) -> Distribution:
         log_cdf=lambda x: _log1mexp(-theta * np.log(x)),
         quantile=lambda p: (1.0 - p) ** (-1.0 / theta),
         inverse_survival=lambda q: q ** (-1.0 / theta),
+        log_pdf_by_tails=lambda log_s, log_f: log_theta + (1.0 + 1.0 / theta) * log_s,
         kerridge=_upper_only(lambda n, k: (1.0 + 1.0 / theta) * n / k - math.log(theta)),
     )
 
@@ -235,6 +271,15 @@ def make_weibull(lam: float, beta: float) -> Distribution:
     lam = _positive(lam, "weibull scale parameter")
     beta = _positive(beta, "weibull shape parameter")
     log_lam_beta = math.log(lam * beta)
+    log_lam = math.log(lam)
+
+    def log_pdf_by_tails(log_s, log_f):
+        # log of the cumulative hazard H = -log S, which is log F to working
+        # precision once F < e^-36, where -log S first rounds, then is 0
+        with np.errstate(divide="ignore"):
+            log_h = np.where(log_f < -36.0, log_f, np.log(-log_s))
+        return log_lam_beta + (beta - 1.0) / beta * (log_h - log_lam) + log_s
+
     return _family(
         "weibull", {"lambda": lam, "beta": beta}, (0.0, _INF),
         # xlogy takes the limit at x = 0: log(lam) for beta = 1, +inf below
@@ -243,6 +288,7 @@ def make_weibull(lam: float, beta: float) -> Distribution:
         log_cdf=lambda x: _log1mexp(-lam * x**beta),
         quantile=lambda p: (-np.log1p(-p) / lam) ** (1.0 / beta),
         inverse_survival=lambda q: (-np.log(q) / lam) ** (1.0 / beta),
+        log_pdf_by_tails=log_pdf_by_tails,
         kerridge=_upper_only(lambda n, k: (
             n / k
             - math.log(beta)
@@ -267,6 +313,7 @@ def make_uniform01() -> Distribution:
         log_cdf=np.log,
         quantile=lambda p: p + 0.0,
         inverse_survival=lambda q: 1.0 - q,
+        log_pdf_by_tails=lambda log_s, log_f: np.zeros_like(log_s),
         # flat density: the log-density term vanishes identically
         kerridge=lambda side, n, k: 0.0,
         cri=cumulative,
@@ -284,6 +331,7 @@ def make_power_decreasing() -> Distribution:
         log_cdf=lambda x: _log1mexp(3.0 * np.log1p(-x)),
         quantile=lambda p: 1.0 - (1.0 - p) ** (1.0 / 3.0),
         inverse_survival=lambda q: 1.0 - q ** (1.0 / 3.0),
+        log_pdf_by_tails=lambda log_s, log_f: log_3 + 2.0 / 3.0 * log_s,
         kerridge=_upper_only(lambda n, k: -math.log(3.0) + 2.0 * n / (3.0 * k)),
     )
 
@@ -301,6 +349,7 @@ def make_power_increasing(m: int) -> Distribution:
         log_cdf=lambda x: m * np.log(x),
         quantile=lambda p: p ** (1.0 / m),
         inverse_survival=lambda q: (1.0 - q) ** (1.0 / m),
+        log_pdf_by_tails=lambda log_s, log_f: log_m + (m - 1) / m * log_f,
     )
 
 
@@ -398,4 +447,5 @@ def affine_transform(dist: Distribution, a: float, b: float) -> Distribution:
         lambda q: a * np.asarray(dist.inverse_survival(q), float) + b,
         lambda y: dist.log_cdf(back(y)),
         lambda y: dist.log_survival(back(y)),
+        lambda side, t: dist.log_pdf_at_tail(side, t) - log_a,
     )

@@ -118,7 +118,7 @@ def _require_density_cover(actual: Distribution, assessed: Distribution, what: s
 _LADDER = 2.0 ** np.arange(201)
 
 
-def _certify_integrable_tail(fn, interval, what: str) -> None:
+def _certify_integrable_tail(fn, interval, what: str) -> float:
     """Reject integrands that decay no faster than 1/x toward an infinite end.
 
     Floating-point underflow can truncate a divergent tail to exact zeros
@@ -127,9 +127,11 @@ def _certify_integrable_tail(fn, interval, what: str) -> None:
     number.  Probing x*f(x) on a geometric ladder catches this long before
     the underflow horizon.  Slowly convergent tails between x^-1 and
     roughly x^-1.04 are rejected too: they cannot be certified finite by
-    sampling, and the error type says so.
+    sampling, and the error type says so.  Returns the |x| of the rung
+    where |x f(x)| peaks on the last ladder probed (1 if none is).
     """
     lo, hi = interval
+    rung = 1.0
     sides = []
     if math.isinf(hi):
         sides.append(1.0)
@@ -141,6 +143,7 @@ def _certify_integrable_tail(fn, interval, what: str) -> None:
         xs = sign * x0 * _LADDER
         t = np.abs(xs) * np.asarray(fn(xs), float)
         t = np.where(np.isfinite(t), np.abs(t), math.inf)
+        rung = float(abs(xs[np.argmax(t)]))
         peak = float(np.max(t))
         if peak == 0.0:
             continue
@@ -151,6 +154,7 @@ def _certify_integrable_tail(fn, interval, what: str) -> None:
                 f"1/x toward {'+' if sign > 0 else '-'}inf "
                 f"(x*f at |x|={abs(xs[-1]):.3g} is {tail:.3g}, peak {peak:.3g})"
             )
+    return rung
 
 
 def _diverged(exc: QuadratureError, what: str) -> DivergenceError:

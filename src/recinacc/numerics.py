@@ -48,6 +48,7 @@ __all__ = [
     "integrate_each",
     "gamma_expectation",
     "log_gamma",
+    "log_gammaincc",
     "digamma",
 ]
 
@@ -135,6 +136,7 @@ _WKG = np.stack([_WK, _WGAUSS])
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # Panels whose content and error both fall below this fraction of the
 # running scale are accepted as-is; this is what bounds how far into a
@@ -538,6 +540,25 @@ def log_gamma(x: float) -> float:
     if x.is_integer() and x <= 21.0:
         return math.log(math.factorial(int(x) - 1))
     return math.lgamma(x)
+
+
+def log_gammaincc(n: int, y):
+    """log Q(n, y) for integer n >= 1, Q the regularised upper incomplete
+    gamma function, also where Q underflows.  There y is far above n, and
+    the terms of Q = e^-y sum_{i<n} y^i / i! fall from the last by a factor
+    (n-1)/y or less per step: only those down to e^-45 of it are summed."""
+    y = np.asarray(y, float)
+    q = _sp.gammaincc(n, y)
+    with np.errstate(divide="ignore"):
+        out = np.log(q)
+    gone = (q < _TINY) & np.isfinite(y)
+    if np.any(gone):
+        yg = y[gone]
+        step = math.log(yg.min() / max(n - 1, 1))
+        i = np.arange(max(0, n - 1 - math.ceil(45.0 / step)), n)[:, None]
+        terms = i * np.log(yg) - _sp.gammaln(i + 1.0)
+        out[gone] = terms[-1] - yg + np.log(np.exp(terms - terms[-1]).sum(axis=0))
+    return out[()]
 
 
 def digamma(x: float) -> float:

@@ -4,16 +4,20 @@ Three measures are supported, each with several evaluation paths that
 must agree and are tested against one another:
 
 * kerridge: density inaccuracy of assuming the parent density while the
-  data are record values.  The general path is a gamma-weighted
-  expectation through the record representation U = S^{-1}(e^{-T}),
-  T ~ Gamma(n, rate k), with plain x-space quadrature as a cross-check.
+  data are record values.
 * cri: cumulative residual inaccuracy between the upper record's
   survival function and the parent's.
 * cpi: cumulative past inaccuracy between the lower record's cdf and the
   parent's.
 
-The quadrature route of each measure is its generic two-distribution
-measure (:mod:`recinacc.measures`) on the record law and the parent.
+The gamma routes integrate over t in the record representation
+U = S^{-1}(e^{-T}), T ~ Gamma(n, rate k) (F in place of S for lower
+records).  Their integrands are functions of t alone, through the
+parent's ``log_pdf_at_tail``: they never map t back to x, which rounds
+onto a support end long before the record mass ends.  A value they
+cannot evaluate at some t refuses the route.  The quadrature route of
+each measure is its generic two-distribution measure
+(:mod:`recinacc.measures`) on the record law and the parent.
 
 Closed forms belong to the parent: a catalog family carries them in
 ``Distribution.closed_forms``, and the one dispatcher (``_dispatch``,
@@ -38,18 +42,19 @@ import scipy.special as _sc
 
 from .distributions import Distribution, affine_transform
 from .errors import (
-    DivergenceError,
     IntegrandError,
-    NonConvergenceError,
     ParameterError,
+    QuadratureError,
     UnsupportedMethodError,
 )
 from . import measures as _measures
-from .measures import MeasureResult, _quad, _quad_each
+from .measures import MeasureResult, _certify_integrable_tail, _diverged, _quad, _quad_each
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     gamma_expectation,
+    integrate_each,
+    log_gammaincc,
 )
 from .records import (
     RecordSpec,
@@ -72,6 +77,9 @@ __all__ = [
 ]
 
 _MEASURES = ("kerridge", "cri", "cpi")
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_LOG_MAX = math.log(float(np.finfo(float).max))
 _REQUEST_METHODS = ("auto", "closed_form", "quadrature", "gamma_expectation", "monte_carlo")
 
 
@@ -104,50 +112,6 @@ class RecordMeasureRequest:
 
 
 # ---------------------------------------------------------------------------
-# numeric helpers
-
-
-def _finite_cap(fn, t_hi: float = 700.0) -> float:
-    """Largest probe point where fn(t) still evaluates to a finite number.
-
-    The t -> x round trip behind these integrands runs through exp(-t), so
-    far enough out the intermediate either underflows to 0 or overflows to
-    inf even though the true value is moderate.  Capping t at the last
-    finite probe freezes the integrand on a region whose gamma weight is
-    negligible (below exp(-cap)); the discarded mass is folded into the
-    reported error estimate by the caller.
-    """
-    t = t_hi
-    while t > 4.0:
-        with np.errstate(all="ignore"):
-            v = np.asarray(fn(np.asarray([t], float)), float)
-        if np.all(np.isfinite(v)):
-            return t
-        t /= 2.0
-    return t
-
-
-def _capped(fn, cap: float):
-    def capped_fn(t):
-        return fn(np.minimum(np.asarray(t, float), cap))
-
-    return capped_fn
-
-
-def _cap_charge(charge: float, value: float, cap: float, config: QuadratureConfig, what: str):
-    """Return ``charge``, the error charged for the gamma mass past the cap.
-    A charge above the tolerance is no bound (from n = 580 at k = 1 on
-    exp(1)), so the route refuses."""
-    if charge > max(config.abs_tol, config.rel_tol * abs(value)):
-        raise UnsupportedMethodError(
-            f"the gamma route cannot certify {what}: the record mass past t={cap:g}, "
-            f"the last probe where the integrand is finite, is charged {charge:.3g}; "
-            "use method 'quadrature'"
-        )
-    return charge
-
-
-# ---------------------------------------------------------------------------
 # routes: one implementation per (measure, method), each side-parametrised
 
 
@@ -160,59 +124,78 @@ def _require_side(spec: RecordSpec, side: str, what: str) -> None:
 _CUMULATIVE_LABEL = {"upper": "residual", "lower": "past"}
 
 
-def _kerridge_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
-    def surprise(t):
-        x = np.asarray(gamma_transform_point(parent, spec.side, t), float)
-        return -np.asarray(parent.log_pdf(x), float)
+def _gamma_failure(parent: Distribution, side: str, what: str, exc: QuadratureError):
+    """A gamma route's failure as the error it raises: a breakdown means the
+    integral could not be certified finite (as in _quad), and an integrand
+    that is not finite at t refuses the route."""
+    if not isinstance(exc, IntegrandError):
+        return _diverged(exc, what)
+    t = exc.abscissa
+    with np.errstate(all="ignore"):
+        log_f = float(parent.log_pdf_at_tail(side, t))
+    why = ("passes the double range, and so does the value" if math.isfinite(log_f) else
+           f'has a parent log-density of {log_f!r}; use method="quadrature"')
+    return UnsupportedMethodError(
+        f"the gamma route cannot evaluate {what}: its integrand at t={t!r} {why}")
 
-    cap = _finite_cap(surprise)
-    charge = float(_sc.gammaincc(spec.n, spec.k * cap))
+
+def _kerridge_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+    """E[-log f(x(T))] over T ~ Gamma(n, rate k)."""
     what = f"record kerridge expectation on {parent.name}"
-    # as in _quad: a breakdown means the integral could not be certified finite
     try:
-        res = gamma_expectation(_capped(surprise, cap), spec.n, spec.k, config)
-    except NonConvergenceError as exc:
-        # a cap short of the record mass (x(t) rounding onto a support end)
-        # stalls the ladder too: then the cap failed, not the integral
-        _cap_charge(charge, exc.partial_value, cap, config, what)
-        raise DivergenceError(
-            f"{what} did not converge and is likely divergent ({exc})",
-            partial_value=exc.partial_value,
-        ) from exc
-    except IntegrandError as exc:
-        raise DivergenceError(f"{what} could not be evaluated ({exc})") from exc
-    err = res.abs_error_estimate + _cap_charge(charge, res.value, cap, config, what)
-    return MeasureResult(res.value, "gamma_expectation", err)
+        res = gamma_expectation(
+            lambda t: -parent.log_pdf_at_tail(spec.side, t), spec.n, spec.k, config
+        )
+    except QuadratureError as exc:
+        raise _gamma_failure(parent, spec.side, what, exc) from exc
+    return MeasureResult(res.value, "gamma_expectation", res.abs_error_estimate)
 
 
 def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
-    """Expectation form: the integral over t > 0 of t Q(n, kt) e^-t / pdf(x(t)).
+    """Expectation form: the integral over t > 0 of t Q(n, kt) e^-t / f(x(t)).
 
     e^-t is g(x(t)), the parent survival function for upper records and
     the cdf for lower ones, so the integrand holds the reciprocal (reversed)
-    hazard.  The measure is (1/k^2) sum_{i<n} (i+1) E[g/pdf] over
+    hazard.  The measure is (1/k^2) sum_{i<n} (i+1) E[g/f] over
     T ~ Gamma(i+2, k); those weighted gamma densities add up to t Q(n, kt).
+
+    The mass need not sit near the gamma mode (on pareto(theta) upper it
+    sits near t = n/(k - 1/theta)), so the integral is split at the rung
+    of the tail-certification ladder where |t * integrand| peaks and at
+    its two neighbours.  Inside that bracket it is split also where 1 - Q
+    and Q reach 1e-16: Q(n, kt) falls from 1 to 0 over a few sqrt(n)/k,
+    0.3% of the bracket at n = 10^5, which the rule of a piece holding
+    that fall against one end does not see.
     """
-    n, k = spec.n, spec.k
-
-    def reciprocal_hazard(t):
-        x = np.asarray(gamma_transform_point(parent, spec.side, t), float)
-        return np.exp(-t) / np.asarray(parent.pdf(x), float)
-
-    cap = _finite_cap(reciprocal_hazard)
-    capped = _capped(reciprocal_hazard, cap)
+    n, k, side = spec.n, spec.k, spec.side
 
     def integrand(t):
-        return t * _sc.gammaincc(n, k * t) * capped(t)
+        t = np.asarray(t, float)
+        expo = -t - np.asarray(parent.log_pdf_at_tail(side, t), float)
+        q = _sc.gammaincc(n, k * t)
+        out = t * q * np.exp(expo)
+        # in logs where Q underflows against e^expo > 1, or e^expo overflows
+        logs = (expo > 0.0) & ((q < _TINY) | (expo > _LOG_MAX))
+        if np.any(logs):
+            tl = t[logs]
+            out[logs] = np.exp(np.log(tl) + log_gammaincc(n, k * tl) + expo[logs])
+        return out
 
-    what = f"{_CUMULATIVE_LABEL[spec.side]} inaccuracy expectation on {parent.name}"
-    # a non-finite value still surfaces, as an IntegrandError in _quad
+    what = f"{_CUMULATIVE_LABEL[side]} inaccuracy expectation on {parent.name}"
+    edges = (_sc.gammaincinv(n, 1e-16) / k, _sc.gammainccinv(n, 1e-16) / k)
     with np.errstate(all="ignore"):
-        res = _quad(integrand, (0.0, math.inf), config, what)
-    # each term is charged its gamma mass past the cap, where capped() is frozen
-    charge = sum((i + 1) / k**2 * float(_sc.gammaincc(i + 2, k * cap)) for i in range(n))
-    err = res.abs_error_estimate + _cap_charge(charge, res.value, cap, config, what)
-    return MeasureResult(res.value, "gamma_expectation", err)
+        peak = _certify_integrable_tail(integrand, (0.0, math.inf), what)
+        cuts = sorted({0.0, 0.5 * peak, peak, 2.0 * peak}
+                      | {e for e in edges if 0.5 * peak < e < 2.0 * peak}) + [math.inf]
+        parts, failure = integrate_each(integrand, list(zip(cuts, cuts[1:])), config)
+        # the exponent rounds by about eps (t + |log f(t)|) relative to the
+        # integrand, which no rule estimate sees; the mass lies below 2 * peak
+        reach = 2.0 * peak + abs(float(parent.log_pdf_at_tail(side, 2.0 * peak)))
+    if failure is not None:
+        raise _gamma_failure(parent, side, what, failure) from failure
+    value = sum(p.value for p in parts)
+    err = sum(p.abs_error_estimate for p in parts) + _EPS * reach * abs(value)
+    return MeasureResult(value, "gamma_expectation", err)
 
 
 # each measure's generic form, named in recinacc.measures and looked up
@@ -255,7 +238,8 @@ def _dispatch(
 ) -> MeasureResult:
     """The one route dispatch: ``auto`` takes the family's closed form
     where it has one on this side, and the measure's default route
-    otherwise."""
+    otherwise, quadrature where that is a gamma route that refuses the
+    parent (a custom law whose inverse rounds onto a support end)."""
     if method in ("auto", "closed_form"):
         form = (parent.closed_forms or {}).get(measure)
         value = None if form is None else form(spec.side, spec.n, spec.k)
@@ -266,6 +250,11 @@ def _dispatch(
                 f"no closed form is known for {_MEASURE_LABEL[measure]} on {parent.name}"
             )
         method = _DEFAULT_ROUTE[measure]
+        if method == "gamma_expectation":
+            try:
+                return _ROUTES[(measure, method)](parent, spec, config)
+            except UnsupportedMethodError:
+                method = "quadrature"
     route = _ROUTES.get((measure, method))
     if route is None:
         raise UnsupportedMethodError(f"unknown method {method!r}")

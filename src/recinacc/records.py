@@ -12,9 +12,11 @@ path parameterized by the side serves both.
 
 Both facts express the same representation: the n-th upper k-record value
 is distributed as S^{-1}(e^{-T}) where T is gamma with integer shape n and
-rate k.  That transform is exposed directly because expectations of
-record functionals reduce to gamma-weighted integrals through it, and it
-is also how record values are sampled.
+rate k.  Expectations of record functionals reduce to gamma-weighted
+integrals in t through it; the gamma routes take the parent's density at
+the record scale as a function of t (``Distribution.log_pdf_at_tail``).
+The transform itself, ``gamma_transform_point``, is how record values
+are sampled, and it maps the hazard forms' tail integrals back to x.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy import special as _sp
 
 from .distributions import Distribution
 from .errors import DomainError, ParameterError
-from .numerics import log_gamma
+from .numerics import log_gamma, log_gammaincc
 
 __all__ = [
     "RecordSpec",
@@ -112,24 +114,21 @@ def _record_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
 def _record_log_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
     """log of ``_record_tail``, also where the gamma tail underflows.
 
-    There P(n, y) = y^n e^-y / n! 1F1(1; n+1; y) (small y) and
-    Q(n, y) = e^-y sum_{i<n} y^i / i! (large y) are taken in logs.
+    There P(n, y) = y^n e^-y / n! 1F1(1; n+1; y) (small y) is taken in
+    logs, and Q(n, y) by ``log_gammaincc``.
     """
     log_g = np.asarray(_base_log_function(parent, spec.side)(np.asarray(x, float)), float)
     y = np.atleast_1d(np.maximum(-spec.k * log_g, 0.0))
-    n, lower = spec.n, _is_lower_gamma(spec, cdf)
-    value = (_sp.gammainc if lower else _sp.gammaincc)(n, y)
+    n = spec.n
+    if not _is_lower_gamma(spec, cdf):
+        return log_gammaincc(n, y).reshape(log_g.shape)[()]
+    value = _sp.gammainc(n, y)
     with np.errstate(divide="ignore"):
         out = np.log(value)
         gone = (value < _TINY) & np.isfinite(y)
         if np.any(gone):
             yg = y[gone]
-            log_y = np.log(yg)
-            if lower:
-                out[gone] = n * log_y - yg - math.lgamma(n + 1) + np.log(_sp.hyp1f1(1, n + 1, yg))
-            else:
-                i = np.arange(n)
-                out[gone] = -yg + _sp.logsumexp(i * log_y[:, None] - _sp.gammaln(i + 1), axis=1)
+            out[gone] = n * np.log(yg) - yg - math.lgamma(n + 1) + np.log(_sp.hyp1f1(1, n + 1, yg))
     return out.reshape(log_g.shape)[()]
 
 
@@ -176,7 +175,9 @@ def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistrib
         # invert the gamma tail for y = -k log g, then g = e^(-y/k)
         inv = _sp.gammaincinv if _is_lower_gamma(spec, cdf) else _sp.gammainccinv
         y = inv(n, np.asarray(level, float))
-        return np.asarray(back(np.exp(-y / k)), float)[()]
+        # a level of 0 or 1 maps g to 0, where back takes its support-end limit
+        with np.errstate(divide="ignore"):
+            return np.asarray(back(np.exp(-y / k)), float)[()]
 
     return RecordDistribution(
         name=f"{spec.side}_record[n={n},k={k}]({parent.name})",

@@ -1,5 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+# Child processes import the package from this checkout's src, as the tests do.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 settings.register_profile(
     "suite",

@@ -15,6 +15,8 @@ import sys
 import pytest
 from scipy import stats
 
+from conftest import CHILD_ENV
+
 from recinacc.distributions import (
     make_exponential,
     make_pareto,
@@ -324,15 +326,15 @@ def test_cli_seeded_determinism_and_reference_suite(capsys):
         "--measure", "kerridge", "--side", "upper",
         "--n", "1..2", "--k", "1..2", "--method", "mc", "--seed", "7",
     ]
-    first = subprocess.run(args, capture_output=True, text=True, timeout=600)
-    second = subprocess.run(args, capture_output=True, text=True, timeout=600)
+    first = subprocess.run(args, capture_output=True, text=True, timeout=600, env=CHILD_ENV)
+    second = subprocess.run(args, capture_output=True, text=True, timeout=600, env=CHILD_ENV)
     if first.returncode != 0:
         failures.append(("table exit code", first.returncode, first.stderr))
     if first.stdout != second.stdout:
         failures.append(("table output differs between identical invocations",))
     verify = subprocess.run(
         [sys.executable, "-m", "recinacc", "verify", "--suite", "paper-examples"],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=True, timeout=600, env=CHILD_ENV,
     )
     if verify.returncode != 0:
         failures.append(("verify exit code", verify.returncode, verify.stderr))

@@ -12,22 +12,14 @@ import contextlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
+from conftest import CHILD_ENV
 from recinacc import cli
-
-# Children import the package from this checkout's src, as the tests do.
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
-}
 
 
 def run_cli(*args):

@@ -1,5 +1,6 @@
 """Catalog checks: closed-form values, normalization, inverse round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from recinacc.distributions import (
 )
 from recinacc.errors import ConsistencyError, ParameterError
 from recinacc.numerics import integrate
+from recinacc.records import gamma_transform_point
 
 
 def catalog():
@@ -155,6 +157,23 @@ class TestInvariants:
         b = np.asarray(dist.quantile(1.0 - qs), float)
         assert np.max(np.abs(a - b)) < 1e-9 * np.maximum(1.0, np.max(np.abs(b)))
 
+    @pytest.mark.parametrize("dist", catalog(), ids=lambda d: f"{d.name}{d.params}")
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_log_pdf_at_tail_is_log_pdf_at_the_transform_point(self, dist, side):
+        t = np.geomspace(0.01, 30.0, 61)
+        want = np.asarray(dist.log_pdf(gamma_transform_point(dist, side, t)), float)
+        np.testing.assert_allclose(dist.log_pdf_at_tail(side, t), want, rtol=1e-12, atol=1e-13)
+        # the composition that laws without the family formula get
+        composed = dataclasses.replace(dist, log_pdf_at_tail=None).log_pdf_at_tail(side, t)
+        np.testing.assert_allclose(composed, want, rtol=1e-12, atol=1e-13)
+
+    def test_weibull_lower_log_pdf_at_tail_past_the_underflow_of_e_to_the_minus_t(self):
+        # log f = log(lam beta) + ((beta-1)/beta)(log H - log lam) + log S,
+        # with log H = -t and log S = 0 to working precision: t + log 2 here
+        t = np.array([40.0, 745.0, 800.0, 1e4])
+        got = make_weibull(2.0, 0.5).log_pdf_at_tail("lower", t)
+        np.testing.assert_allclose(got, t + math.log(2.0), rtol=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(theta=st.floats(0.05, 50.0), p=st.floats(0.001, 0.999))
     def test_exponential_roundtrip_property(self, theta, p):
@@ -211,6 +230,7 @@ class TestAffineTransform:
         assert d.pdf(3.0) == pytest.approx(0.5, rel=1e-15)
         assert d.cdf(5.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
         assert d.quantile(0.5) == pytest.approx(2.0 * math.log(2.0) + 3.0, rel=1e-14)
+        assert d.log_pdf_at_tail("upper", 5.0) == -5.0 - math.log(2.0)
 
     def test_uniform_negative_shift(self):
         d = affine_transform(make_uniform01(), 3.0, -1.0)

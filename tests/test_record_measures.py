@@ -150,20 +150,21 @@ class TestKerridgeRouteAgreement:
         assert abs(g.value - n) <= g.abs_error_estimate
         assert g.abs_error_estimate <= 1e-9 * n
 
-    def test_gamma_route_refuses_mass_past_the_cap(self):
+    def test_gamma_route_reaches_mass_past_exp_underflow(self):
         # at n = 1000 the record mass lies past t = 700, where exp(-t)
-        # underflows and the capped integrand stands still: 700 for 1000
-        with pytest.raises(UnsupportedMethodError):
-            RM.kerridge_record(E1, up(1000, 1), "gamma_expectation")
-        with pytest.raises(UnsupportedMethodError):
-            RM.residual_record_inaccuracy(E2, up(1000, 1), "gamma_expectation")
+        # underflows; the integrands in t never form it
+        for res, exact in [
+            (RM.kerridge_record(E1, up(1000, 1), "gamma_expectation"), 1000.0),
+            (RM.residual_record_inaccuracy(E2, up(1000, 1), "gamma_expectation"), 250250.0),
+        ]:
+            assert abs(res.value - exact) <= res.abs_error_estimate
 
     @pytest.mark.parametrize("n", [60, 80])
-    def test_gamma_route_refuses_a_cap_short_of_the_record_mass(self, n):
-        # x(t) = 1 - e^(-t/2) rounds onto 1, where the density is 0, before
-        # the record mass ends: the cap failed, not the integral (finite)
-        with pytest.raises(UnsupportedMethodError):
-            RM.kerridge_record(PD, up(n, 1), "gamma_expectation")
+    def test_gamma_route_reaches_mass_where_x_rounds_onto_the_support_end(self, n):
+        # x(t) = 1 - e^(-t/3) rounds onto 1, where the density is 0, well
+        # inside the record mass; the family's log-density in t does not
+        res = RM.kerridge_record(PD, up(n, 1), "gamma_expectation")
+        assert abs(res.value - (2.0 * n / 3.0 - math.log(3.0))) <= res.abs_error_estimate
 
     def test_quadrature_refuses_record_mass_on_a_zero_of_the_density(self):
         # the record law's quantiles round onto x = 1, where the parent
@@ -173,18 +174,24 @@ class TestKerridgeRouteAgreement:
         with pytest.raises(RecinaccError):
             RM.kerridge_record(PD, up(100, 1), "quadrature")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_refusals_print_plain_floats(self):
-        # the density cover check's probe rounded onto inf (D5's refusal on
-        # an unbounded parent), and D3's non-finite integrand value
+        # the density cover check's probe rounded onto inf (D10's refusal on
+        # an unbounded parent), reached without a numpy warning
         with pytest.raises(SupportError) as exc:
             RM.kerridge_record(E1, up(5000, 1), "quadrature")
         assert "is 0 at x=inf inside" in str(exc.value)
-        with pytest.raises(DivergenceError) as exc:
-            RM.past_record_inaccuracy(PAR2, low(1, 1), "gamma_expectation")
-        assert str(exc.value).endswith(
-            "non-integrable singularity: integrand returned inf at x=3.0356619899362827e-17"
-        )
+        # a custom law's inverse survival, 1 - cdf inverted, rounds onto inf
+        # from t ~ 37 on: the gamma route names the first such t it meets
+        with pytest.raises(UnsupportedMethodError) as exc:
+            RM.kerridge_record(CUSTOM_E2, up(2, 1), "gamma_expectation")
+        message = str(exc.value)
+        assert "integrand at t=235.065" in message and 'method="quadrature"' in message
+        assert "np.float64(" not in message
+
+    def test_auto_kerridge_takes_quadrature_where_the_gamma_route_refuses(self):
+        res = RM.kerridge_record(CUSTOM_E2, up(2, 1))
+        assert res.method == "quadrature"
+        assert res.value == pytest.approx(2.0 - math.log(2.0), abs=1e-9)
 
     def test_gamma_route_normaliser_is_exact_at_large_n(self):
         # normalising by exp(log_gamma(n)) alone put it 9e-13 off at n=80
