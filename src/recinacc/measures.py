@@ -148,7 +148,8 @@ def _certify_integrable_tail(fn, interval, what: str) -> float:
         if peak == 0.0:
             continue
         tail = float(np.max(t[-5:]))
-        if tail > 1e-8 * peak:
+        # inf > 1e-8 * inf is False: an overflowing last rung is divergent too
+        if tail > 1e-8 * peak or math.isinf(tail):
             raise DivergenceError(
                 f"{what} appears divergent: the integrand decays no faster than "
                 f"1/x toward {'+' if sign > 0 else '-'}inf "

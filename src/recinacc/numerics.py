@@ -14,12 +14,10 @@ are mapped onto (0, 1) through u = 1/(1 + x - a), so tail behaviour is
 handled by the same adaptive machinery instead of an ad hoc truncation
 point; integrals over the whole line are split at zero.
 
-Expectations under an integer-shape gamma weight get a dedicated routine
-built on Gauss rules for the normalised Gamma(n, 1) density.  Node counts
-start at 64 and double until two successive estimates agree, because fixed
-rules silently lose accuracy on log-singular integrands; if 256 nodes are
-still not enough the routine falls back to the adaptive integrator, which
-handles endpoint singularities robustly.
+Expectations under an integer-shape gamma weight are one batch of the
+same adaptive integrals, split where the mass starts, peaks and ends; the
+gamma density is a difference of regularised incomplete gamma functions,
+accurate to a few eps of its peak at every shape.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +44,7 @@ __all__ = [
     "integrate",
     "integrate_each",
     "gamma_expectation",
+    "gamma_mass_edges",
     "log_gamma",
     "log_gammaincc",
     "digamma",
@@ -425,46 +423,28 @@ def integrate(
     return results[0]
 
 
-# Room for every (nodes, alpha) pair of a kerridge gamma-route ladder up to
-# n ~ 340; rules hold at most 256 nodes, so a full cache is a few MB.
-@lru_cache(maxsize=1024)
-def _genlaguerre_rule(nodes: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the Gamma(alpha + 1, 1) density: E[g(T)] ~ w @ g(x).
+def gamma_mass_edges(n: int, k: int) -> tuple[float, float]:
+    """The t below and above which Gamma(n, rate k) has mass 1e-16."""
+    return float(_sp.gammaincinv(n, 1e-16)) / k, float(_sp.gammainccinv(n, 1e-16)) / k
 
-    Nodes: eigenvalues of the generalised-Laguerre Jacobi matrix (Golub &
-    Welsch, 1969), polished by one Newton step.  Weights: the Christoffel
-    function 1/sum_{j<nodes} p_j(x)^2 of the orthonormal polynomials
-    (Gautschi, 2004), accurate far into the tail, unlike squared
-    eigenvector components.  They sum to 1; a node whose sum of squares
-    overflows has weight below 1e-308 and is dropped.
+
+def _gamma_pdf(t: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The Gamma(n, rate k) density at t, k y^(n-1) e^-y / (n-1)! at y = kt.
+
+    That term is k[Q(n, y) - Q(n-1, y)] and k[P(n-1, y) - P(n, y)]; each
+    difference is taken where its two terms are at most 1/2 or so, Q right
+    of the mode and P left of it, so it is off by a few eps of the peak
+    at every n, where exp of the log form loses about n eps.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    j = np.arange(nodes, dtype=float)
-    a = 2.0 * j + alpha + 1.0
-    b = np.sqrt(j * (j + alpha))
-    x = eigvalsh_tridiagonal(a, b[1:])
-    # p_j and p_j' by b_{j+1} p_{j+1} = (x - a_j) p_j - b_j p_{j-1}, p_0 = 1;
-    # p_nodes, whose zeros are the nodes, is needed only up to scale
-    a, b = a.tolist(), b.tolist() + [1.0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for polish in (True, False):
-            p_prev, p, d_prev, d, total = 0.0, np.ones_like(x), 0.0, 0.0, 0.0
-            for i in range(nodes):
-                total += p * p
-                shifted = x - a[i]
-                d, d_prev = (shifted * d + p - b[i] * d_prev) / b[i + 1], d
-                p, p_prev = (shifted * p - b[i] * p_prev) / b[i + 1], p
-            if polish:
-                step = p / d
-                x = np.where(np.isfinite(step), x - step, x)
-    keep = np.isfinite(total)
-    return x[keep], 1.0 / total[keep]
-
-
-def _gamma_log_pdf(t: np.ndarray, n: int, k: int) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return n * math.log(k) + _sp.xlogy(n - 1, t) - k * t - log_gamma(n)
+    y = k * np.asarray(t, dtype=float)
+    if n == 1:
+        return k * np.exp(-y)
+    out = np.empty_like(y)
+    right = y >= n - 1
+    out[right] = _sp.gammaincc(n, y[right]) - _sp.gammaincc(n - 1, y[right])
+    left = ~right
+    out[left] = _sp.gammainc(n - 1, y[left]) - _sp.gammainc(n, y[left])
+    return k * out
 
 
 def gamma_expectation(
@@ -475,52 +455,30 @@ def gamma_expectation(
 ) -> IntegrationResult:
     """E[g(T)] for T with density k^n t^(n-1) e^(-kt) / (n-1)! on (0, inf).
 
-    Starts from a 64-node Gauss rule for the Gamma(n, 1) density, whose
-    weights sum to 1 at every n, and doubles the node count until two
-    successive estimates agree within tolerance, capping at 256 nodes.
-    Past the cap the adaptive integrator takes over; that path is slower
-    but converges on integrands with logarithmic endpoint singularities,
-    which defeat any fixed rule.  A rung with a non-finite value goes there
-    too; it leaves out only t where the weight is below 1e-260.
+    One batch of adaptive integrals of the density times g, split at the
+    mode and where the mass below and above reaches 1e-16: for large n
+    the mass sits far from 0, where one (0, inf) integral squeezes it
+    between the nodes of its mapped tail.  It leaves out t where the
+    density is below 1e-260, and raises on a non-finite g elsewhere.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"shape n must be an integer >= 1, got {n!r}")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"rate k must be an integer >= 1, got {k!r}")
-    prev = None
-    evals = 0
-    for nodes in (64, 128, 256):
-        x, w = _genlaguerre_rule(nodes, n - 1)
-        with np.errstate(all="ignore"):
-            gv = np.asarray(g(x / k), dtype=float)
-            # a non-finite value leaves est non-finite: on to the fallback
-            est = float(w @ gv)
-        evals += x.size
-        if prev is not None and math.isfinite(est):
-            diff = abs(est - prev)
-            if diff <= max(cfg.abs_tol, cfg.rel_tol * abs(est)):
-                # Two rules can agree to the last bit while both carry the
-                # rounding of the weighted sum, bounded as _eval_panel
-                # bounds a panel
-                floor = 50.0 * _EPS * float(w @ np.abs(gv))
-                return IntegrationResult(est, max(diff, floor), evals)
-        prev = est
 
     def weighted(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        lw = _gamma_log_pdf(t, n, k)
-        live = lw > -600.0  # weight < 1e-260 out there, and exp(-t) round trips break down
+        w = _gamma_pdf(t, n, k)
+        live = w > 1e-260
         out = np.zeros_like(t)
         if np.any(live):
             with np.errstate(all="ignore"):
                 gv = np.asarray(g(t[live]), dtype=float)
-            out[live] = gv * np.exp(lw[live])
+            out[live] = gv * w[live]
         return out
 
-    # Split at the mode: for large n the mass sits far from 0, where the
-    # mapped tail of one (0, inf) integral squeezes it between the nodes.
-    mode = (n - 1) / k
-    spans = ((0.0, mode), (mode, math.inf)) if mode > 0.0 else ((0.0, math.inf),)
+    cuts = sorted({0.0, (n - 1) / k, *gamma_mass_edges(n, k)}) + [math.inf]
+    spans = list(zip(cuts, cuts[1:]))
     part_cfg = replace(cfg, abs_tol=cfg.abs_tol / len(spans), rel_tol=cfg.rel_tol / len(spans))
     parts, failure = integrate_each(weighted, spans, part_cfg)
     if failure is not None:
@@ -528,7 +486,7 @@ def gamma_expectation(
     return IntegrationResult(
         sum(p.value for p in parts),
         sum(p.abs_error_estimate for p in parts),
-        evals + sum(p.evaluations for p in parts),
+        sum(p.evaluations for p in parts),
     )
 
 

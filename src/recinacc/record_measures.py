@@ -53,6 +53,7 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     gamma_expectation,
+    gamma_mass_edges,
     integrate_each,
     log_gammaincc,
 )
@@ -182,7 +183,7 @@ def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: Quad
         return out
 
     what = f"{_CUMULATIVE_LABEL[side]} inaccuracy expectation on {parent.name}"
-    edges = (_sc.gammaincinv(n, 1e-16) / k, _sc.gammainccinv(n, 1e-16) / k)
+    edges = gamma_mass_edges(n, k)
     with np.errstate(all="ignore"):
         peak = _certify_integrable_tail(integrand, (0.0, math.inf), what)
         cuts = sorted({0.0, 0.5 * peak, peak, 2.0 * peak}

@@ -399,11 +399,12 @@ class TestVerify:
 
 
 class TestColdStart:
-    def test_cli_import_leaves_out_scipy_stats_and_linalg(self):
-        # each takes a large share of a cold start; only the oracle suite
-        # and the Laguerre rule builder import them, on first use
+    @staticmethod
+    def _heavy_modules_loaded(code="pass"):
+        """Which of scipy.stats and scipy.linalg a fresh interpreter has
+        loaded after importing the CLI and running ``code``."""
         probe = (
-            "import sys, recinacc.cli; "
+            f"import sys, recinacc.cli; {code}; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
         )
         res = subprocess.run(
@@ -411,4 +412,15 @@ class TestColdStart:
             env=CHILD_ENV,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]"
+        return res.stdout.splitlines()[-1]
+
+    def test_cli_import_leaves_out_scipy_stats_and_linalg(self):
+        # each takes a large share of a cold start; only the oracle suite
+        # imports scipy.stats, on first use, and nothing imports scipy.linalg
+        assert self._heavy_modules_loaded() == "[]"
+
+    def test_kerridge_gamma_compute_leaves_out_scipy_linalg(self):
+        run = ("recinacc.cli.main(['compute', '--dist', 'exponential', '--param', 'theta=2', "
+               "'--measure', 'kerridge', '--side', 'upper', '--n', '3', '--k', '2', "
+               "'--method', 'gamma'])")
+        assert self._heavy_modules_loaded(run) == "[]"

@@ -6,6 +6,7 @@ from the code under test.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -408,33 +409,15 @@ class TestGammaExpectation:
         r = gamma_expectation(lambda t: np.exp(-2.5 * t), 3, 2)
         assert r.value == pytest.approx((2 / 4.5) ** 3, rel=1e-10)
 
-    def test_exhausted_ladder_builds_only_nonempty_rules(self, monkeypatch):
-        # 1/sqrt(t) defeats every fixed rule, so the ladder runs out and the
-        # adaptive fallback answers; a rung without nodes would estimate 0
-        sizes = []
-        rule = numerics._genlaguerre_rule
-
-        def recording(nodes, alpha):
-            x, w = rule(nodes, alpha)
-            sizes.append(x.size)
-            return x, w
-
-        monkeypatch.setattr(numerics, "_genlaguerre_rule", recording)
-        r = gamma_expectation(lambda t: 1.0 / np.sqrt(t), 1, 1)
-        assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
-        assert r.evaluations > sum(sizes)  # the adaptive fallback ran
-        assert sizes and min(sizes) > 0
-
     @pytest.mark.parametrize("n", [1, 20, 172])
     def test_far_tail_moment_within_estimate(self, n):
-        # E[e^{T/2}] = 2^n weighs the far tail of the rule; squared
-        # eigenvector components put it off by 1e26 at 128 nodes
+        # E[e^{T/2}] = 2^n weighs the far tail of the density
         r = gamma_expectation(lambda t: np.exp(t / 2.0), n, 1)
         assert abs(r.value - 2.0**n) <= r.abs_error_estimate
 
     def test_adaptive_fallback_finds_mass_far_from_zero(self):
-        # the kink at 700 defeats the fixed rules; one (0, inf) integral then
-        # missed the mass near t = 600 and returned 2.6e-83
+        # one (0, inf) integral missed the mass near t = 600 and returned
+        # 2.6e-83; the split at the mode finds it
         from scipy.special import gammaincc
 
         n, c = 600, 700.0
@@ -443,10 +426,27 @@ class TestGammaExpectation:
         assert abs(r.value - exact) <= r.abs_error_estimate <= 1e-9 * exact
 
     def test_non_finite_value_at_real_weight_raises(self):
-        # the rungs go non-finite and hand over to the adaptive fallback,
-        # which reports the non-finite value instead of dropping it
+        # a non-finite value where the density is not negligible is
+        # reported, not dropped
         with pytest.raises(IntegrandError):
             gamma_expectation(lambda t: np.where(t > 5, np.nan, 1.0), 2, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 80, 10**3, 10**5])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_density_within_eps_of_its_peak(self, n, k):
+        # against 40 digits over the mean +- 8 sd; exp of the log form
+        # n log k + (n-1) log t - kt - log (n-1)! is 4.8e-10 of the peak off
+        # at n = 10^5
+        mean, sd = n / k, math.sqrt(n) / k
+        t = np.linspace(max(mean - 8.0 * sd, 0.0), mean + 8.0 * sd, 161)
+        with mp.workdps(40):
+            exact = np.array([
+                float(mp.mpf(k) ** n * mp.mpf(x) ** (n - 1) * mp.exp(-k * mp.mpf(x))
+                      / mp.factorial(n - 1))
+                for x in t.tolist()
+            ])
+        gap = np.abs(numerics._gamma_pdf(t, n, k) - exact)
+        assert gap.max() <= 1e-12 * exact.max()
 
     def test_invalid_shape_rate(self):
         with pytest.raises(DomainError):
@@ -455,32 +455,6 @@ class TestGammaExpectation:
             gamma_expectation(lambda t: t, 2, 0)
         with pytest.raises(DomainError):
             gamma_expectation(lambda t: t, 2.5, 1)
-
-
-class TestGammaRule:
-    @pytest.mark.parametrize("alpha", [0, 19, 170, 171, 300, 1000])
-    @pytest.mark.parametrize("nodes", [64, 128, 256])
-    def test_normalised_weights_and_mean(self, alpha, nodes):
-        x, w = numerics._genlaguerre_rule(nodes, alpha)
-        assert abs(w.sum() - 1.0) <= 1e-14
-        assert abs(w @ x - (alpha + 1)) <= 1e-14 * (alpha + 1)
-
-    @pytest.mark.parametrize("nodes", [64, 128, 256])
-    def test_far_tail_weights_match_scipy(self, nodes):
-        # scipy's rule for t^19 e^-t, divided by 19!.  Against 40-digit
-        # values both rules are accurate to about 1.3e-12 relative (scipy's
-        # weights at 128 nodes are that far off), so they agree within
-        # 3e-12; squared eigenvector components put the last 64-node
-        # weight at 2.2e-57 instead of 9.6e-88.
-        from scipy.special import roots_genlaguerre
-
-        x, w = numerics._genlaguerre_rule(nodes, 19)
-        xs, ws = roots_genlaguerre(nodes, 19)
-        ws = ws / math.factorial(19)
-        live = ws > 1e-300
-        assert x.size >= np.count_nonzero(live)
-        np.testing.assert_allclose(x[: live.sum()], xs[live], rtol=1e-13)
-        np.testing.assert_allclose(w[: live.sum()], ws[live], rtol=3e-12)
 
 
 class TestLogGamma:
