@@ -448,6 +448,26 @@ class TestGammaExpectation:
         gap = np.abs(numerics._gamma_pdf(t, n, k) - exact)
         assert gap.max() <= 1e-12 * exact.max()
 
+    @pytest.mark.parametrize("n", [1, 20, 171, 172, 301, 1001])
+    def test_unit_mass_and_mean(self, n):
+        # E[1] = 1 and E[T] = n to a few eps, also past the factorial
+        # overflow at n = 172
+        one = gamma_expectation(np.ones_like, n, 1)
+        mean = gamma_expectation(lambda t: t, n, 1)
+        assert abs(one.value - 1.0) <= 1e-14
+        assert abs(mean.value - n) <= 1e-14 * n
+
+    @pytest.mark.parametrize("n", [1, 2, 80, 10**3, 10**5])
+    def test_mass_edges_leave_1e16_on_each_side(self, n):
+        # against 40-digit regularised incomplete gamma functions at rate 3
+        lo, hi = numerics.gamma_mass_edges(n, 3)
+        assert lo < n / 3 < hi
+        with mp.workdps(40):
+            below = float(mp.gammainc(n, 0, 3 * mp.mpf(lo), regularized=True))
+            above = float(mp.gammainc(n, 3 * mp.mpf(hi), mp.inf, regularized=True))
+        assert below == pytest.approx(1e-16, rel=1e-10)
+        assert above == pytest.approx(1e-16, rel=1e-10)
+
     def test_invalid_shape_rate(self):
         with pytest.raises(DomainError):
             gamma_expectation(lambda t: t, 0, 1)
