@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import ContaminationError, ParameterError, StreamCapError
 from .measures import MeasureResult
-from .records import RecordSpec, sample_record
+from .records import RecordSpec, check_seed, sample_record
 
 # every stochastic routine in this package derives its stream from this
 # generator family; recorded in verification reports for reproducibility
@@ -51,7 +51,7 @@ def stream_extract_records(
     side: str,
     k: int,
     n_max: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
     """First n_max k-record values of one simulated observation stream.
 
@@ -62,6 +62,7 @@ def stream_extract_records(
     so a heavy-tailed waiting time cannot hang the caller.
     """
     RecordSpec(side, n_max, k)  # argument validation lives on RecordSpec
+    check_seed(seed)
     upper = side == "upper"
     rng = np.random.default_rng(seed)
     buf: list[float] = []
@@ -102,7 +103,7 @@ def stream_record_sample(
     k: int,
     n: int,
     reps: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
     """reps independent n-th k-record values, each from its own stream scan.
 
@@ -112,10 +113,16 @@ def stream_record_sample(
     one stream position at a time per replication and compared against
     the current k-th extreme, so this is the same definitional process.
     The total draw budget across all replications is capped.
+
+    A new top-k entry replaces the buffer's smallest value and exceeds it,
+    so it only moves up: one pass of column min/max swaps over the hit
+    rows re-sorts them, to the same buffer ``np.sort(axis=1)`` gives, where
+    a row-wise sort would cost one inner-loop call per row.
     """
     RecordSpec(side, n, k)
     if not (isinstance(reps, (int, np.integer)) and reps >= 1):
         raise ParameterError(f"reps must be a positive integer, got {reps!r}")
+    check_seed(seed)
     sgn = 1.0 if side == "upper" else -1.0
     rng = np.random.default_rng(seed)
 
@@ -150,10 +157,15 @@ def stream_record_sample(
         rows = active[any_hit]
         if rows.size:
             first = hit[any_hit].argmax(axis=1)
-            z[rows, 0] = zs[any_hit, first]
-            z[rows] = np.sort(z[rows], axis=1)
+            top = z[rows]
+            top[:, 0] = zs[any_hit, first]
+            for j in range(k - 1):
+                hi = np.maximum(top[:, j], top[:, j + 1])
+                np.minimum(top[:, j], top[:, j + 1], out=top[:, j])
+                top[:, j + 1] = hi
+            z[rows] = top
             count[rows] += 1
-            record[rows] = z[rows, 0]
+            record[rows] = top[:, 0]
             finished = rows[count[rows] >= n]
             done[finished] = True
         active = np.flatnonzero(~done)
@@ -172,7 +184,7 @@ def _functional_mean(vals: np.ndarray, what: str) -> tuple[float, float, int]:
             f"{what}: {n_bad} of {vals.size} functional evaluations were "
             f"non-finite, above the {_BAD_FRACTION:.2%} tolerance"
         )
-    good = vals[~bad]
+    good = vals[~bad] if n_bad else vals
     mean = float(good.mean())
     var = float(good.var(ddof=1)) if good.size > 1 else 0.0
     return mean, var, good.size

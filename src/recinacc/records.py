@@ -196,18 +196,63 @@ def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistrib
     )
 
 
-def sample_record(parent: Distribution, spec: RecordSpec, seed: int, count: int) -> np.ndarray:
+def check_seed(seed) -> None:
+    """Raise ParameterError unless seed is an integer >= 0 or a SeedSequence,
+    the seeds every sampler hands to ``np.random.default_rng``."""
+    if not (
+        isinstance(seed, np.random.SeedSequence)
+        or (isinstance(seed, (int, np.integer)) and seed >= 0)
+    ):
+        raise ParameterError(
+            f"seed must be a nonnegative integer or a SeedSequence, got {seed!r}"
+        )
+
+
+# Rows per pass of the column sums: a block of at most 7 columns stays
+# under 1 MB, so each column pass after the first reads from cache.
+_SUM_ROWS = 1 << 14
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` bit for bit.
+
+    numpy reduces each row with its own inner-loop call, which costs more
+    than the additions when rows are short.  Below 8 terms numpy adds a row
+    left to right, so adding whole columns in that order gives the same
+    sums.  From 8 terms on it sums pairwise in blocks of 8, the per-row
+    call is spread over at least 8 terms, and a row fills a cache line, so
+    a column pass would read a line per term: the row reduction stays.
+    """
+    n = a.shape[1]
+    if n >= 8:
+        return a.sum(axis=1)
+    t = np.empty(a.shape[0])
+    for lo in range(0, a.shape[0], _SUM_ROWS):
+        block, s = a[lo : lo + _SUM_ROWS], t[lo : lo + _SUM_ROWS]
+        s[:] = block[:, 0]
+        for j in range(1, n):
+            s += block[:, j]
+    return t
+
+
+def sample_record(
+    parent: Distribution, spec: RecordSpec, seed: int | np.random.SeedSequence, count: int
+) -> np.ndarray:
     """Draw record values through the gamma representation.
 
     The gamma variate with integer shape n and rate k is formed as a sum
     of n exponentials, so the sampler shares no series or special-function
-    code with the density/cdf routines it is later tested against.
+    code with the density/cdf routines it is later tested against.  The
+    sums are those of ``.sum(axis=1)`` on the (count, n) draws, bit for
+    bit, but rows of fewer than 8 terms are added column by column: the
+    row reduction costs one inner-loop call per row (see ``_row_sums``).
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise ParameterError(f"count must be an integer >= 1, got {count!r}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
-    t = rng.exponential(scale=1.0 / spec.k, size=(count, spec.n)).sum(axis=1)
+    t = _row_sums(rng.exponential(scale=1.0 / spec.k, size=(count, spec.n)))
     # sums of positive exponentials cannot round to zero in practice, but
     # the transform requires strict positivity
-    t = np.maximum(t, np.finfo(float).tiny)
+    np.maximum(t, _TINY, out=t)
     return np.asarray(gamma_transform_point(parent, spec.side, t), float)

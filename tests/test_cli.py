@@ -397,6 +397,15 @@ class TestVerify:
         assert "PCG64" in report["generator"]
         assert report["seed"] == 42
 
+    def test_negative_oracle_seed_is_usage_error(self):
+        # the samplers reject the seed themselves, so it is one stderr line
+        res = run_cli("verify", "--suite", "oracle", "--seed", "-1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.strip() == (
+            "error: seed must be a nonnegative integer or a SeedSequence, got -1"
+        )
+
 
 class TestColdStart:
     @staticmethod

@@ -273,6 +273,29 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_record(make_exponential(1.0), RecordSpec("upper", 1, 1), seed=0, count=0)
 
+    @pytest.mark.parametrize("count", [2.5, "100"])
+    def test_rejects_non_integer_count(self, count):
+        with pytest.raises(ParameterError, match="count"):
+            sample_record(make_exponential(1.0), RecordSpec("upper", 1, 1), seed=0, count=count)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "x", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            sample_record(make_exponential(1.0), RecordSpec("upper", 1, 1), seed=seed, count=10)
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 128, 129, 300])
+    def test_draws_match_row_sums_bit_for_bit(self, n, k, side):
+        # The sampler adds short rows column by column; numpy's own
+        # .sum(axis=1) is the reference.  Counts above 2**14 rows cover more
+        # than one block of the column sums.
+        parent, spec = make_weibull(2.0, 0.5), RecordSpec(side, n, k)
+        count = max(1000, 200_000 // n)
+        t = np.random.default_rng(n).exponential(scale=1.0 / k, size=(count, n)).sum(axis=1)
+        expected = gamma_transform_point(parent, side, np.maximum(t, np.finfo(float).tiny))
+        assert np.array_equal(sample_record(parent, spec, n, count), expected)
+
 
 class TestRecordSpecValidation:
     @pytest.mark.parametrize(
