@@ -42,8 +42,11 @@ class McConfig:
             raise ParameterError(
                 f"samples must be an integer >= 1000, got {self.samples!r}"
             )
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        # the samplers also take a SeedSequence, but mc_measure builds its
+        # own from this seed, so the seed must be an integer
+        if isinstance(self.seed, np.random.SeedSequence):
             raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 def stream_extract_records(
@@ -113,11 +116,6 @@ def stream_record_sample(
     one stream position at a time per replication and compared against
     the current k-th extreme, so this is the same definitional process.
     The total draw budget across all replications is capped.
-
-    A new top-k entry replaces the buffer's smallest value and exceeds it,
-    so it only moves up: one pass of column min/max swaps over the hit
-    rows re-sorts them, to the same buffer ``np.sort(axis=1)`` gives, where
-    a row-wise sort would cost one inner-loop call per row.
     """
     RecordSpec(side, n, k)
     if not (isinstance(reps, (int, np.integer)) and reps >= 1):
@@ -157,15 +155,10 @@ def stream_record_sample(
         rows = active[any_hit]
         if rows.size:
             first = hit[any_hit].argmax(axis=1)
-            top = z[rows]
-            top[:, 0] = zs[any_hit, first]
-            for j in range(k - 1):
-                hi = np.maximum(top[:, j], top[:, j + 1])
-                np.minimum(top[:, j], top[:, j + 1], out=top[:, j])
-                top[:, j + 1] = hi
-            z[rows] = top
+            z[rows, 0] = zs[any_hit, first]
+            z[rows] = np.sort(z[rows], axis=1)
             count[rows] += 1
-            record[rows] = top[:, 0]
+            record[rows] = z[rows, 0]
             finished = rows[count[rows] >= n]
             done[finished] = True
         active = np.flatnonzero(~done)
@@ -184,7 +177,7 @@ def _functional_mean(vals: np.ndarray, what: str) -> tuple[float, float, int]:
             f"{what}: {n_bad} of {vals.size} functional evaluations were "
             f"non-finite, above the {_BAD_FRACTION:.2%} tolerance"
         )
-    good = vals[~bad] if n_bad else vals
+    good = vals[~bad]
     mean = float(good.mean())
     var = float(good.var(ddof=1)) if good.size > 1 else 0.0
     return mean, var, good.size

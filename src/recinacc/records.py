@@ -208,11 +208,6 @@ def check_seed(seed) -> None:
         )
 
 
-# Rows per pass of the column sums: a block of at most 7 columns stays
-# under 1 MB, so each column pass after the first reads from cache.
-_SUM_ROWS = 1 << 14
-
-
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)`` bit for bit.
 
@@ -226,12 +221,9 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     n = a.shape[1]
     if n >= 8:
         return a.sum(axis=1)
-    t = np.empty(a.shape[0])
-    for lo in range(0, a.shape[0], _SUM_ROWS):
-        block, s = a[lo : lo + _SUM_ROWS], t[lo : lo + _SUM_ROWS]
-        s[:] = block[:, 0]
-        for j in range(1, n):
-            s += block[:, j]
+    t = a[:, 0].copy()
+    for j in range(1, n):
+        t += a[:, j]
     return t
 
 

@@ -288,8 +288,7 @@ class TestSampling:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 128, 129, 300])
     def test_draws_match_row_sums_bit_for_bit(self, n, k, side):
         # The sampler adds short rows column by column; numpy's own
-        # .sum(axis=1) is the reference.  Counts above 2**14 rows cover more
-        # than one block of the column sums.
+        # .sum(axis=1) is the reference.
         parent, spec = make_weibull(2.0, 0.5), RecordSpec(side, n, k)
         count = max(1000, 200_000 // n)
         t = np.random.default_rng(n).exponential(scale=1.0 / k, size=(count, n)).sum(axis=1)
