@@ -173,10 +173,11 @@ def _diverged(exc: QuadratureError, what: str) -> DivergenceError:
     return out
 
 
-def _quad_each(fn, intervals, config: QuadratureConfig, what: str):
+def _quad_each(fn, intervals, config: QuadratureConfig, what: str, *, elementwise=True):
     """Certify the tail of ``fn`` on each interval and integrate it there,
-    the integrals sharing integrand calls (``integrate_each``); a failed
-    integration becomes a DivergenceError (``_diverged``).
+    the integrals sharing integrand calls (``integrate_each``, which takes
+    ``elementwise``); a failed integration becomes a DivergenceError
+    (``_diverged``).
 
     Returns the IntegrationResults of the intervals before the first one
     that fails its tail certification or its integration, and that
@@ -191,14 +192,15 @@ def _quad_each(fn, intervals, config: QuadratureConfig, what: str):
             error = exc
             break
         certified.append(interval)
-    results, failure = integrate_each(fn, certified, config)
+    results, failure = integrate_each(fn, certified, config, elementwise=elementwise)
     if isinstance(failure, QuadratureError):
         failure = _diverged(failure, what)
     return results, failure if failure is not None else error
 
 
-def _quad(fn, interval, config: QuadratureConfig, what: str) -> MeasureResult:
-    results, failure = _quad_each(fn, [interval], config, what)
+def _quad(fn, interval, config: QuadratureConfig, what: str, *,
+          elementwise=True) -> MeasureResult:
+    results, failure = _quad_each(fn, [interval], config, what, elementwise=elementwise)
     if failure is not None:
         raise failure
     return MeasureResult(results[0].value, "quadrature", results[0].abs_error_estimate)

@@ -4,12 +4,18 @@ The integration core is a 15-point Gauss--Kronrod rule with bisection
 refinement driven by a worst-panel-first heap (QUADPACK's QAG scheme).
 Independent integrals advance together, each with its own heap and
 budget: every round makes one integrand call on the abscissae of every
-unfinished integral's next panels, 15 for its first panel and 30 for
-both halves of a bisected one.  One call may so carry the abscissae of
-many integrals, and the integrand must be elementwise, each value
-depending on its own abscissa only; each integral's result is then the
-one it gets alone, to the bit, as long as the integrand returns values
-rather than raising.  Semi-infinite integrals over (a, inf)
+unfinished integral's next panels.  That is 15 for its first panel and,
+where it bisects a panel whose halves it does not hold yet, 90: the two
+halves and their four halves (look-ahead), held until the refinement
+consumes them, so that most bisections need no call.  One call may so
+carry the abscissae of many integrals, and of panels that are never
+consumed, and the integrand must be elementwise, each value depending on
+its own abscissa only; each integral's result is then the one it gets
+alone and without look-ahead, to the bit, as long as the integrand
+returns values rather than raising.  ``evaluations`` counts consumed
+points, 15 plus 30 per bisection.  An integrand that is not elementwise
+passes ``elementwise=False``: a bisection then evaluates its two halves
+alone, 30 points.  Semi-infinite integrals over (a, inf)
 are mapped onto (0, 1) through u = 1/(1 + x - a), so tail behaviour is
 handled by the same adaptive machinery instead of an ad hoc truncation
 point; integrals over the whole line are split at zero.
@@ -136,6 +142,11 @@ _WKG = np.stack([_WK, _WGAUSS])
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
+# Levels of panels below a bisected panel that one integrand call
+# evaluates for an elementwise integrand: its halves and their halves.
+# A third level saved 3% more time for 1.6 times the points.
+_LOOK_AHEAD = 2
+
 # Panels whose content and error both fall below this fraction of the
 # running scale are accepted as-is; this is what bounds how far into a
 # mapped tail the refinement will chase negligible mass.
@@ -205,12 +216,37 @@ def _join(parts: list[IntegrationResult]) -> IntegrationResult:
     )
 
 
-def _refine(a: float, b: float, cfg: QuadratureConfig):
-    """One adaptive integral as a generator: it yields the edges of the
-    panels it needs next, (a, b) and then (left, mid, right) of each
-    bisection, is sent one (value, error) per panel, and returns its
-    IntegrationResult or raises NonConvergenceError."""
-    [(value, err)] = yield (a, b)
+def _subtree(a: float, b: float, depth: int) -> list[tuple[float, float]]:
+    """The panels of the ``depth`` levels below (a, b), level by level,
+    each split at its midpoint as ``_refine`` splits it."""
+    panels, level = [], [(a, b)]
+    for _ in range(depth):
+        level = [half for pa, pb in level
+                 for pm in (0.5 * (pa + pb),) for half in ((pa, pm), (pm, pb))]
+        panels += level
+    return panels
+
+
+def _take(cache: dict, a: float, b: float) -> tuple[float, float]:
+    """Panel (a, b)'s (value, error), removed from ``cache``; a panel that
+    held a non-finite value raises its IntegrandError here."""
+    panel = cache.pop((a, b))
+    if isinstance(panel, IntegrandError):
+        raise panel
+    return panel
+
+
+def _refine(a: float, b: float, cfg: QuadratureConfig, depth: int):
+    """One adaptive integral as a generator: it yields a list of (a, b)
+    panels it needs, first (a, b) alone and then the ``depth`` levels of
+    panels below each bisected panel whose halves it does not hold yet.
+    It is sent one (value, error) or IntegrandError per panel, keeps them
+    by their edges until the refinement consumes them, and returns its
+    IntegrationResult or raises IntegrandError or NonConvergenceError."""
+    cache: dict = {}
+    asked = [(a, b)]
+    cache.update(zip(asked, (yield asked)))
+    value, err = _take(cache, a, b)
     evals = 15
     # Heap entries: (-error, tiebreak, a, b, value, error).  Panels that are
     # negligible or at the width floor are retired from the heap for good.
@@ -234,7 +270,11 @@ def _refine(a: float, b: float, cfg: QuadratureConfig):
         if width_floor or negligible:
             continue
         pm = 0.5 * (pa + pb)
-        (lv, le), (rv, re) = yield (pa, pm, pb)
+        if (pa, pm) not in cache or (pm, pb) not in cache:
+            asked = _subtree(pa, pb, depth)
+            cache.update(zip(asked, (yield asked)))
+        lv, le = _take(cache, pa, pm)
+        rv, re = _take(cache, pm, pb)
         evals += 30
         total_val += lv + rv - pv
         total_err += le + re - pe
@@ -277,47 +317,47 @@ def _panel_rules(fp: np.ndarray, half: list, width: list) -> list[tuple[float, f
     return out
 
 
-def _advance(f: Callable, pieces: list[_Piece]):
+def _advance(f: Callable, pieces: list[_Piece], depth: int):
     """Run the adaptive integrals ``pieces`` together, one integrand call
-    per round on the abscissae of every live piece's next panels.
+    per round on the abscissae of the panels every live piece asks for
+    next: its first panel, then ``depth`` levels below a bisected panel.
 
     Each piece refines as it would alone.  Returns the results of the
     pieces before the first one, in order, that failed, and that
     failure (None if none did): a piece is dropped once an earlier one
     fails, so for an ``f`` that returns values the outcome is that of
-    running the pieces one by one.  A non-finite value fails its piece
-    with the first such abscissa, left to right in the piece's variable,
+    running the pieces one by one.  A panel holding a non-finite value
+    fails its piece only once the refinement consumes it, with the
+    panel's first such abscissa, left to right in the piece's variable,
     reported in x.  An exception ``f`` raises propagates from the round
     it is raised in, whichever piece's abscissae caused it, where a run
-    one by one could first have stopped on an earlier piece's failure.
+    one by one could first have stopped on an earlier piece's failure,
+    or have never asked for the panel.
     """
-    refiners = [_refine(p.a, p.b, p.cfg) for p in pieces]
+    refiners = [_refine(p.a, p.b, p.cfg, depth) for p in pieces]
     asks = [next(r) for r in refiners]
     done: list[IntegrationResult | None] = [None] * len(pieces)
     stop, failure = len(pieces), None
     live = list(range(len(pieces)))
     while live:
-        owner, half, centre, width, rows, mapped = [], [], [], [], [], []
+        half, centre, width, rows, mapped = [], [], [], [], []
         for i in live:
-            edges = asks[i]
-            first = len(owner)
+            first = len(half)
             slots = []
-            for a, b in zip(edges, edges[1:]):
+            for a, b in asks[i]:
                 h = 0.5 * (b - a)
                 if h == 0.0:  # a collapsed panel holds no mass
                     slots.append(None)
                     continue
-                slots.append(len(owner))
-                owner.append(i)
+                slots.append(len(half))
                 half.append(h)
                 centre.append(0.5 * (a + b))
                 width.append(b - a)
             rows.append(slots)
             p = pieces[i]
-            if (p.sign < 0.0 or p.split is not None) and len(owner) > first:
-                mapped.append((slice(first, len(owner)), p))
-        first_bad = stop
-        if owner:
+            if (p.sign < 0.0 or p.split is not None) and len(half) > first:
+                mapped.append((slice(first, len(half)), p))
+        if half:
             x = np.array(centre)[:, None] + np.array(half)[:, None] * _NODES
             jacobians = []
             for rs, p in mapped:
@@ -334,25 +374,21 @@ def _advance(f: Callable, pieces: list[_Piece]):
                 for rs, uu in jacobians:
                     fx[rs] /= uu
             finite = np.isfinite(fx)
-            good = len(owner)
-            if not finite.all():
-                r = int(np.argmin(finite.all(axis=1)))
+            bad = [] if finite.all() else np.flatnonzero(~finite.all(axis=1)).tolist()
+            # each row's rule is its own, so zeroing a bad row moves no other
+            panels = _panel_rules(np.where(finite, fx, 0.0) if bad else fx, half, width)
+            for r in bad:
                 c = int(np.argmin(finite[r]))
-                first_bad, bad_x = owner[r], float(x[r, c])
-                bad = IntegrandError(
+                bad_x = float(x[r, c])
+                panels[r] = IntegrandError(
                     f"integrand returned {float(fx[r, c])!r} at x={bad_x!r}", abscissa=bad_x
                 )
-                good = owner.index(first_bad)
-            panels = _panel_rules(fx[:good], half[:good], width[:good])
         for i, slots in zip(live, rows):
-            if i == first_bad:
-                stop, failure = i, bad
-                break
             try:
                 asks[i] = refiners[i].send([(0.0, 0.0) if r is None else panels[r] for r in slots])
             except StopIteration as end:
                 done[i] = end.value
-            except NonConvergenceError as exc:
+            except (IntegrandError, NonConvergenceError) as exc:
                 stop, failure = i, exc
                 break
         live = [i for i in live if i < stop and done[i] is None]
@@ -363,18 +399,22 @@ def integrate_each(
     f: Callable,
     intervals,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    *,
+    elementwise: bool = True,
 ) -> tuple[list[IntegrationResult], RecinaccError | None]:
     """Integrate ``f`` over each of ``intervals``, the integrals sharing
-    integrand calls; see :func:`integrate` for one.
+    integrand calls; see :func:`integrate` for one, and for ``f`` and
+    ``elementwise``.
 
-    Each integral's value, error estimate and evaluation count are those
-    it gets alone.  Returns the results of the intervals before the first
-    one, in order, that fails, and that failure (a DomainError,
-    IntegrandError or NonConvergenceError; None if none fails): for an
-    ``f`` that returns values, the same outcome as integrating them one
-    after another.  An exception raised by ``f`` itself propagates from
-    the shared call, even where an earlier integral would have failed
-    first alone.
+    Each integral's value, error estimate and evaluation count (of
+    consumed points) are those it gets alone.  Returns the results of the
+    intervals before the first one, in order, that fails, and that
+    failure (a DomainError, IntegrandError or NonConvergenceError; None
+    if none fails): for an ``f`` that returns values, the same outcome as
+    integrating them one after another.  An exception raised by ``f``
+    itself propagates from the shared call, even where an earlier
+    integral would have failed first alone, or where it was raised at an
+    abscissa of a panel that is never consumed.
     """
     pieces: list[_Piece] = []
     ends = []
@@ -386,7 +426,7 @@ def integrate_each(
             failure = exc
             break
         ends.append(len(pieces))
-    done, error = _advance(f, pieces)
+    done, error = _advance(f, pieces, _LOOK_AHEAD if elementwise else 1)
     results, start = [], 0
     for end in ends:
         if end > len(done):
@@ -400,6 +440,8 @@ def integrate(
     f: Callable,
     interval: tuple[float, float],
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    *,
+    elementwise: bool = True,
 ) -> IntegrationResult:
     """Integrate ``f`` over ``interval`` adaptively.
 
@@ -407,17 +449,26 @@ def integrate(
     An infinite interval is integrated in two pieces (a half line: a unit
     head and a mapped tail) or four (the whole line, split at zero), and
     every round of refinement makes one integrand call on the abscissae of
-    all pieces' next panels: 15 for a piece's first panel, 30 for both
-    halves of a bisected one.  One call may so carry the abscissae of many
-    integrals (see :func:`integrate_each`), and the integrand must accept
-    numpy arrays and act on them elementwise.  It is never called exactly
-    at the endpoints, so integrable endpoint singularities are fine.
+    all pieces' next panels: 15 for a piece's first panel and, where a
+    piece bisects a panel whose halves were not evaluated yet, 90 for the
+    halves and their halves, so that the next bisection of either half
+    needs no call.  One call may so carry the abscissae of many integrals
+    (see :func:`integrate_each`), and the integrand must accept numpy
+    arrays and act on them elementwise: ``f`` may be called at abscissae
+    of panels the refinement never consumes, anywhere inside the
+    interval.  With ``elementwise=False`` a bisection evaluates its two
+    halves only, 30 points, and ``f`` sees the abscissae of consumed
+    panels alone.  ``evaluations`` counts consumed points, 15 plus 30 per
+    bisection either way, and the value and error estimate do not depend
+    on ``elementwise``.  ``f`` is never called exactly at the endpoints,
+    so integrable endpoint singularities are fine.
 
-    Raises :class:`IntegrandError` on a non-finite integrand value and
-    :class:`NonConvergenceError` (carrying the partial value) when the
-    subdivision budget runs out.
+    Raises :class:`IntegrandError` on a non-finite integrand value in a
+    panel the refinement consumes (one in a panel it never consumes is
+    ignored) and :class:`NonConvergenceError` (carrying the partial value)
+    when the subdivision budget runs out.
     """
-    results, failure = integrate_each(f, [interval], cfg)
+    results, failure = integrate_each(f, [interval], cfg, elementwise=elementwise)
     if failure is not None:
         raise failure
     return results[0]

@@ -490,7 +490,9 @@ def residual_inaccuracy_hazard_forms(
     node's value, is the one it gets when the nodes are visited one by
     one.  A node's value depends, within the inner tolerance, on the
     knots laid before it, so the outer integrands are elementwise only to
-    that tolerance.
+    that tolerance, and they are integrated without look-ahead
+    (``elementwise=False``): a node of a panel the refinement never
+    consumed would lay a knot and move later values.
 
     This is not Fubini: the outer integral stays over t and the inner
     ones over x (form two) and s (form one), so both forms remain
@@ -561,8 +563,10 @@ def residual_inaccuracy_hazard_forms(
     # runs: no node then chains from a knot on the other side.  For lo < 0,
     # or the whole line (split at 0, probed at +-1), that knot is missing
     # and values can move in the last bits, within the inner tolerance.
-    one = _quad(form_one_outer, (lo, hi), outer_cfg, "hazard-weighted form one")
-    two = _quad(form_two_outer, (lo, hi), outer_cfg, "hazard-weighted form two")
+    one = _quad(form_one_outer, (lo, hi), outer_cfg, "hazard-weighted form one",
+                elementwise=False)
+    two = _quad(form_two_outer, (lo, hi), outer_cfg, "hazard-weighted form two",
+                elementwise=False)
     return one, two
 
 

@@ -125,8 +125,22 @@ class TestIntegrate:
         assert r.value == pytest.approx(anti(b) - anti(a), abs=1e-9, rel=1e-9)
 
 
+ROUND_CASES = [
+    (lambda x: np.exp(-x) * np.cos(5.0 * x), (0.0, 3.0), 1),
+    (lambda x: -np.log(x), (0.0, 1.0), 1),
+    # head (a, a + 1) and mapped tail are two panel trees
+    (lambda x: x * x * np.exp(-x) / (1.0 + x), (0.0, math.inf), 2),
+    (lambda x: np.exp(-0.5 * x * x) * np.cos(2.0 * x), (-math.inf, math.inf), 4),
+]
+
+
 class TestPanelEvaluation:
-    """One integrand call per round: every live piece's next panels."""
+    """One integrand call per round: every live piece's next panels.
+
+    Without look-ahead (``elementwise=False``) a bisection asks for its
+    two halves; with it (the default) for its halves and their halves,
+    so a later bisection of either half needs no call.
+    """
 
     @staticmethod
     def counted(f):
@@ -138,19 +152,10 @@ class TestPanelEvaluation:
 
         return wrapped, sizes
 
-    @pytest.mark.parametrize(
-        "f,interval,starts",
-        [
-            (lambda x: np.exp(-x) * np.cos(5.0 * x), (0.0, 3.0), 1),
-            (lambda x: -np.log(x), (0.0, 1.0), 1),
-            # head (a, a + 1) and mapped tail are two panel trees
-            (lambda x: x * x * np.exp(-x) / (1.0 + x), (0.0, math.inf), 2),
-            (lambda x: np.exp(-0.5 * x * x) * np.cos(2.0 * x), (-math.inf, math.inf), 4),
-        ],
-    )
+    @pytest.mark.parametrize("f,interval,starts", ROUND_CASES)
     def test_one_call_per_round(self, f, interval, starts):
         wrapped, sizes = self.counted(f)
-        r = integrate(wrapped, interval)
+        r = integrate(wrapped, interval, elementwise=False)
         bisections = (r.evaluations - 15 * starts) // 30
         assert bisections > 0
         assert sum(sizes) == r.evaluations
@@ -163,6 +168,23 @@ class TestPanelEvaluation:
         else:
             assert len(sizes) < starts + bisections
 
+    @pytest.mark.parametrize("f,interval,starts", ROUND_CASES)
+    def test_look_ahead_calls(self, f, interval, starts):
+        wrapped, sizes = self.counted(f)
+        r = integrate(wrapped, interval)
+        bisections = (r.evaluations - 15 * starts) // 30
+        # the first call carries every tree's 15-point panel; a later call
+        # the 6 panels below a bisected panel, for each tree that does not
+        # hold its halves yet (fewer where panels collapse); most
+        # bisections need no call
+        assert sizes[0] == 15 * starts
+        assert all(size % 15 == 0 and 0 < size <= 90 * starts for size in sizes[1:])
+        assert len(sizes) - 1 < bisections
+        assert sum(sizes) >= r.evaluations
+        # consumed points and the result are those without look-ahead
+        alone = integrate(f, interval, elementwise=False)
+        assert _outcome(r) == _outcome(alone)
+
     @staticmethod
     def nan_near_quarters(x):
         # NaN near 1/4 and 3/4 only: neither is a node of the (0, 1) panel,
@@ -174,9 +196,32 @@ class TestPanelEvaluation:
     def test_both_halves_non_finite_reports_the_left_one(self):
         wrapped, sizes = self.counted(self.nan_near_quarters)
         with pytest.raises(IntegrandError) as exc:
-            integrate(wrapped, (0.0, 1.0))
+            integrate(wrapped, (0.0, 1.0), elementwise=False)
         assert sizes == [15, 30]
         assert exc.value.abscissa == 0.25
+        # with look-ahead the same call holds the quarters' halves too
+        wrapped, sizes = self.counted(self.nan_near_quarters)
+        with pytest.raises(IntegrandError) as exc:
+            integrate(wrapped, (0.0, 1.0))
+        assert sizes == [15, 90]
+        assert exc.value.abscissa == 0.25
+
+    def test_non_finite_panel_never_consumed_is_ignored(self):
+        # x = 7/8 is a node of (3/4, 1) and of panels below it only: the
+        # look-ahead evaluates it with the first bisection, but the
+        # refinement, busy at the log singularity, never bisects (1/2, 1)
+        seen = []
+
+        def f(x):
+            seen.append(np.any(x == 0.875))
+            return np.where(x == 0.875, np.nan, -np.log(x))
+
+        r = integrate(f, (0.0, 1.0))
+        assert any(seen)
+        del seen[:]
+        alone = integrate(f, (0.0, 1.0), elementwise=False)
+        assert not any(seen)
+        assert _outcome(r) == _outcome(alone)
 
     @pytest.mark.parametrize(
         "interval,sign,last",
@@ -192,14 +237,15 @@ class TestPanelEvaluation:
             u = 1.0 / np.abs(x)  # u = 1/(1 + |x| - 1) on the tail
             return np.where(np.isnan(self.nan_near_quarters(u)), np.nan, np.exp(-np.abs(x)))
 
-        wrapped, sizes = self.counted(f)
-        with pytest.raises(IntegrandError) as exc:
-            integrate(wrapped, interval)
-        # on the whole line both tails bisect in the same call and both
-        # fail; the left one, first in order, is reported
-        assert sizes[-1] == last
-        assert exc.value.abscissa == sign * 4.0
-        assert str(exc.value) == f"integrand returned nan at x={sign * 4.0!r}"
+        for elementwise, per_bisection in ((False, 1), (True, 3)):
+            wrapped, sizes = self.counted(f)
+            with pytest.raises(IntegrandError) as exc:
+                integrate(wrapped, interval, elementwise=elementwise)
+            # on the whole line both tails bisect in the same call and both
+            # fail; the left one, first in order, is reported
+            assert sizes[-1] == last * per_bisection
+            assert exc.value.abscissa == sign * 4.0
+            assert str(exc.value) == f"integrand returned nan at x={sign * 4.0!r}"
 
     @pytest.mark.parametrize(
         "f,interval,value,error",
@@ -216,9 +262,11 @@ class TestPanelEvaluation:
     )
     def test_results_pinned_to_the_bit(self, f, interval, value, error):
         # values from the one-panel-per-call integrator: evaluating both
-        # halves of a bisection in one call must not move a bit
-        r = integrate(f, interval)
-        assert (r.value.hex(), r.abs_error_estimate.hex()) == (value, error)
+        # halves of a bisection in one call, or their halves as well, must
+        # not move a bit
+        for elementwise in (True, False):
+            r = integrate(f, interval, elementwise=elementwise)
+            assert (r.value.hex(), r.abs_error_estimate.hex()) == (value, error)
 
 
 def _outcome(r):
@@ -228,9 +276,9 @@ def _outcome(r):
     return (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations)
 
 
-def _alone(f, interval, cfg):
+def _alone(f, interval, cfg, elementwise=True):
     try:
-        return integrate(f, interval, cfg)
+        return integrate(f, interval, cfg, elementwise=elementwise)
     except QuadratureError as exc:
         return exc
 
@@ -269,13 +317,23 @@ class TestBatchedIntegrals:
             calls.append(np.size(x))
             return f(x)
 
-        results, failure = numerics.integrate_each(counted, intervals)
+        results, failure = numerics.integrate_each(counted, intervals, elementwise=False)
         batch_calls = len(calls)
-        singles = [_alone(counted, iv, DEFAULT) for iv in intervals]
+        singles = [_alone(counted, iv, DEFAULT, False) for iv in intervals]
         assert failure is None
         assert [_outcome(r) for r in results] == [_outcome(r) for r in singles]
         assert sum(calls[:batch_calls]) == sum(r.evaluations for r in results)
         assert batch_calls < len(calls) - batch_calls
+        # with look-ahead: the same results, batched and alone, in fewer calls
+        del calls[:]
+        ahead, failure = numerics.integrate_each(counted, intervals)
+        ahead_calls = len(calls)
+        ahead_singles = [_alone(counted, iv, DEFAULT) for iv in intervals]
+        assert failure is None
+        assert [_outcome(r) for r in ahead] == [_outcome(r) for r in results]
+        assert [_outcome(r) for r in ahead_singles] == [_outcome(r) for r in singles]
+        assert ahead_calls < len(calls) - ahead_calls
+        assert ahead_calls < batch_calls
 
     @pytest.mark.parametrize("bad_at", [0.5, 2.0, 2.2, 5.0, -3.0])
     def test_first_failure_in_order_is_the_single_failure(self, bad_at):

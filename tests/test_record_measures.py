@@ -510,6 +510,55 @@ class TestHazardFormKnotChain:
         assert calls == [(0.0, 0.25), (0.5, 0.75)]
 
 
+def _spy_integrands(monkeypatch):
+    """Per integrate_each call of the measures: the integrand's name, its
+    call sizes and the points its results consumed."""
+    log = []
+    real = numerics.integrate_each
+
+    def spy(f, intervals, *args, **kwargs):
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        results, failure = real(counted, intervals, *args, **kwargs)
+        log.append((f.__name__, sizes, sum(r.evaluations for r in results)))
+        return results, failure
+
+    monkeypatch.setattr(measures, "integrate_each", spy)
+    return log
+
+
+class TestLookAhead:
+    """Look-ahead moves no bit of any value; only the integrand calls show it."""
+
+    def test_quadrature_call_and_point_counts(self, monkeypatch):
+        # without look-ahead this cell took 34 calls on 1,200 points
+        log = _spy_integrands(monkeypatch)
+        res = RM.kerridge_record(W205, up(2, 1), "quadrature")
+        assert (res.value.hex(), res.abs_error_estimate.hex()) == (
+            "0x1.bac98024b0b77p+0", "0x1.726e28ba4e09cp-33")
+        [(_, sizes, consumed)] = log
+        assert (len(sizes), sum(sizes), consumed) == (18, 1830, 1200)
+
+    def test_hazard_outer_integrands_see_only_consumed_nodes(self, monkeypatch):
+        # an outer node lays a knot in its chain, so a node of a panel the
+        # refinement never consumed would move later values
+        log = _spy_integrands(monkeypatch)
+        one, two = RM.residual_inaccuracy_hazard_forms(W205, up(2, 1))
+        assert [(r.value.hex(), r.abs_error_estimate.hex()) for r in (one, two)] == [
+            ("0x1.fffffffee75a2p+1", "0x1.67f697fda87bfp-27"),
+            ("0x1.00000000009bcp+2", "0x1.8553fbe100f38p-30"),
+        ]
+        outer = [(sum(sizes), consumed) for name, sizes, consumed in log if "outer" in name]
+        assert len(outer) == 2
+        assert all(seen == consumed for seen, consumed in outer)
+        # the inner integrals do look ahead
+        assert any(sum(sizes) > consumed for name, sizes, consumed in log if "outer" not in name)
+
+
 class TestPastInaccuracy:
     @pytest.mark.parametrize(
         "parent,spec,expected",
