@@ -144,7 +144,7 @@ _TINY = float(np.finfo(float).tiny)
 
 # Levels of panels below a bisected panel that one integrand call
 # evaluates for an elementwise integrand: its halves and their halves.
-# A third level saved 3% more time for 1.6 times the points.
+# A third level gained 2-3% more speed for 1.6 times the points.
 _LOOK_AHEAD = 2
 
 # Panels whose content and error both fall below this fraction of the
@@ -221,9 +221,12 @@ def _subtree(a: float, b: float, depth: int) -> list[tuple[float, float]]:
     each split at its midpoint as ``_refine`` splits it."""
     panels, level = [], [(a, b)]
     for _ in range(depth):
-        level = [half for pa, pb in level
-                 for pm in (0.5 * (pa + pb),) for half in ((pa, pm), (pm, pb))]
-        panels += level
+        halves = []
+        for pa, pb in level:
+            pm = 0.5 * (pa + pb)
+            halves += [(pa, pm), (pm, pb)]
+        panels += halves
+        level = halves
     return panels
 
 
