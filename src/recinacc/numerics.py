@@ -5,17 +5,21 @@ refinement driven by a worst-panel-first heap (QUADPACK's QAG scheme).
 Independent integrals advance together, each with its own heap and
 budget: every round makes one integrand call on the abscissae of every
 unfinished integral's next panels.  That is 15 for its first panel and,
-where it bisects a panel whose halves it does not hold yet, 90: the two
-halves and their four halves (look-ahead), held until the refinement
-consumes them, so that most bisections need no call.  One call may so
-carry the abscissae of many integrals, and of panels that are never
-consumed, and the integrand must be elementwise, each value depending on
-its own abscissa only; each integral's result is then the one it gets
-alone and without look-ahead, to the bit, as long as the integrand
-returns values rather than raising.  ``evaluations`` counts consumed
-points, 15 plus 30 per bisection.  An integrand that is not elementwise
-passes ``elementwise=False``: a bisection then evaluates its two halves
-alone, 30 points.  Semi-infinite integrals over (a, inf)
+where it bisects a panel whose halves it does not hold yet, the two
+halves and their four halves (look-ahead), 90 points; where that panel
+touches an end of its piece, also the halves of the panel at that end
+for 3 more levels (the spine), 90 points per end.  All are held until
+the refinement consumes them, so that most bisections need no call: the
+mass and singularities of record laws sit at the ends of their support,
+where the refinement chases a chain of panels toward one end.  One call
+may so carry the abscissae of many integrals, and of panels that are
+never consumed, and the integrand must be elementwise, each value
+depending on its own abscissa only; each integral's result is then the
+one it gets alone and without look-ahead, to the bit, as long as the
+integrand returns values rather than raising.  ``evaluations`` counts
+consumed points, 15 plus 30 per bisection.  An integrand that is not
+elementwise passes ``elementwise=False``: a bisection then evaluates its
+two halves alone, 30 points.  Semi-infinite integrals over (a, inf)
 are mapped onto (0, 1) through u = 1/(1 + x - a), so tail behaviour is
 handled by the same adaptive machinery instead of an ad hoc truncation
 point; integrals over the whole line are split at zero.
@@ -147,6 +151,12 @@ _TINY = float(np.finfo(float).tiny)
 # A third level gained 2-3% more speed for 1.6 times the points.
 _LOOK_AHEAD = 2
 
+# Further levels, below those, of the one panel at the edge of its piece
+# where the bisected panel touches that edge: the record laws' mass and
+# singularities sit at the ends of their support, so the refinement
+# mostly chases a chain of panels toward one end.
+_SPINE = 3
+
 # Panels whose content and error both fall below this fraction of the
 # running scale are accepted as-is; this is what bounds how far into a
 # mapped tail the refinement will chase negligible mass.
@@ -216,15 +226,27 @@ def _join(parts: list[IntegrationResult]) -> IntegrationResult:
     )
 
 
-def _subtree(a: float, b: float, depth: int) -> list[tuple[float, float]]:
-    """The panels of the ``depth`` levels below (a, b), level by level,
-    each split at its midpoint as ``_refine`` splits it."""
-    panels, level = [], [(a, b)]
-    for _ in range(depth):
+def _subtree(
+    a: float, b: float, pa: float, pb: float, elementwise: bool
+) -> list[tuple[float, float]]:
+    """The panels below (pa, pb), a panel of the piece (a, b), level by
+    level, each split at its midpoint as ``_refine`` splits it.
+
+    That is one level, the halves, for an integrand that is not
+    elementwise.  For an elementwise one it is ``_LOOK_AHEAD`` levels and,
+    where (pa, pb) shares an edge with its piece, ``_SPINE`` more levels of
+    the panel at that edge alone: its two halves per level, for both
+    edges when (pa, pb) is the whole piece.
+    """
+    depth, spine = (_LOOK_AHEAD, _SPINE) if elementwise else (1, 0)
+    panels, level = [], [(pa, pb)]
+    for i in range(depth + spine):
+        if i >= depth:
+            level = ([level[0]] if pa == a else []) + ([level[-1]] if pb == b else [])
         halves = []
-        for pa, pb in level:
-            pm = 0.5 * (pa + pb)
-            halves += [(pa, pm), (pm, pb)]
+        for qa, qb in level:
+            qm = 0.5 * (qa + qb)
+            halves += [(qa, qm), (qm, qb)]
         panels += halves
         level = halves
     return panels
@@ -239,10 +261,10 @@ def _take(cache: dict, a: float, b: float) -> tuple[float, float]:
     return panel
 
 
-def _refine(a: float, b: float, cfg: QuadratureConfig, depth: int):
+def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
     """One adaptive integral as a generator: it yields a list of (a, b)
-    panels it needs, first (a, b) alone and then the ``depth`` levels of
-    panels below each bisected panel whose halves it does not hold yet.
+    panels it needs, first (a, b) alone and then the ``_subtree`` of each
+    bisected panel whose halves it does not hold yet.
     It is sent one (value, error) or IntegrandError per panel, keeps them
     by their edges until the refinement consumes them, and returns its
     IntegrationResult or raises IntegrandError or NonConvergenceError."""
@@ -274,7 +296,7 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, depth: int):
             continue
         pm = 0.5 * (pa + pb)
         if (pa, pm) not in cache or (pm, pb) not in cache:
-            asked = _subtree(pa, pb, depth)
+            asked = _subtree(a, b, pa, pb, elementwise)
             cache.update(zip(asked, (yield asked)))
         lv, le = _take(cache, pa, pm)
         rv, re = _take(cache, pm, pb)
@@ -320,10 +342,10 @@ def _panel_rules(fp: np.ndarray, half: list, width: list) -> list[tuple[float, f
     return out
 
 
-def _advance(f: Callable, pieces: list[_Piece], depth: int):
+def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
     """Run the adaptive integrals ``pieces`` together, one integrand call
     per round on the abscissae of the panels every live piece asks for
-    next: its first panel, then ``depth`` levels below a bisected panel.
+    next: its first panel, then the ``_subtree`` of a bisected panel.
 
     Each piece refines as it would alone.  Returns the results of the
     pieces before the first one, in order, that failed, and that
@@ -337,7 +359,7 @@ def _advance(f: Callable, pieces: list[_Piece], depth: int):
     one by one could first have stopped on an earlier piece's failure,
     or have never asked for the panel.
     """
-    refiners = [_refine(p.a, p.b, p.cfg, depth) for p in pieces]
+    refiners = [_refine(p.a, p.b, p.cfg, elementwise) for p in pieces]
     asks = [next(r) for r in refiners]
     done: list[IntegrationResult | None] = [None] * len(pieces)
     stop, failure = len(pieces), None
@@ -410,14 +432,15 @@ def integrate_each(
     ``elementwise``.
 
     Each integral's value, error estimate and evaluation count (of
-    consumed points) are those it gets alone.  Returns the results of the
-    intervals before the first one, in order, that fails, and that
-    failure (a DomainError, IntegrandError or NonConvergenceError; None
-    if none fails): for an ``f`` that returns values, the same outcome as
-    integrating them one after another.  An exception raised by ``f``
-    itself propagates from the shared call, even where an earlier
-    integral would have failed first alone, or where it was raised at an
-    abscissa of a panel that is never consumed.
+    consumed points) are those it gets alone, with or without look-ahead:
+    however many panels below a bisection a call evaluates.  Returns the
+    results of the intervals before the first one, in order, that fails,
+    and that failure (a DomainError, IntegrandError or
+    NonConvergenceError; None if none fails): for an ``f`` that returns
+    values, the same outcome as integrating them one after another.  An
+    exception raised by ``f`` itself propagates from the shared call,
+    even where an earlier integral would have failed first alone, or
+    where it was raised at an abscissa of a panel that is never consumed.
     """
     pieces: list[_Piece] = []
     ends = []
@@ -429,7 +452,7 @@ def integrate_each(
             failure = exc
             break
         ends.append(len(pieces))
-    done, error = _advance(f, pieces, _LOOK_AHEAD if elementwise else 1)
+    done, error = _advance(f, pieces, elementwise)
     results, start = [], 0
     for end in ends:
         if end > len(done):
@@ -454,17 +477,19 @@ def integrate(
     every round of refinement makes one integrand call on the abscissae of
     all pieces' next panels: 15 for a piece's first panel and, where a
     piece bisects a panel whose halves were not evaluated yet, 90 for the
-    halves and their halves, so that the next bisection of either half
-    needs no call.  One call may so carry the abscissae of many integrals
-    (see :func:`integrate_each`), and the integrand must accept numpy
-    arrays and act on them elementwise: ``f`` may be called at abscissae
-    of panels the refinement never consumes, anywhere inside the
-    interval.  With ``elementwise=False`` a bisection evaluates its two
-    halves only, 30 points, and ``f`` sees the abscissae of consumed
-    panels alone.  ``evaluations`` counts consumed points, 15 plus 30 per
-    bisection either way, and the value and error estimate do not depend
-    on ``elementwise``.  ``f`` is never called exactly at the endpoints,
-    so integrable endpoint singularities are fine.
+    halves and their halves, plus 90 for each end of the piece that the
+    panel touches, the halves of the panel at that end for 3 more levels,
+    so that most later bisections need no call.  One call may so carry
+    the abscissae of many integrals (see :func:`integrate_each`), and the
+    integrand must accept numpy arrays and act on them elementwise: ``f``
+    may be called at abscissae of panels the refinement never consumes,
+    anywhere inside the interval.  With ``elementwise=False`` a bisection
+    evaluates its two halves only, 30 points, and ``f`` sees the
+    abscissae of consumed panels alone.  ``evaluations`` counts consumed
+    points, 15 plus 30 per bisection either way, and the value and error
+    estimate do not depend on ``elementwise``.  ``f`` is never called
+    exactly at the endpoints, so integrable endpoint singularities are
+    fine.
 
     Raises :class:`IntegrandError` on a non-finite integrand value in a
     panel the refinement consumes (one in a panel it never consumes is

@@ -131,6 +131,14 @@ ROUND_CASES = [
     # head (a, a + 1) and mapped tail are two panel trees
     (lambda x: x * x * np.exp(-x) / (1.0 + x), (0.0, math.inf), 2),
     (lambda x: np.exp(-0.5 * x * x) * np.cos(2.0 * x), (-math.inf, math.inf), 4),
+    # singular at the left end, at the right end, at both ends; a slowly
+    # decaying mapped tail; the whole line, singular at the split and
+    # slowly decaying: the refinement chases chains of panels toward ends
+    (lambda x: -np.log(x) / np.sqrt(x), (0.0, 1.0), 1),
+    (lambda x: -np.log(-x) / np.sqrt(-x), (-1.0, 0.0), 1),
+    (lambda x: -np.log(x) / np.sqrt(x) - np.log1p(-x), (0.0, 1.0), 1),
+    (lambda x: x**-1.5, (1.0, math.inf), 2),
+    (lambda x: 1.0 / ((1.0 + x * x) * np.sqrt(np.abs(x))), (-math.inf, math.inf), 4),
 ]
 
 
@@ -139,7 +147,9 @@ class TestPanelEvaluation:
 
     Without look-ahead (``elementwise=False``) a bisection asks for its
     two halves; with it (the default) for its halves and their halves,
-    so a later bisection of either half needs no call.
+    and, where the bisected panel touches an end of its piece, for 3
+    more levels of the panel at that end (the spine), so that most later
+    bisections need no call.
     """
 
     @staticmethod
@@ -173,17 +183,30 @@ class TestPanelEvaluation:
         wrapped, sizes = self.counted(f)
         r = integrate(wrapped, interval)
         bisections = (r.evaluations - 15 * starts) // 30
-        # the first call carries every tree's 15-point panel; a later call
-        # the 6 panels below a bisected panel, for each tree that does not
-        # hold its halves yet (fewer where panels collapse); most
-        # bisections need no call
+        # the first call carries every tree's 15-point panel; a later call,
+        # for each tree that does not hold its halves yet, the 6 panels
+        # below a bisected panel and 2 per spine level at each end of the
+        # piece that the panel touches: 18 panels for a tree's first
+        # bisection (fewer where panels collapse); most bisections need no
+        # call
         assert sizes[0] == 15 * starts
-        assert all(size % 15 == 0 and 0 < size <= 90 * starts for size in sizes[1:])
+        assert all(size % 15 == 0 and 0 < size <= 270 * starts for size in sizes[1:])
         assert len(sizes) - 1 < bisections
         assert sum(sizes) >= r.evaluations
         # consumed points and the result are those without look-ahead
         alone = integrate(f, interval, elementwise=False)
         assert _outcome(r) == _outcome(alone)
+
+    def test_end_chain_takes_fewer_calls_than_two_levels(self):
+        # 67 bisections chase the singularity at 0: one call each without
+        # look-ahead, 34 calls with two levels and no spine, 14 with it
+        wrapped, sizes = self.counted(lambda x: -np.log(x) / np.sqrt(x))
+        r = integrate(wrapped, (0.0, 1.0))
+        assert r.evaluations == 15 + 30 * 67
+        # the root's first bisection reaches both ends, later ones at 0
+        # only: 6 panels plus 2 per spine level and end
+        assert sizes[:4] == [15, 270, 180, 180]
+        assert len(sizes) == 15
 
     @staticmethod
     def nan_near_quarters(x):
@@ -199,11 +222,12 @@ class TestPanelEvaluation:
             integrate(wrapped, (0.0, 1.0), elementwise=False)
         assert sizes == [15, 30]
         assert exc.value.abscissa == 0.25
-        # with look-ahead the same call holds the quarters' halves too
+        # with look-ahead the same call holds the quarters' halves and the
+        # spines at both ends too
         wrapped, sizes = self.counted(self.nan_near_quarters)
         with pytest.raises(IntegrandError) as exc:
             integrate(wrapped, (0.0, 1.0))
-        assert sizes == [15, 90]
+        assert sizes == [15, 270]
         assert exc.value.abscissa == 0.25
 
     def test_non_finite_panel_never_consumed_is_ignored(self):
@@ -224,6 +248,40 @@ class TestPanelEvaluation:
         assert _outcome(r) == _outcome(alone)
 
     @pytest.mark.parametrize(
+        "bad,consumed",
+        [
+            # the centre node of (31/32, 1), the last spine panel at the
+            # right end below the first bisection; -log x is smooth there
+            (63 / 64, False),
+            # the centre node of (1/32, 1/16), on the spine at the left
+            # end, consumed when the refinement bisects (0, 1/16)
+            (3 / 64, True),
+        ],
+    )
+    def test_non_finite_spine_panel(self, bad, consumed):
+        seen = []
+
+        def f(x):
+            seen.append(bool(np.any(x == bad)))
+            return np.where(x == bad, np.nan, -np.log(x))
+
+        outcomes = []
+        for elementwise in (True, False):
+            del seen[:]
+            try:
+                outcomes.append(_outcome(integrate(f, (0.0, 1.0), elementwise=elementwise)))
+            except IntegrandError as exc:
+                outcomes.append(_outcome(exc))
+            if elementwise:  # evaluated by the first bisection's call
+                assert seen.index(True) == 1
+            else:
+                assert any(seen) == consumed
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] is IntegrandError) == consumed
+        if consumed:
+            assert outcomes[0][2] == bad
+
+    @pytest.mark.parametrize(
         "interval,sign,last",
         [((0.0, math.inf), 1.0, 30), ((-math.inf, 0.0), -1.0, 30),
          ((-math.inf, math.inf), -1.0, 60)],
@@ -237,7 +295,8 @@ class TestPanelEvaluation:
             u = 1.0 / np.abs(x)  # u = 1/(1 + |x| - 1) on the tail
             return np.where(np.isnan(self.nan_near_quarters(u)), np.nan, np.exp(-np.abs(x)))
 
-        for elementwise, per_bisection in ((False, 1), (True, 3)):
+        # a tail's first bisection evaluates 18 panels with look-ahead
+        for elementwise, per_bisection in ((False, 1), (True, 9)):
             wrapped, sizes = self.counted(f)
             with pytest.raises(IntegrandError) as exc:
                 integrate(wrapped, interval, elementwise=elementwise)
