@@ -25,8 +25,8 @@ from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import xlogy
 
+from . import numerics as _nx
 from .errors import ConsistencyError, ParameterError
 from .numerics import digamma
 
@@ -283,7 +283,7 @@ def make_weibull(lam: float, beta: float) -> Distribution:
     return _family(
         "weibull", {"lambda": lam, "beta": beta}, (0.0, _INF),
         # xlogy takes the limit at x = 0: log(lam) for beta = 1, +inf below
-        log_pdf=lambda x: log_lam_beta + xlogy(beta - 1.0, x) - lam * x**beta,
+        log_pdf=lambda x: log_lam_beta + _nx.xlogy(beta - 1.0, x) - lam * x**beta,
         log_survival=lambda x: -lam * x**beta,
         log_cdf=lambda x: _log1mexp(-lam * x**beta),
         quantile=lambda p: (-np.log1p(-p) / lam) ** (1.0 / beta),

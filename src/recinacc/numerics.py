@@ -28,6 +28,16 @@ Expectations under an integer-shape gamma weight are one batch of the
 same adaptive integrals, split where the mass starts, peaks and ends; the
 gamma density is a difference of regularised incomplete gamma functions,
 accurate to a few eps of its peak at every shape.
+
+This module is the package's one gateway to ``scipy.special``, and it
+imports it on first use: the import costs more than the rest of the
+package together, and the closed forms need only ``math`` and numpy.
+Each special function the package uses is a module-level name here
+(``gammainc``, ``gammaincc``, ``gammaincinv``, ``gammainccinv``,
+``gammaln``, ``hyp1f1``, ``psi``, ``xlogy``) that starts as a stand-in;
+its first call imports ``scipy.special`` and puts scipy's function in its
+place.  Other modules call them as ``numerics.<name>``, so that from then
+on a call costs one attribute lookup, as ``scipy.special.<name>`` would.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import (
     DomainError,
@@ -59,6 +68,41 @@ __all__ = [
     "log_gammaincc",
     "digamma",
 ]
+
+
+def _from_scipy(name: str) -> Callable:
+    """A stand-in for ``scipy.special.<name>``: its first call imports
+    scipy.special and binds scipy's function to ``name`` in this module."""
+
+    def first_call(*args, **kwargs):
+        from scipy import special
+
+        fn = globals()[name] = getattr(special, name)
+        return fn(*args, **kwargs)
+
+    first_call.__name__ = first_call.__qualname__ = name
+    return first_call
+
+
+gammainc = _from_scipy("gammainc")
+gammaincc = _from_scipy("gammaincc")
+gammaincinv = _from_scipy("gammaincinv")
+gammainccinv = _from_scipy("gammainccinv")
+gammaln = _from_scipy("gammaln")
+hyp1f1 = _from_scipy("hyp1f1")
+psi = _from_scipy("psi")
+xlogy = _from_scipy("xlogy")
+
+
+def __getattr__(name: str):
+    # ``numerics._sp`` is scipy.special itself, imported on first access:
+    # perfbench's tracer patches scipy.special through it
+    if name != "_sp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import special
+
+    globals()["_sp"] = special
+    return special
 
 
 @dataclass(frozen=True)
@@ -504,7 +548,7 @@ def integrate(
 
 def gamma_mass_edges(n: int, k: int) -> tuple[float, float]:
     """The t below and above which Gamma(n, rate k) has mass 1e-16."""
-    return float(_sp.gammaincinv(n, 1e-16)) / k, float(_sp.gammainccinv(n, 1e-16)) / k
+    return float(gammaincinv(n, 1e-16)) / k, float(gammainccinv(n, 1e-16)) / k
 
 
 def _gamma_pdf(t: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -520,9 +564,9 @@ def _gamma_pdf(t: np.ndarray, n: int, k: int) -> np.ndarray:
         return k * np.exp(-y)
     out = np.empty_like(y)
     right = y >= n - 1
-    out[right] = _sp.gammaincc(n, y[right]) - _sp.gammaincc(n - 1, y[right])
+    out[right] = gammaincc(n, y[right]) - gammaincc(n - 1, y[right])
     left = ~right
-    out[left] = _sp.gammainc(n - 1, y[left]) - _sp.gammainc(n, y[left])
+    out[left] = gammainc(n - 1, y[left]) - gammainc(n, y[left])
     return k * out
 
 
@@ -585,7 +629,7 @@ def log_gammaincc(n: int, y):
     the terms of Q = e^-y sum_{i<n} y^i / i! fall from the last by a factor
     (n-1)/y or less per step: only those down to e^-45 of it are summed."""
     y = np.asarray(y, float)
-    q = _sp.gammaincc(n, y)
+    q = gammaincc(n, y)
     with np.errstate(divide="ignore"):
         out = np.log(q)
     gone = (q < _TINY) & np.isfinite(y)
@@ -593,7 +637,7 @@ def log_gammaincc(n: int, y):
         yg = y[gone]
         step = math.log(yg.min() / max(n - 1, 1))
         i = np.arange(max(0, n - 1 - math.ceil(45.0 / step)), n)[:, None]
-        terms = i * np.log(yg) - _sp.gammaln(i + 1.0)
+        terms = i * np.log(yg) - gammaln(i + 1.0)
         out[gone] = terms[-1] - yg + np.log(np.exp(terms - terms[-1]).sum(axis=0))
     return out[()]
 
@@ -603,4 +647,4 @@ def digamma(x: float) -> float:
     x = float(x)
     if not (x > 0.0):
         raise DomainError(f"digamma requires x > 0, got {x!r}")
-    return float(_sp.digamma(x))
+    return float(psi(x))

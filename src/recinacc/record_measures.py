@@ -38,8 +38,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-import scipy.special as _sc
 
+from . import numerics as _nx
 from .distributions import Distribution, affine_transform
 from .errors import (
     IntegrandError,
@@ -173,7 +173,7 @@ def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: Quad
     def integrand(t):
         t = np.asarray(t, float)
         expo = -t - np.asarray(parent.log_pdf_at_tail(side, t), float)
-        q = _sc.gammaincc(n, k * t)
+        q = _nx.gammaincc(n, k * t)
         out = t * q * np.exp(expo)
         # in logs where Q underflows against e^expo > 1, or e^expo overflows
         logs = (expo > 0.0) & ((q < _TINY) | (expo > _LOG_MAX))

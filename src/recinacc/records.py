@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
+from . import numerics as _nx
 from .distributions import Distribution
 from .errors import DomainError, ParameterError
 from .numerics import log_gamma, log_gammaincc
@@ -107,7 +107,7 @@ def _is_lower_gamma(spec: RecordSpec, cdf: bool) -> bool:
 def _record_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
     log_g = np.asarray(_base_log_function(parent, spec.side)(np.asarray(x, float)), float)
     y = np.maximum(-spec.k * log_g, 0.0)
-    gamma_tail = _sp.gammainc if _is_lower_gamma(spec, cdf) else _sp.gammaincc
+    gamma_tail = _nx.gammainc if _is_lower_gamma(spec, cdf) else _nx.gammaincc
     return gamma_tail(spec.n, y)[()]
 
 
@@ -122,13 +122,13 @@ def _record_log_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
     n = spec.n
     if not _is_lower_gamma(spec, cdf):
         return log_gammaincc(n, y).reshape(log_g.shape)[()]
-    value = _sp.gammainc(n, y)
+    value = _nx.gammainc(n, y)
     with np.errstate(divide="ignore"):
         out = np.log(value)
         gone = (value < _TINY) & np.isfinite(y)
         if np.any(gone):
             yg = y[gone]
-            out[gone] = n * np.log(yg) - yg - math.lgamma(n + 1) + np.log(_sp.hyp1f1(1, n + 1, yg))
+            out[gone] = n * np.log(yg) - yg - math.lgamma(n + 1) + np.log(_nx.hyp1f1(1, n + 1, yg))
     return out.reshape(log_g.shape)[()]
 
 
@@ -173,7 +173,7 @@ def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistrib
 
     def inverse(level, cdf: bool):
         # invert the gamma tail for y = -k log g, then g = e^(-y/k)
-        inv = _sp.gammaincinv if _is_lower_gamma(spec, cdf) else _sp.gammainccinv
+        inv = _nx.gammaincinv if _is_lower_gamma(spec, cdf) else _nx.gammainccinv
         y = inv(n, np.asarray(level, float))
         # a level of 0 or 1 maps g to 0, where back takes its support-end limit
         with np.errstate(divide="ignore"):

@@ -408,28 +408,53 @@ class TestVerify:
 
 
 class TestColdStart:
-    @staticmethod
-    def _heavy_modules_loaded(code="pass"):
-        """Which of scipy.stats and scipy.linalg a fresh interpreter has
-        loaded after importing the CLI and running ``code``."""
-        probe = (
-            f"import sys, recinacc.cli; {code}; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
-        )
+    def test_scipy_loads_on_first_use(self):
+        # scipy.special takes a large share of a cold start; numerics imports
+        # it on first use, so import, help, the closed forms, Monte Carlo and
+        # a closed-form table never load it.  The gamma route loads it, and
+        # still neither scipy.stats (only the oracle suite needs it) nor
+        # scipy.linalg (nothing does)
+        args = {
+            "compute exponential cri": "compute --dist exponential --param theta=2 --measure cri"
+                                       " --side upper --n 3 --k 2",
+            "compute pareto kerridge": "compute --dist pareto --param theta=2 --measure kerridge"
+                                       " --side upper --n 3 --k 2",
+            "compute uniform cpi": "compute --dist uniform --measure cpi --side lower --n 3 --k 2",
+            "compute power-dec kerridge": "compute --dist power-dec --measure kerridge"
+                                          " --side upper --n 3 --k 2",
+            "compute exponential mc": "compute --dist exponential --param theta=2 --measure kerridge"
+                                      " --side upper --n 3 --k 2 --method mc --seed 7",
+            "table exponential": "table --dist exponential --param theta=2 --measure kerridge"
+                                 " --side upper --n 1..3 --k 1..2",
+            "compute exponential gamma": "compute --dist exponential --param theta=2"
+                                         " --measure kerridge --side upper --n 3 --k 2 --method gamma",
+        }
+        probe = "\n".join([
+            "import contextlib, io, json, sys",
+            "def loaded(step):",
+            "    heavy = ('scipy', 'scipy.special', 'scipy.stats', 'scipy.linalg')",
+            "    print(json.dumps([step, [m for m in heavy if m in sys.modules]]))",
+            "import recinacc",
+            "loaded('import recinacc')",
+            "from recinacc import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    try:",
+            "        cli.main(['--help'])",
+            "    except SystemExit:",
+            "        pass",
+            "loaded('--help')",
+            f"for step, argv in {args!r}.items():",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(argv.split()) == 0, step",
+            "    loaded(step)",
+        ])
         res = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600,
             env=CHILD_ENV,
         )
         assert res.returncode == 0, res.stderr
-        return res.stdout.splitlines()[-1]
-
-    def test_cli_import_leaves_out_scipy_stats_and_linalg(self):
-        # each takes a large share of a cold start; only the oracle suite
-        # imports scipy.stats, on first use, and nothing imports scipy.linalg
-        assert self._heavy_modules_loaded() == "[]"
-
-    def test_kerridge_gamma_compute_leaves_out_scipy_linalg(self):
-        run = ("recinacc.cli.main(['compute', '--dist', 'exponential', '--param', 'theta=2', "
-               "'--measure', 'kerridge', '--side', 'upper', '--n', '3', '--k', '2', "
-               "'--method', 'gamma'])")
-        assert self._heavy_modules_loaded(run) == "[]"
+        steps = dict(json.loads(line) for line in res.stdout.splitlines())
+        assert len(steps) == len(args) + 2
+        assert {step: mods for step, mods in steps.items() if mods} == {
+            "compute exponential gamma": ["scipy", "scipy.special"],
+        }

@@ -55,6 +55,21 @@ class TestClosedFormValues:
         q = make_weibull(2.0, 0.5).quantile(-math.expm1(-2.0))
         assert q == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_weibull_log_pdf_is_the_xlogy_formula_to_the_bit(self, beta):
+        # xlogy takes libm's log; numpy's own log differs from it in the
+        # last bit on a fraction of a percent of inputs, so a swap to
+        # np.log would move output bits (and give nan at x = 0 for beta = 1)
+        from scipy.special import xlogy
+
+        lam = 1.0 / beta
+        rng = np.random.default_rng(16)
+        x = np.concatenate([[0.0], rng.uniform(0.0, 2.0, 6000), np.geomspace(1e-300, 1e100, 4000)])
+        with np.errstate(all="ignore"):
+            want = math.log(lam * beta) + xlogy(beta - 1.0, x) - lam * x**beta
+        got = np.asarray(make_weibull(lam, beta).log_pdf(x), float)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_weibull_beta_one_is_exponential(self):
         w = make_weibull(2.0, 1.0)
         e = make_exponential(2.0)

@@ -637,3 +637,30 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(DomainError):
             digamma(-1.5)
+
+
+class TestScipySpecialGateway:
+    @pytest.mark.parametrize("name, args", [
+        ("gammainc", (3, 1.5)),
+        ("gammaincc", (3, 1.5)),
+        ("gammaincinv", (3, 0.25)),
+        ("gammainccinv", (3, 0.25)),
+        ("gammaln", (7.5,)),
+        ("hyp1f1", (1, 4, 0.5)),
+        ("psi", (2.5,)),
+        ("xlogy", (0.5, 3.0)),
+    ])
+    def test_first_call_puts_scipys_function_in_place(self, name, args):
+        # from the first call on, numerics.<name> is scipy's ufunc itself,
+        # so a call through it costs no Python frame of the package's own
+        from scipy import special
+
+        assert getattr(numerics, name)(*args) == getattr(special, name)(*args)
+        assert getattr(numerics, name) is getattr(special, name)
+
+    def test_sp_is_scipy_special(self):
+        from scipy import special
+
+        assert numerics._sp is special
+        with pytest.raises(AttributeError):
+            numerics.no_such_name
