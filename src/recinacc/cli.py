@@ -33,11 +33,10 @@ from .errors import (
     RecinaccError,
     UnsupportedMethodError,
 )
-from . import measures as M
 from . import verify as V
 from .oracle import McConfig, mc_measure
-from .record_measures import RecordMeasureRequest, compute_record_measure
-from .records import RecordSpec, record_distribution
+from .record_measures import MEASURES, RecordMeasureRequest, compute_record_measure
+from .records import RecordSpec
 
 # the output columns, in order; JSON rows leave out a None seed and add
 # "error" when it is set
@@ -58,18 +57,6 @@ _METHOD_TOKENS = {
     "quad": "quadrature",
     "gamma": "gamma_expectation",
     "mc": "monte_carlo",
-}
-
-_RECORD_MEASURES = ("kerridge", "cri", "cpi")
-
-# measures between the record law and its parent that only have the
-# generic quadrature route
-_GENERIC_MEASURES = {
-    "kij": M.extropy_inaccuracy,
-    "crij": M.cumulative_residual_extropy_inaccuracy,
-    "cpij": M.cumulative_past_extropy_inaccuracy,
-    "kl": M.kl_divergence,
-    "relinfo": M.relative_information,
 }
 
 
@@ -141,20 +128,14 @@ def _failure(exc: RecinaccError) -> tuple[str, int]:
 
 
 def _evaluate(args, params, n, k):
-    parent = _build_dist(args.dist, params)
-    spec = RecordSpec(args.side, n, k)
-    method = _METHOD_TOKENS[args.method]
-    if args.measure in _RECORD_MEASURES:
-        request = RecordMeasureRequest(parent, spec, args.measure, method)
-        if method == "monte_carlo":
-            return mc_measure(request, McConfig(seed=args.seed))
-        return compute_record_measure(request)
-    fn = _GENERIC_MEASURES[args.measure]
-    if method not in ("auto", "quadrature"):
-        raise UnsupportedMethodError(
-            f"measure {args.measure} only has the quadrature route, not {args.method}"
-        )
-    return fn(record_distribution(parent, spec), parent)
+    request = RecordMeasureRequest(
+        _build_dist(args.dist, params), RecordSpec(args.side, n, k), args.measure,
+        _METHOD_TOKENS[args.method],
+    )
+    # only this call carries the seed
+    if request.method == "monte_carlo":
+        return mc_measure(request, McConfig(seed=args.seed))
+    return compute_record_measure(request)
 
 
 def _make_row(args, params, n, k, result=None, error=None):
@@ -272,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--param", action="append", default=[], metavar="NAME=VALUE",
             help="distribution parameter, repeatable",
         )
-        p.add_argument("--measure", required=True,
-                       choices=_RECORD_MEASURES + tuple(sorted(_GENERIC_MEASURES)))
+        p.add_argument("--measure", required=True, choices=tuple(MEASURES))
         p.add_argument("--side", required=True, choices=("upper", "lower"))
         if table:
             p.add_argument("--n", required=True, help="INT or LO..HI")

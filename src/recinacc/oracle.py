@@ -19,6 +19,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import ContaminationError, ParameterError, StreamCapError
 from .measures import MeasureResult
+from .record_measures import _validate
 from .records import RecordSpec, check_seed, sample_record
 
 # every stochastic routine in this package derives its stream from this
@@ -191,8 +192,10 @@ def mc_measure(request, cfg: McConfig = McConfig()) -> MeasureResult:
     cdf/pdf (lower) ratios over record values of the next orders up,
     which is what their defining integrals reduce to; each order's draws
     come from an independently spawned substream, so replication results
-    do not depend on evaluation sequencing.
+    do not depend on evaluation sequencing.  A measure with no Monte Carlo
+    route is refused whatever the request's method.
     """
+    _validate(request.measure, request.spec, "monte_carlo")
     parent, spec = request.parent, request.spec
     root = np.random.SeedSequence(cfg.seed)
 

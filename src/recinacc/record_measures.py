@@ -1,7 +1,8 @@
 """Inaccuracy measures between a record distribution and its parent.
 
-Three measures are supported, each with several evaluation paths that
-must agree and are tested against one another:
+Eight measures are supported, one row each of ``MEASURES``.  Three have
+several evaluation paths that must agree and are tested against one
+another:
 
 * kerridge: density inaccuracy of assuming the parent density while the
   data are record values.
@@ -9,6 +10,9 @@ must agree and are tested against one another:
   survival function and the parent's.
 * cpi: cumulative past inaccuracy between the lower record's cdf and the
   parent's.
+
+The other five (the extropy inaccuracies cpij, crij and kij, kl and
+relinfo) have only the quadrature route, on either record side.
 
 The gamma routes integrate over t in the record representation
 U = S^{-1}(e^{-T}), T ~ Gamma(n, rate k) (F in place of S for lower
@@ -20,9 +24,9 @@ each measure is its generic two-distribution measure
 (:mod:`recinacc.measures`) on the record law and the parent.
 
 Closed forms belong to the parent: a catalog family carries them in
-``Distribution.closed_forms``, and the one dispatcher (``_dispatch``,
-keyed by measure and method) takes them under ``auto`` where they exist.
-Every route is written once for both record sides.
+``Distribution.closed_forms``, and the one dispatcher (``_dispatch``)
+takes them under ``auto`` where they exist; it checks its arguments in
+the validator requests use.  Every route is written once for both sides.
 
 The cri/cpi measures additionally have representation forms (mean
 differences, hazard-weighted double integrals, cdf differences) exposed
@@ -34,8 +38,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +71,7 @@ from .records import (
 )
 
 __all__ = [
+    "MEASURES",
     "RecordMeasureRequest",
     "kerridge_record",
     "residual_record_inaccuracy",
@@ -77,21 +83,18 @@ __all__ = [
     "compute_record_measure",
 ]
 
-_MEASURES = ("kerridge", "cri", "cpi")
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _LOG_MAX = math.log(float(np.finfo(float).max))
-_REQUEST_METHODS = ("auto", "closed_form", "quadrature", "gamma_expectation", "monte_carlo")
 
 
 @dataclass(frozen=True)
 class RecordMeasureRequest:
     """What to compute: which parent, which record sequence, which measure.
 
-    The cumulative measures are tied to a side: cri compares upper-record
-    and parent survival functions, cpi compares lower-record and parent
-    cdfs, so requests mixing them up are rejected here rather than
-    producing a meaningless number.
+    ``measure`` is a key of ``MEASURES``.  What the measure does not allow
+    (cri on lower records, cpi on upper ones, a route it lacks) is
+    rejected here rather than producing a meaningless number.
     """
 
     parent: Distribution
@@ -100,16 +103,7 @@ class RecordMeasureRequest:
     method: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.measure not in _MEASURES:
-            raise ParameterError(f"measure must be one of {_MEASURES}, got {self.measure!r}")
-        if self.method not in _REQUEST_METHODS:
-            raise ParameterError(
-                f"method must be one of {_REQUEST_METHODS}, got {self.method!r}"
-            )
-        if self.measure == "cri" and self.spec.side != "upper":
-            raise ParameterError("cri is defined for upper records; got side 'lower'")
-        if self.measure == "cpi" and self.spec.side != "lower":
-            raise ParameterError("cpi is defined for lower records; got side 'upper'")
+        _validate(self.measure, self.spec, self.method)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +113,6 @@ class RecordMeasureRequest:
 def _require_side(spec: RecordSpec, side: str, what: str) -> None:
     if spec.side != side:
         raise ParameterError(f"{what} is defined for {side} records, got {spec.side!r}")
-
-
-# the cumulative measure defined on each record side, as messages name it
-_CUMULATIVE_LABEL = {"upper": "residual", "lower": "past"}
 
 
 def _gamma_failure(parent: Distribution, side: str, what: str, exc: QuadratureError):
@@ -140,7 +130,8 @@ def _gamma_failure(parent: Distribution, side: str, what: str, exc: QuadratureEr
         f"the gamma route cannot evaluate {what}: its integrand at t={t!r} {why}")
 
 
-def _kerridge_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+def _kerridge_expectation(measure: str, parent: Distribution, spec: RecordSpec,
+                          config: QuadratureConfig):
     """E[-log f(x(T))] over T ~ Gamma(n, rate k)."""
     what = f"record kerridge expectation on {parent.name}"
     try:
@@ -152,7 +143,8 @@ def _kerridge_expectation(parent: Distribution, spec: RecordSpec, config: Quadra
     return MeasureResult(res.value, "gamma_expectation", res.abs_error_estimate)
 
 
-def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
+def _cumulative_expectation(measure: str, parent: Distribution, spec: RecordSpec,
+                            config: QuadratureConfig):
     """Expectation form: the integral over t > 0 of t Q(n, kt) e^-t / f(x(t)).
 
     e^-t is g(x(t)), the parent survival function for upper records and
@@ -182,7 +174,7 @@ def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: Quad
             out[logs] = np.exp(np.log(tl) + log_gammaincc(n, k * tl) + expo[logs])
         return out
 
-    what = f"{_CUMULATIVE_LABEL[side]} inaccuracy expectation on {parent.name}"
+    what = f"{MEASURES[measure].label} expectation on {parent.name}"
     edges = gamma_mass_edges(n, k)
     with np.errstate(all="ignore"):
         peak = _certify_integrable_tail(integrand, (0.0, math.inf), what)
@@ -199,35 +191,60 @@ def _cumulative_expectation(parent: Distribution, spec: RecordSpec, config: Quad
     return MeasureResult(value, "gamma_expectation", err)
 
 
-# each measure's generic form, named in recinacc.measures and looked up
-# there at call time, so that a wrapper installed on that module sees it
-_GENERIC = {
-    "kerridge": "kerridge",
-    "cri": "cumulative_residual_inaccuracy",
-    "cpi": "cumulative_past_inaccuracy",
-}
-
-
 def _quadrature(measure: str, parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
-    generic = getattr(_measures, _GENERIC[measure])
+    # looked up at call time, so that a wrapper installed on measures sees it
+    generic = getattr(_measures, MEASURES[measure].generic)
     return generic(record_distribution(parent, spec), parent, config)
 
 
-def _monte_carlo(measure: str, parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
-    from .oracle import McConfig, mc_measure
+@dataclass(frozen=True)
+class _Measure:
+    """One record measure.  Its quadrature route is ``generic``, its
+    two-distribution form in :mod:`recinacc.measures`, on the record law
+    and the parent.  ``auto`` is the route taken where the family has no
+    closed form; quadrature stands in where a gamma route refuses."""
 
-    return mc_measure(RecordMeasureRequest(parent, spec, measure), McConfig())
+    label: str  # its name in messages
+    generic: str
+    side: str | None = None  # the one record side it is defined on
+    auto: str = "quadrature"
+    gamma: Callable[..., MeasureResult] | None = None  # (measure, parent, spec, config)
+    monte_carlo: bool = False  # whether oracle.mc_measure estimates it
 
 
-_ROUTES = {
-    ("kerridge", "gamma_expectation"): _kerridge_expectation,
-    ("cri", "gamma_expectation"): _cumulative_expectation,
-    ("cpi", "gamma_expectation"): _cumulative_expectation,
-    **{(measure, "quadrature"): partial(_quadrature, measure) for measure in _MEASURES},
-    **{(measure, "monte_carlo"): partial(_monte_carlo, measure) for measure in _MEASURES},
+# every record measure, in the order the CLI lists them
+MEASURES = {
+    "kerridge": _Measure("kerridge", "kerridge", None, "gamma_expectation",
+                         _kerridge_expectation, True),
+    "cri": _Measure("residual inaccuracy", "cumulative_residual_inaccuracy", "upper",
+                    "quadrature", _cumulative_expectation, True),
+    "cpi": _Measure("past inaccuracy", "cumulative_past_inaccuracy", "lower",
+                    "quadrature", _cumulative_expectation, True),
+    "cpij": _Measure("cumulative past extropy inaccuracy", "cumulative_past_extropy_inaccuracy"),
+    "crij": _Measure("cumulative residual extropy inaccuracy",
+                     "cumulative_residual_extropy_inaccuracy"),
+    "kij": _Measure("extropy inaccuracy", "extropy_inaccuracy"),
+    "kl": _Measure("kl divergence", "kl_divergence"),
+    "relinfo": _Measure("relative information", "relative_information"),
 }
-_DEFAULT_ROUTE = {"kerridge": "gamma_expectation", "cri": "quadrature", "cpi": "quadrature"}
-_MEASURE_LABEL = {"kerridge": "kerridge", "cri": "residual inaccuracy", "cpi": "past inaccuracy"}
+_METHODS = ("auto", "closed_form", "quadrature", "gamma_expectation", "monte_carlo")
+
+
+def _validate(measure: str, spec: RecordSpec, method: str) -> _Measure:
+    """``measure``'s row, once ``method`` and ``spec``'s side suit it.  A
+    closed form depends on the parent, so the dispatcher checks that."""
+    row = MEASURES.get(measure) if isinstance(measure, str) else None
+    if row is None:
+        raise ParameterError(f"measure must be one of {tuple(MEASURES)}, got {measure!r}")
+    if method not in _METHODS:
+        raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
+    if row.side is not None and spec.side != row.side:
+        raise ParameterError(
+            f"{measure} is defined for {row.side} records; got side {spec.side!r}")
+    if (row.gamma is None and method == "gamma_expectation"
+            or not row.monte_carlo and method == "monte_carlo"):
+        raise UnsupportedMethodError(f"no {method} route is known for {row.label}")
+    return row
 
 
 def _dispatch(
@@ -238,28 +255,28 @@ def _dispatch(
     config: QuadratureConfig,
 ) -> MeasureResult:
     """The one route dispatch: ``auto`` takes the family's closed form
-    where it has one on this side, and the measure's default route
+    where it has one on this side, and the measure's ``auto`` route
     otherwise, quadrature where that is a gamma route that refuses the
     parent (a custom law whose inverse rounds onto a support end)."""
+    row = _validate(measure, spec, method)
     if method in ("auto", "closed_form"):
         form = (parent.closed_forms or {}).get(measure)
         value = None if form is None else form(spec.side, spec.n, spec.k)
         if value is not None:
             return MeasureResult(value, "closed_form", 0.0)
         if method == "closed_form":
-            raise UnsupportedMethodError(
-                f"no closed form is known for {_MEASURE_LABEL[measure]} on {parent.name}"
-            )
-        method = _DEFAULT_ROUTE[measure]
-        if method == "gamma_expectation":
-            try:
-                return _ROUTES[(measure, method)](parent, spec, config)
-            except UnsupportedMethodError:
-                method = "quadrature"
-    route = _ROUTES.get((measure, method))
-    if route is None:
-        raise UnsupportedMethodError(f"unknown method {method!r}")
-    return route(parent, spec, config)
+            raise UnsupportedMethodError(f"no closed form is known for {row.label} on {parent.name}")
+        if row.auto == "gamma_expectation":
+            with suppress(UnsupportedMethodError):
+                return row.gamma(measure, parent, spec, config)
+        method = "quadrature"
+    if method == "quadrature":
+        return _quadrature(measure, parent, spec, config)
+    if method == "gamma_expectation":
+        return row.gamma(measure, parent, spec, config)
+    from .oracle import McConfig, mc_measure
+
+    return mc_measure(RecordMeasureRequest(parent, spec, measure), McConfig())
 
 
 def kerridge_record(
@@ -279,7 +296,6 @@ def residual_record_inaccuracy(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MeasureResult:
     """Cumulative residual inaccuracy between the upper record and parent."""
-    _require_side(spec, "upper", "residual record inaccuracy")
     return _dispatch("cri", parent, spec, method, config)
 
 
@@ -290,7 +306,6 @@ def past_record_inaccuracy(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MeasureResult:
     """Cumulative past inaccuracy between the lower record and parent."""
-    _require_side(spec, "lower", "past record inaccuracy")
     return _dispatch("cpi", parent, spec, method, config)
 
 

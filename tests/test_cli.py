@@ -141,6 +141,31 @@ class TestRowBytes:
             '"seed": 5}\n'
         )
 
+    @pytest.mark.parametrize("argv, row", [
+        (("--dist", "pareto", "--param", "theta=2", "--measure", "kl", "--side", "upper",
+          "--n", "2", "--k", "1"),
+         HEADER + "\nkl,pareto,theta=2,upper,2,1,quadrature,0.42278433509854318,"
+         "1.2210902356720795e-10,\n"),
+        (("--dist", "weibull", "--param", "lambda=2", "--param", "beta=0.5", "--measure", "kl",
+          "--side", "lower", "--n", "3", "--k", "2", "--format", "json"),
+         '{"measure": "kl", "dist": "weibull", "params": {"lambda": 2, "beta": 0.5}, '
+         '"side": "lower", "n": 3, "k": 2, "method": "quadrature", '
+         '"value": 0.34556867019746645, "abs_error_estimate": 1.4994146261903468e-10}\n'),
+        (("--dist", "pareto", "--param", "theta=2", "--measure", "kij", "--side", "upper",
+          "--n", "2", "--k", "1"),
+         HEADER + "\nkij,pareto,theta=2,upper,2,1,quadrature,-0.1600000000000158,"
+         "7.3833697070167095e-11,\n"),
+        (("--dist", "weibull", "--param", "lambda=2", "--param", "beta=0.5", "--measure", "kij",
+          "--side", "lower", "--n", "3", "--k", "2", "--format", "json"),
+         '{"measure": "kij", "dist": "weibull", "params": {"lambda": 2, "beta": 0.5}, '
+         '"side": "lower", "n": 3, "k": 2, "method": "quadrature", '
+         '"value": -6.6301283392054779, "abs_error_estimate": 2.9127170434150523e-09}\n'),
+    ], ids=["kl-csv", "kl-json", "kij-csv", "kij-json"])
+    def test_quadrature_only_measure_rows(self, argv, row):
+        res = run_cli("compute", *argv)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == row
+
     def test_json_error_row(self):
         res = run_cli(
             "table", "--dist", "power-inc", "--param", "m=2", "--measure", "cpi",
@@ -188,6 +213,15 @@ class TestExitCodes:
             "--side", "upper", "--n", "1", "--k", "1", "--method", "gamma",
         )
         assert res.returncode == 2
+        assert res.stderr == "error: no gamma_expectation route is known for extropy inaccuracy\n"
+
+    def test_measure_choices_are_the_record_measure_table(self):
+        # one list of measures: the CLI offers the table's keys, in its order
+        assert tuple(cli.MEASURES) == (
+            "kerridge", "cri", "cpi", "cpij", "crij", "kij", "kl", "relinfo")
+        for command in ("compute", "table"):
+            res = run_cli(command, "--help")
+            assert "--measure {kerridge,cri,cpi,cpij,crij,kij,kl,relinfo}" in res.stdout
 
     def test_wrong_side_for_cri_is_usage_error(self):
         res = run_cli(

@@ -11,8 +11,8 @@ import math
 import pytest
 
 from test_cli import run_cli
-from recinacc.distributions import make_weibull
-from recinacc.record_measures import kerridge_record
+from recinacc.distributions import make_exponential, make_weibull
+from recinacc.record_measures import RecordMeasureRequest, compute_record_measure, kerridge_record
 from recinacc.records import RecordSpec
 
 
@@ -22,11 +22,23 @@ def test_d2_weibull_lower_kerridge_quadrature():
     assert res.value == pytest.approx(-20.6931457498, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="D12: the generic route misses the record mass at n = 50")
-@pytest.mark.parametrize("measure, truth", [
+D12_TRUTHS = pytest.mark.parametrize("measure, truth", [
     ("kij", -(1.0 - 2.0**-50) / 2.0),
     ("kl", 46.631750051622),
 ], ids=["kij", "kl"])
+
+
+@pytest.mark.xfail(strict=True, reason="D12: the generic route misses the record mass at n = 50")
+@D12_TRUTHS
+def test_d12_library_default_path_on_a_record_law(measure, truth):
+    res = compute_record_measure(
+        RecordMeasureRequest(make_exponential(1.0), RecordSpec("lower", 50, 1), measure))
+    assert math.isfinite(res.value)
+    assert res.value == pytest.approx(truth, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="D12: the generic route misses the record mass at n = 50")
+@D12_TRUTHS
 def test_d12_cli_default_path_on_a_record_law(measure, truth):
     res = run_cli(
         "compute", "--dist", "exponential", "--param", "theta=1", "--measure", measure,

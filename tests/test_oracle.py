@@ -20,7 +20,12 @@ from recinacc.distributions import (
     make_power_decreasing,
     make_uniform01,
 )
-from recinacc.errors import ContaminationError, ParameterError, StreamCapError
+from recinacc.errors import (
+    ContaminationError,
+    ParameterError,
+    StreamCapError,
+    UnsupportedMethodError,
+)
 from recinacc.records import RecordSpec, record_cdf, sample_record
 
 E1 = make_exponential(1.0)
@@ -167,6 +172,21 @@ class TestMcMeasure:
         c = O.mc_measure(req, O.McConfig(samples=10_000, seed=10))
         assert a == b
         assert a.value != c.value
+
+    @pytest.mark.parametrize("measure, label", [
+        ("kij", "extropy inaccuracy"),
+        ("crij", "cumulative residual extropy inaccuracy"),
+        ("cpij", "cumulative past extropy inaccuracy"),
+        ("kl", "kl divergence"),
+        ("relinfo", "relative information"),
+    ])
+    def test_refuses_a_measure_it_cannot_estimate(self, measure, label):
+        # an auto request is valid for these; the oracle must not fall
+        # into the cumulative branch and return a cpi-style estimate
+        req = RM.RecordMeasureRequest(E1, RecordSpec("upper", 2, 1), measure)
+        with pytest.raises(UnsupportedMethodError) as exc:
+            O.mc_measure(req, O.McConfig(samples=10_000, seed=0))
+        assert str(exc.value) == f"no monte_carlo route is known for {label}"
 
     def test_contaminated_functional_raises(self):
         # valid uniform law, but the log-density is poisoned near 1 where

@@ -8,6 +8,7 @@ pin them against each other and against hand-derived values.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,9 @@ class TestKerridgeClosedForms:
         with pytest.raises(UnsupportedMethodError):
             # density formulas only cover the upper side
             RM.kerridge_record(E1, low(1, 1), "closed_form")
+        with pytest.raises(UnsupportedMethodError) as exc:
+            RM.compute_record_measure(RM.RecordMeasureRequest(E1, up(1, 1), "kij", "closed_form"))
+        assert str(exc.value) == "no closed form is known for extropy inaccuracy on exponential"
 
 
 class TestKerridgeRouteAgreement:
@@ -358,9 +362,14 @@ class TestResidualInaccuracy:
         closed = n * (n + 1) / (2 * E2.params["theta"] * k**2)
         assert abs(res.value - closed) <= res.abs_error_estimate <= 1e-9 * closed
 
-    def test_requires_upper_records(self):
-        with pytest.raises(ParameterError):
-            RM.residual_record_inaccuracy(E1, low(1, 1))
+    @pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature",
+                                        "gamma_expectation", "monte_carlo"])
+    @pytest.mark.parametrize("parent, spec", [(E1, low(1, 1)), (U, low(3, 2)), (PAR2, low(2, 1))])
+    def test_requires_upper_records(self, parent, spec, method):
+        # the request's text, from the named function too, whatever the route
+        with pytest.raises(ParameterError) as exc:
+            RM.residual_record_inaccuracy(parent, spec, method)
+        assert str(exc.value) == "cri is defined for upper records; got side 'lower'"
 
     def test_infinite_mean_single_stream_diverges(self):
         with pytest.raises(DivergenceError):
@@ -593,9 +602,13 @@ class TestPastInaccuracy:
         direct = RM.past_record_inaccuracy(parent, spec, "quadrature")
         assert alt.value == pytest.approx(direct.value, abs=1e-7)
 
-    def test_requires_lower_records(self):
-        with pytest.raises(ParameterError):
-            RM.past_record_inaccuracy(E1, up(1, 1))
+    @pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature",
+                                        "gamma_expectation", "monte_carlo"])
+    @pytest.mark.parametrize("parent, spec", [(E1, up(1, 1)), (U, up(3, 2)), (PAR2, up(2, 1))])
+    def test_requires_lower_records(self, parent, spec, method):
+        with pytest.raises(ParameterError) as exc:
+            RM.past_record_inaccuracy(parent, spec, method)
+        assert str(exc.value) == "cpi is defined for lower records; got side 'upper'"
 
 
 class TestQuadratureRouteIsTheGenericMeasure:
@@ -619,6 +632,47 @@ class TestQuadratureRouteIsTheGenericMeasure:
         assert abs(res.value - 2.0 * math.log(2.0)) <= res.abs_error_estimate
 
 
+def _outcome(call):
+    """A result by the hex of its value and estimate, or a refusal by its
+    type and text, with the texts of the warnings the call emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = call()
+            out = res.value.hex(), res.abs_error_estimate.hex(), res.method
+        except RecinaccError as exc:
+            out = type(exc), str(exc)
+    return out, [str(w.message) for w in caught]
+
+
+class TestQuadratureOnlyMeasures:
+    GENERIC = {
+        "kij": measures.extropy_inaccuracy,
+        "crij": measures.cumulative_residual_extropy_inaccuracy,
+        "cpij": measures.cumulative_past_extropy_inaccuracy,
+        "kl": measures.kl_divergence,
+        "relinfo": measures.relative_information,
+    }
+
+    @pytest.mark.parametrize("measure", sorted(GENERIC))
+    @pytest.mark.parametrize("parent", [E1, PAR2, W205, U],
+                             ids=["exp1", "pareto2", "weib2_0.5", "uniform"])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_auto_and_quadrature_are_the_generic_measure_bit_for_bit(self, measure, parent, side):
+        # refusals included: the same error type and text
+        for n, k in [(1, 1), (2, 2), (5, 1)]:
+            spec = RecordSpec(side, n, k)
+            want = _outcome(lambda: self.GENERIC[measure](record_distribution(parent, spec), parent))
+            for method in ("auto", "quadrature"):
+                request = RM.RecordMeasureRequest(parent, spec, measure, method)
+                assert _outcome(lambda: RM.compute_record_measure(request)) == want
+
+    def test_a_generic_refusal_passes_through(self):
+        request = RM.RecordMeasureRequest(E1, low(2), "cpij")
+        with pytest.raises(DivergenceError, match="both cdfs tend to 1"):
+            RM.compute_record_measure(request)
+
+
 class TestScaleShift:
     def test_exponential_scales_quadratically_in_a(self):
         lhs, rhs = RM.scale_shift_check(E1, up(2, 1), 2.0, 3.0)
@@ -631,20 +685,58 @@ class TestScaleShift:
         assert lhs.value == pytest.approx(rhs.value, abs=1e-7)
 
 
+_MEASURE_NAMES = "('kerridge', 'cri', 'cpi', 'cpij', 'crij', 'kij', 'kl', 'relinfo')"
+_METHOD_NAMES = "('auto', 'closed_form', 'quadrature', 'gamma_expectation', 'monte_carlo')"
+
+
 class TestRequestAndDispatch:
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, error, message",
         [
-            dict(parent=E1, spec=RecordSpec("lower", 1, 1), measure="cri"),
-            dict(parent=E1, spec=RecordSpec("upper", 1, 1), measure="cpi"),
-            dict(parent=E1, spec=RecordSpec("upper", 1, 1), measure="entropy"),
-            dict(parent=E1, spec=RecordSpec("upper", 1, 1), measure="cri",
-                 method="psychic"),
+            (dict(parent=E1, spec=low(1), measure="cri"), ParameterError,
+             "cri is defined for upper records; got side 'lower'"),
+            (dict(parent=E1, spec=up(1), measure="cpi"), ParameterError,
+             "cpi is defined for lower records; got side 'upper'"),
+            (dict(parent=E1, spec=up(1), measure="entropy"), ParameterError,
+             f"measure must be one of {_MEASURE_NAMES}, got 'entropy'"),
+            (dict(parent=E1, spec=up(1), measure=["cri"]), ParameterError,
+             f"measure must be one of {_MEASURE_NAMES}, got ['cri']"),
+            (dict(parent=E1, spec=up(1), measure="cri", method="psychic"), ParameterError,
+             f"method must be one of {_METHOD_NAMES}, got 'psychic'"),
+            (dict(parent=E1, spec=up(1), measure="kerridge", method="bogus"), ParameterError,
+             f"method must be one of {_METHOD_NAMES}, got 'bogus'"),
+            # an unknown method is named before a wrong side
+            (dict(parent=E1, spec=low(1), measure="cri", method="bogus"), ParameterError,
+             f"method must be one of {_METHOD_NAMES}, got 'bogus'"),
+            (dict(parent=E1, spec=low(2), measure="kij", method="quad"), ParameterError,
+             f"method must be one of {_METHOD_NAMES}, got 'quad'"),
+            (dict(parent=E1, spec=up(2), measure="kij", method="gamma_expectation"),
+             UnsupportedMethodError, "no gamma_expectation route is known for extropy inaccuracy"),
+            (dict(parent=PAR2, spec=low(2), measure="kl", method="monte_carlo"),
+             UnsupportedMethodError, "no monte_carlo route is known for kl divergence"),
+            (dict(parent=U, spec=up(1), measure="crij", method="gamma_expectation"),
+             UnsupportedMethodError,
+             "no gamma_expectation route is known for cumulative residual extropy inaccuracy"),
+            (dict(parent=U, spec=low(3, 2), measure="relinfo", method="monte_carlo"),
+             UnsupportedMethodError, "no monte_carlo route is known for relative information"),
         ],
     )
-    def test_invalid_requests_rejected(self, kwargs):
-        with pytest.raises(ParameterError):
+    def test_invalid_requests_rejected(self, kwargs, error, message):
+        # one text per cause: the request and the dispatcher behind the
+        # named functions refuse alike
+        with pytest.raises(error) as exc:
             RM.RecordMeasureRequest(**kwargs)
+        assert str(exc.value) == message
+        with pytest.raises(error) as exc:
+            RM._dispatch(kwargs["measure"], kwargs["parent"], kwargs["spec"],
+                         kwargs.get("method", "auto"), numerics.DEFAULT_QUADRATURE)
+        assert str(exc.value) == message
+        named = {"kerridge": RM.kerridge_record, "cri": RM.residual_record_inaccuracy,
+                 "cpi": RM.past_record_inaccuracy}.get(str(kwargs["measure"]))
+        if named is not None:
+            with pytest.raises(error) as exc:
+                named(kwargs["parent"], kwargs["spec"], kwargs.get("method", "auto"))
+            assert str(exc.value) == message
 
     def test_dispatch_routes_to_each_measure(self):
         r = RM.compute_record_measure(
