@@ -224,7 +224,10 @@ def _weighted_integral(weight, term, scale: float, floor: float, interval,
         out[m] = scale * w[m] * np.asarray(term(x, w), float)[m]
         return out[()]
 
-    return _quad(integrand, interval, config, what)
+    # near a singular end the product can overflow to inf, which the
+    # integrator reports as the divergence; set once here, not per call
+    with np.errstate(over="ignore"):
+        return _quad(integrand, interval, config, what)
 
 
 def kerridge(

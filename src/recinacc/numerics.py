@@ -33,8 +33,8 @@ This module is the package's one gateway to ``scipy.special``, and it
 imports it on first use: the import costs more than the rest of the
 package together, and the closed forms need only ``math`` and numpy.
 Each special function the package uses is a module-level name here
-(``gammainc``, ``gammaincc``, ``gammaincinv``, ``gammainccinv``,
-``gammaln``, ``hyp1f1``, ``psi``, ``xlogy``) that starts as a stand-in;
+(``gammainc``, ``gammaincc``, ``gammaincinv``, ``gammainccinv``, ``gammaln``,
+``hyp1f1``, ``psi``, ``smirnov``, ``xlogy``) that starts as a stand-in;
 its first call imports ``scipy.special`` and puts scipy's function in its
 place.  Other modules call them as ``numerics.<name>``, so that from then
 on a call costs one attribute lookup, as ``scipy.special.<name>`` would.
@@ -91,6 +91,7 @@ gammainccinv = _from_scipy("gammainccinv")
 gammaln = _from_scipy("gammaln")
 hyp1f1 = _from_scipy("hyp1f1")
 psi = _from_scipy("psi")
+smirnov = _from_scipy("smirnov")
 xlogy = _from_scipy("xlogy")
 
 

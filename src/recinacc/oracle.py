@@ -184,7 +184,7 @@ def _functional_mean(vals: np.ndarray, what: str) -> tuple[float, float, int]:
     return mean, var, good.size
 
 
-def mc_measure(request, cfg: McConfig = McConfig()) -> MeasureResult:
+def mc_measure(request, cfg: McConfig | None = None) -> MeasureResult:
     """Monte Carlo estimate of a record measure with a 3-sigma error bar.
 
     kerridge averages the log-density surprise over simulated record
@@ -196,6 +196,8 @@ def mc_measure(request, cfg: McConfig = McConfig()) -> MeasureResult:
     route is refused whatever the request's method.
     """
     _validate(request.measure, request.spec, "monte_carlo")
+    # built here, not as the default: McConfig's check imports numpy.random
+    cfg = McConfig() if cfg is None else cfg
     parent, spec = request.parent, request.spec
     root = np.random.SeedSequence(cfg.seed)
 

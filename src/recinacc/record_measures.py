@@ -274,9 +274,9 @@ def _dispatch(
         return _quadrature(measure, parent, spec, config)
     if method == "gamma_expectation":
         return row.gamma(measure, parent, spec, config)
-    from .oracle import McConfig, mc_measure
+    from .oracle import mc_measure
 
-    return mc_measure(RecordMeasureRequest(parent, spec, measure), McConfig())
+    return mc_measure(RecordMeasureRequest(parent, spec, measure))
 
 
 def kerridge_record(

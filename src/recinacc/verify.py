@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from . import measures as M
+from . import numerics
 from . import oracle as O
 from . import record_measures as RM
 from .distributions import (
@@ -25,7 +26,6 @@ from .distributions import (
     make_uniform01,
     make_weibull,
 )
-from .numerics import gamma_expectation
 from .records import RecordSpec, record_cdf, sample_record
 
 
@@ -182,7 +182,7 @@ def suite_reference_values(seed: int = 0) -> list[CheckResult]:
     ))
     out.append(_close(
         "log expectation of unit-rate transform variable",
-        gamma_expectation(np.log, 1, 1).value, -0.5772156649015329, 1e-9,
+        numerics.gamma_expectation(np.log, 1, 1).value, -0.5772156649015329, 1e-9,
     ))
     return out
 
@@ -320,19 +320,107 @@ def suite_symmetry(seed: int = 0) -> list[CheckResult]:
     return out
 
 
+# Two-sided Kolmogorov-Smirnov p-values, ported from scipy (BSD-3-Clause):
+# the statistics of ks_1samp and ks_2samp (method "auto", stats/_stats_py.py)
+# and the law of Simard & L'Ecuyer (J. Stat. Softw. 39(11), 2011) from
+# _kolmogn and _kolmogn_PelzGood (stats/_ksstats.py), in scipy's operations,
+# order and types, so each p-value is bit-identical to scipy's.  Branches
+# this suite does not reach call scipy.stats, which is imported only then.
+_PI2, _PI4, _PI6 = np.pi**2, np.pi**4, np.pi**6
+_SQRT2PI = np.sqrt(2 * np.pi)
+
+
+def _ks_1samp(sample, cdf):
+    """p-value of the one-sample test of ``sample`` against ``cdf``."""
+    x = np.sort(sample)
+    cdfvals, n = cdf(x), x.shape[-1]
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    return _kstwo_sf(d_plus if d_plus > d_minus else d_minus, n)
+
+
+def _ks_2samp(a, b):
+    """p-value of the two-sample test of ``a`` against ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    n1, n2 = a.shape[0], b.shape[0]
+    if max(n1, n2) <= 10_000:  # scipy counts lattice paths exactly here
+        from scipy import stats
+
+        return stats.ks_2samp(a, b).pvalue
+    both = np.concatenate([a, b])
+    diffs = (np.searchsorted(a, both, side="right") / n1
+             - np.searchsorted(b, both, side="right") / n2)
+    min_s, max_s = np.clip(-diffs.min(), 0, 1), diffs.max()
+    m, n = sorted([float(n1), float(n2)], reverse=True)
+    return _kstwo_sf(min_s if min_s > max_s else max_s, np.round(m * n / (m + n)))
+
+
+def _kstwo_sf(d, n):
+    """``scipy.stats.kstwo.sf(d, n)``, the chance that D_n exceeds d."""
+    n, x = int(n), np.asarray(d, dtype=float)
+    t, nxsquared = n * x, n * x * x
+    # n <= 140, the Ruben-Gambino ends and the Durbin matrix are not ported
+    if n <= 140 or not 1.0 < t < n - 1 or (
+        x < 0.5 and nxsquared < 2.2 and n <= 100_000 and n * x**1.5 <= 1.4
+    ):
+        from scipy import stats
+
+        return stats.kstwo.sf(d, n)
+    if x < 0.5 and nxsquared >= 370.0:
+        return 0.0
+    if x >= 0.5 or nxsquared >= 2.2:
+        return np.clip(2 * numerics.smirnov(n, x), 0.0, 1.0)
+    return np.clip(1.0 - _pelz_good_cdf(n, x), 0.0, 1.0)
+
+
+def _pelz_good_cdf(n: int, x):
+    """Pelz and Good's (1976) series for P(D_n <= x), for 1/n < x < 1/2."""
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+    qlog = -_PI2 / 8 / zsquared
+    if qlog < -708:
+        return 0.0
+    q = np.exp(qlog)
+    k1a, k1b = -zsquared, _PI2 / 4
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI2 / 4
+    k2c = _PI4 * (1 - 2 * zsquared) / 16
+    k3d = _PI6 * (5 - 30 * zsquared) / 64
+    k3c = _PI4 * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI2 * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+    terms = np.zeros(4)
+    # Horner's scheme over the odd m = 2k - 1 of sum c_m q^(m^2)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        terms *= np.power(q, 8 * k)
+        terms += np.array([1.0, k1a + k1b * msquared, k2a + k2b * msquared + k2c * mfour,
+                           k3a + k3b * msquared + k3c * mfour + k3d * msix])
+    terms = terms * q * _SQRT2PI / np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+    q = np.exp(-_PI2 / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks**2
+    sqrt3z, kspi, qpowers = np.sqrt(3) * z, np.pi * ks, q**ksquared
+    terms[2] += np.sum(ksquared * qpowers) * (_PI2 * _SQRT2PI / (-36 * zthree))
+    terms[3] += (np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpowers)
+                 * (_PI2 * _SQRT2PI / (216 * zsix)))
+    terms /= np.power(n * 1.0, np.arange(4) / 2.0)
+    return sum(terms)
+
+
 def suite_oracle(seed: int = 42) -> list[CheckResult]:
     """Simulation against analytics: stream scans, transform draws, MC bars."""
-    # imported here: scipy.stats is the slowest import in the package and
-    # only this suite uses it
-    from scipy import stats
-
+    # the KS p-values above are scipy.stats's own, without its import,
+    # which takes longer than the rest of this suite
     e1 = make_exponential(1.0)
     u = make_uniform01()
     out = []
 
     spec = RecordSpec("upper", 2, 2)
     draws = O.stream_record_sample(e1, "upper", 2, 2, reps=50_000, seed=seed)
-    p = stats.kstest(draws, lambda x: record_cdf(e1, spec, x)).pvalue
+    p = _ks_1samp(draws, lambda x: record_cdf(e1, spec, x))
     out.append(CheckResult(
         "stream scan matches analytic record cdf, exp n=2 k=2",
         p > 0.001, f"ks pvalue={p:.5g}",
@@ -344,7 +432,7 @@ def suite_oracle(seed: int = 42) -> list[CheckResult]:
     ]:
         stream = O.stream_record_sample(parent, side, k, n, reps=30_000, seed=seed + 1)
         transform = sample_record(parent, RecordSpec(side, n, k), seed + 2, 30_000)
-        p = stats.ks_2samp(stream, transform).pvalue
+        p = _ks_2samp(stream, transform)
         out.append(CheckResult(
             f"stream scan vs transform draws, {label} {side} n={n} k={k}",
             p > 0.001, f"ks pvalue={p:.5g}",

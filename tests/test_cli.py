@@ -444,10 +444,11 @@ class TestVerify:
 class TestColdStart:
     def test_scipy_loads_on_first_use(self):
         # scipy.special takes a large share of a cold start; numerics imports
-        # it on first use, so import, help, the closed forms, Monte Carlo and
-        # a closed-form table never load it.  The gamma route loads it, and
-        # still neither scipy.stats (only the oracle suite needs it) nor
-        # scipy.linalg (nothing does)
+        # it on first use, so import, help, the closed forms, a closed-form
+        # table and Monte Carlo never load it.  The gamma route and the
+        # oracle suite load it, and still neither scipy.stats (the suite
+        # computes its KS p-values itself) nor scipy.linalg (nothing needs
+        # it).  numpy.random waits for the first sampler: Monte Carlo here
         args = {
             "compute exponential cri": "compute --dist exponential --param theta=2 --measure cri"
                                        " --side upper --n 3 --k 2",
@@ -456,17 +457,18 @@ class TestColdStart:
             "compute uniform cpi": "compute --dist uniform --measure cpi --side lower --n 3 --k 2",
             "compute power-dec kerridge": "compute --dist power-dec --measure kerridge"
                                           " --side upper --n 3 --k 2",
-            "compute exponential mc": "compute --dist exponential --param theta=2 --measure kerridge"
-                                      " --side upper --n 3 --k 2 --method mc --seed 7",
             "table exponential": "table --dist exponential --param theta=2 --measure kerridge"
                                  " --side upper --n 1..3 --k 1..2",
+            "compute exponential mc": "compute --dist exponential --param theta=2 --measure kerridge"
+                                      " --side upper --n 3 --k 2 --method mc --seed 7",
             "compute exponential gamma": "compute --dist exponential --param theta=2"
                                          " --measure kerridge --side upper --n 3 --k 2 --method gamma",
+            "verify oracle": "verify --suite oracle --seed 0",
         }
         probe = "\n".join([
             "import contextlib, io, json, sys",
             "def loaded(step):",
-            "    heavy = ('scipy', 'scipy.special', 'scipy.stats', 'scipy.linalg')",
+            "    heavy = ('numpy.random', 'scipy', 'scipy.special', 'scipy.stats', 'scipy.linalg')",
             "    print(json.dumps([step, [m for m in heavy if m in sys.modules]]))",
             "import recinacc",
             "loaded('import recinacc')",
@@ -490,5 +492,7 @@ class TestColdStart:
         steps = dict(json.loads(line) for line in res.stdout.splitlines())
         assert len(steps) == len(args) + 2
         assert {step: mods for step, mods in steps.items() if mods} == {
-            "compute exponential gamma": ["scipy", "scipy.special"],
+            "compute exponential mc": ["numpy.random"],
+            "compute exponential gamma": ["numpy.random", "scipy", "scipy.special"],
+            "verify oracle": ["numpy.random", "scipy", "scipy.special"],
         }

@@ -667,6 +667,18 @@ class TestQuadratureOnlyMeasures:
                 request = RM.RecordMeasureRequest(parent, spec, measure, method)
                 assert _outcome(lambda: RM.compute_record_measure(request)) == want
 
+    @pytest.mark.parametrize("measure, side, n", [
+        ("kij", "upper", 1), ("kij", "lower", 1), ("relinfo", "lower", 5),
+    ])
+    def test_a_divergence_emits_no_overflow_warning(self, measure, side, n):
+        # weight x term overflows to inf near x = 0; the integrator reports
+        # that inf as the divergence, and numpy must not warn of it first
+        request = RM.RecordMeasureRequest(W205, RecordSpec(side, n, 1), measure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-integrable singularity"):
+                RM.compute_record_measure(request)
+
     def test_a_generic_refusal_passes_through(self):
         request = RM.RecordMeasureRequest(E1, low(2), "cpij")
         with pytest.raises(DivergenceError, match="both cdfs tend to 1"):
