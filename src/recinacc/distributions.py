@@ -270,7 +270,10 @@ def make_weibull(lam: float, beta: float) -> Distribution:
     """
     lam = _positive(lam, "weibull scale parameter")
     beta = _positive(beta, "weibull shape parameter")
-    log_lam_beta = math.log(lam * beta)
+    lam_beta = lam * beta
+    # in two logs only where the product leaves the normal range
+    log_lam_beta = (math.log(lam_beta) if _nx._TINY <= lam_beta < _INF
+                    else math.log(lam) + math.log(beta))
     log_lam = math.log(lam)
 
     def log_pdf_by_tails(log_s, log_f):

@@ -532,9 +532,12 @@ def integrate(
     evaluates its two halves only, 30 points, and ``f`` sees the
     abscissae of consumed panels alone.  ``evaluations`` counts consumed
     points, 15 plus 30 per bisection either way, and the value and error
-    estimate do not depend on ``elementwise``.  ``f`` is never called
-    exactly at the endpoints, so integrable endpoint singularities are
-    fine.
+    estimate do not depend on ``elementwise``.  ``f`` is called inside the
+    closed interval.  Near a finite endpoint other than 0, refinement can
+    narrow a panel to about a hundred float spacings, where a node rounds
+    onto the endpoint: an integrand singular there must return a finite
+    value at the endpoint itself, or the integral raises IntegrandError.
+    Near 0 floats are dense enough that no node rounds onto it.
 
     Raises :class:`IntegrandError` on a non-finite integrand value in a
     panel the refinement consumes (one in a panel it never consumes is

@@ -20,13 +20,11 @@ from .distributions import Distribution
 from .errors import ContaminationError, ParameterError, StreamCapError
 from .measures import MeasureResult
 from .record_measures import _validate
-from .records import RecordSpec, check_seed, sample_record
+from .records import STREAM_CAP, RecordSpec, check_seed, sample_record
 
 # every stochastic routine in this package derives its stream from this
 # generator family; recorded in verification reports for reproducibility
 GENERATOR_NAME = "numpy PCG64 (seeded via SeedSequence, substreams by spawn)"
-
-STREAM_CAP = 100_000_000
 
 _BAD_FRACTION = 1e-4  # tolerated share of non-finite functional evaluations
 
@@ -67,7 +65,8 @@ def stream_extract_records(
     """
     RecordSpec(side, n_max, k)  # argument validation lives on RecordSpec
     check_seed(seed)
-    upper = side == "upper"
+    # lower records are the upper records of the negated stream
+    sgn = 1.0 if side == "upper" else -1.0
     rng = np.random.default_rng(seed)
     buf: list[float] = []
     out: list[float] = []
@@ -80,23 +79,19 @@ def stream_extract_records(
                 f"{len(out)} of {n_max} records extracted",
                 records_found=len(out),
             )
-        xs = np.asarray(parent.quantile(rng.random(take)), float)
+        xs = sgn * np.asarray(parent.quantile(rng.random(take)), float)
         drawn += take
-        for x in xs:
-            x = float(x)
+        for x in xs.tolist():
             if len(buf) < k:
                 bisect.insort(buf, x)
                 if len(buf) < k:
                     continue
-            elif upper and x > buf[0]:
+            elif x > buf[0]:
                 buf.pop(0)
-                bisect.insort(buf, x)
-            elif not upper and x < buf[-1]:
-                buf.pop()
                 bisect.insort(buf, x)
             else:
                 continue
-            out.append(buf[0] if upper else buf[-1])
+            out.append(sgn * buf[0])
             if len(out) == n_max:
                 return np.asarray(out, float)
 
@@ -205,7 +200,7 @@ def mc_measure(request, cfg: McConfig | None = None) -> MeasureResult:
         draws = sample_record(parent, spec, root, cfg.samples)
         surprise = -np.asarray(parent.log_pdf(draws), float)
         mean, var, m = _functional_mean(surprise, "kerridge surprise")
-        return MeasureResult(mean, "monte_carlo", 3.0 * np.sqrt(var / m))
+        return MeasureResult(mean, "monte_carlo", 3.0 * float(np.sqrt(var / m)))
 
     # cumulative measures: one substream per term of the order expansion
     n, k = spec.n, spec.k

@@ -31,7 +31,8 @@ the validator requests use.  Every route is written once for both sides.
 The cri/cpi measures additionally have representation forms (mean
 differences, hazard-weighted double integrals, cdf differences) exposed
 as separate functions so the identity checks exercise genuinely
-different arithmetic.
+different arithmetic.  Hazard form one takes log f at the record scale
+from ``log_pdf_at_tail``, as the gamma routes do.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ from .errors import (
 from . import measures as _measures
 from .measures import MeasureResult, _certify_integrable_tail, _diverged, _quad, _quad_each
 from .numerics import (
+    _EPS,
+    _TINY,
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     gamma_expectation,
@@ -64,7 +67,6 @@ from .numerics import (
 )
 from .records import (
     RecordSpec,
-    gamma_transform_point,
     record_cdf,
     record_distribution,
     record_survival,
@@ -83,8 +85,6 @@ __all__ = [
     "compute_record_measure",
 ]
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 _LOG_MAX = math.log(float(np.finfo(float).max))
 
 
@@ -112,7 +112,7 @@ class RecordMeasureRequest:
 
 def _require_side(spec: RecordSpec, side: str, what: str) -> None:
     if spec.side != side:
-        raise ParameterError(f"{what} is defined for {side} records, got {spec.side!r}")
+        raise ParameterError(f"{what} is defined for {side} records; got side {spec.side!r}")
 
 
 def _gamma_failure(parent: Distribution, side: str, what: str, exc: QuadratureError):
@@ -191,12 +191,6 @@ def _cumulative_expectation(measure: str, parent: Distribution, spec: RecordSpec
     return MeasureResult(value, "gamma_expectation", err)
 
 
-def _quadrature(measure: str, parent: Distribution, spec: RecordSpec, config: QuadratureConfig):
-    # looked up at call time, so that a wrapper installed on measures sees it
-    generic = getattr(_measures, MEASURES[measure].generic)
-    return generic(record_distribution(parent, spec), parent, config)
-
-
 @dataclass(frozen=True)
 class _Measure:
     """One record measure.  Its quadrature route is ``generic``, its
@@ -227,7 +221,7 @@ MEASURES = {
     "kl": _Measure("kl divergence", "kl_divergence"),
     "relinfo": _Measure("relative information", "relative_information"),
 }
-_METHODS = ("auto", "closed_form", "quadrature", "gamma_expectation", "monte_carlo")
+_METHODS = ("auto", *_measures._METHODS)
 
 
 def _validate(measure: str, spec: RecordSpec, method: str) -> _Measure:
@@ -238,9 +232,8 @@ def _validate(measure: str, spec: RecordSpec, method: str) -> _Measure:
         raise ParameterError(f"measure must be one of {tuple(MEASURES)}, got {measure!r}")
     if method not in _METHODS:
         raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    if row.side is not None and spec.side != row.side:
-        raise ParameterError(
-            f"{measure} is defined for {row.side} records; got side {spec.side!r}")
+    if row.side is not None:
+        _require_side(spec, row.side, measure)
     if (row.gamma is None and method == "gamma_expectation"
             or not row.monte_carlo and method == "monte_carlo"):
         raise UnsupportedMethodError(f"no {method} route is known for {row.label}")
@@ -271,7 +264,9 @@ def _dispatch(
                 return row.gamma(measure, parent, spec, config)
         method = "quadrature"
     if method == "quadrature":
-        return _quadrature(measure, parent, spec, config)
+        # looked up at call time, so that a wrapper installed on measures sees it
+        generic = getattr(_measures, row.generic)
+        return generic(record_distribution(parent, spec), parent, config)
     if method == "gamma_expectation":
         return row.gamma(measure, parent, spec, config)
     from .oracle import mc_measure
@@ -345,9 +340,10 @@ def residual_inaccuracy_mean_difference_form(
 def _hazard_tail_integrand(parent: Distribution, n: int, k: int):
     """Form one's inner integrand in cumulative-hazard space.
 
-    sum_i (ks)^i/i! * e^{-(k+1)s} / f(x(s)), x(s) the record-scale image
-    of the cumulative hazard s.  Points where the transformed abscissa has
-    collapsed onto a support endpoint carry true mass below working
+    sum_i (ks)^i/i! * e^{-(k+1)s} / f(x(s)), x(s) the upper record-scale
+    image of the cumulative hazard s, with log f(x(s)) from the parent's
+    ``log_pdf_at_tail``.  Points where it is not finite (a custom law's
+    inverse rounds onto a support end) carry true mass below working
     precision and are dropped.
     """
     log_k = math.log(k)
@@ -355,21 +351,14 @@ def _hazard_tail_integrand(parent: Distribution, n: int, k: int):
 
     def tail_sum(s):
         s = np.asarray(s, float)
-        flat = np.atleast_1d(s).astype(float)
-        out = np.zeros(flat.shape)
-        live = flat < 700.0
-        if np.any(live):
-            sl = flat[live]
-            with np.errstate(all="ignore"):
-                x = np.asarray(gamma_transform_point(parent, "upper", sl), float)
-                lp = np.asarray(parent.log_pdf(x), float)
-                base = -(k + 1.0) * sl - lp
-                ls = np.log(sl)
-                acc = np.zeros(sl.shape)
-                for i in range(n):
-                    acc += np.exp(base + i * (log_k + ls) - log_fact[i])
-            out[live] = np.where(np.isfinite(lp), acc, 0.0)
-        return out.reshape(s.shape)[()]
+        with np.errstate(all="ignore"):
+            lp = np.asarray(parent.log_pdf_at_tail("upper", s), float)
+            base = -(k + 1.0) * s - lp
+            ls = np.log(s)
+            acc = np.zeros(s.shape)
+            for i in range(n):
+                acc += np.exp(base + i * (log_k + ls) - log_fact[i])
+        return np.where(np.isfinite(lp), acc, 0.0)[()]
 
     return tail_sum
 
@@ -469,17 +458,23 @@ def _knot_chain(integrals, anchor: float, cfg: QuadratureConfig):
     return at
 
 
+# double integrals: keep the budgets modest, agreement is checked at 1e-6
+_HAZARD_QUADRATURE = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400)
+
+
 def residual_inaccuracy_hazard_forms(
     parent: Distribution,
     spec: RecordSpec,
-    config: QuadratureConfig | None = None,
+    config: QuadratureConfig = _HAZARD_QUADRATURE,
 ) -> tuple[MeasureResult, MeasureResult]:
     """Two double-integral representations weighted by hazard quantities.
 
     Form one integrates the parent hazard rate against tail integrals of
     (-k log survival)^i survival^k; form two integrates the density
     weight survival^(k-1) pdf against head integrals of
-    (-k log survival)^(i+1).  Both must agree with the direct path.
+    (-k log survival)^(i+1).  Both must agree with the direct path.  The
+    outer integrals run to ``config``, the inner ones to a tenth of its
+    tolerances.
 
     Form one's tail integrals are evaluated after substituting the
     cumulative hazard s for the integration variable.  In x-space a heavy
@@ -517,16 +512,7 @@ def residual_inaccuracy_hazard_forms(
     _require_side(spec, "upper", "hazard double-integral forms")
     n, k = spec.n, spec.k
     lo, hi = parent.support
-    if config is None:
-        # double integrals: keep the budgets modest, agreement is checked
-        # at 1e-6 anyway
-        outer_cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=400)
-        inner_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=400)
-    else:
-        outer_cfg = config
-        inner_cfg = replace(
-            config, abs_tol=0.1 * config.abs_tol, rel_tol=0.1 * config.rel_tol
-        )
+    inner_cfg = replace(config, abs_tol=config.abs_tol / 10, rel_tol=config.rel_tol / 10)
     tail_sum = _hazard_tail_integrand(parent, n, k)
     head_sum = _hazard_head_integrand(parent, n, k)
     tail = _knot_chain(
@@ -578,9 +564,9 @@ def residual_inaccuracy_hazard_forms(
     # runs: no node then chains from a knot on the other side.  For lo < 0,
     # or the whole line (split at 0, probed at +-1), that knot is missing
     # and values can move in the last bits, within the inner tolerance.
-    one = _quad(form_one_outer, (lo, hi), outer_cfg, "hazard-weighted form one",
+    one = _quad(form_one_outer, (lo, hi), config, "hazard-weighted form one",
                 elementwise=False)
-    two = _quad(form_two_outer, (lo, hi), outer_cfg, "hazard-weighted form two",
+    two = _quad(form_two_outer, (lo, hi), config, "hazard-weighted form two",
                 elementwise=False)
     return one, two
 

@@ -16,7 +16,7 @@ rate k.  Expectations of record functionals reduce to gamma-weighted
 integrals in t through it; the gamma routes take the parent's density at
 the record scale as a function of t (``Distribution.log_pdf_at_tail``).
 The transform itself, ``gamma_transform_point``, is how record values
-are sampled, and it maps the hazard forms' tail integrals back to x.
+are sampled.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import numerics as _nx
 from .distributions import Distribution
 from .errors import DomainError, ParameterError
-from .numerics import log_gamma, log_gammaincc
+from .numerics import _TINY, log_gamma, log_gammaincc
 
 __all__ = [
     "RecordSpec",
@@ -44,7 +44,9 @@ __all__ = [
 ]
 
 _SIDES = ("upper", "lower")
-_TINY = np.finfo(float).tiny
+
+# the most draws one sampler call makes: a stream scan or sample_record
+STREAM_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,13 @@ def sample_record(
     sums are those of ``.sum(axis=1)`` on the (count, n) draws, bit for
     bit, but rows of fewer than 8 terms are added column by column: the
     row reduction costs one inner-loop call per row (see ``_row_sums``).
+    More than ``STREAM_CAP`` draws in all (count * n) are refused.
     """
     if not (isinstance(count, (int, np.integer)) and count >= 1):
         raise ParameterError(f"count must be an integer >= 1, got {count!r}")
+    draws = int(count) * spec.n
+    if draws > STREAM_CAP:
+        raise ParameterError(f"count * n = {draws} draws exceeds the budget of {STREAM_CAP}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     t = _row_sums(rng.exponential(scale=1.0 / spec.k, size=(count, spec.n)))

@@ -230,6 +230,18 @@ class TestExitCodes:
         )
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("cell, code, stderr", [
+        (("--dist", "weibull", "--param", "lambda=1e-300", "--param", "beta=1e-300",
+          "--n", "2"), 0, ""),
+        (("--dist", "exponential", "--param", "theta=1", "--n", "100000000", "--method", "mc"),
+         2, "error: count * n = 10000000000000 draws exceeds the budget of 100000000\n"),
+    ], ids=["weibull-product-underflows", "mc-draw-budget"])
+    def test_extreme_arguments_exit_without_a_traceback(self, cell, code, stderr):
+        # both raised bare Python exceptions: ValueError, MemoryError
+        res = run_cli("compute", *cell, "--measure", "kerridge", "--side", "upper", "--k", "1")
+        assert res.returncode == code
+        assert res.stderr == stderr
+
     def test_divergent_measure_exits_three(self):
         res = run_cli(
             "compute", "--dist", "exponential", "--param", "theta=1",

@@ -134,6 +134,12 @@ class TestParameterValidation:
         with pytest.raises(ParameterError):
             factory()
 
+    @pytest.mark.parametrize("lam, beta", [(1e-300, 1e-300), (1e200, 1e200)])
+    def test_weibull_parameters_whose_product_leaves_the_double_range(self, lam, beta):
+        # log(lam * beta) raised a bare ValueError on the underflowed product
+        d = make_weibull(lam, beta)
+        assert d.log_pdf(1.0) == pytest.approx(math.log(lam) + math.log(beta) - lam, rel=1e-15)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("dist", catalog(), ids=lambda d: f"{d.name}{d.params}")

@@ -15,6 +15,7 @@ from scipy import integrate as si
 from recinacc import measures as M
 from recinacc.distributions import (
     affine_transform,
+    make_custom,
     make_exponential,
     make_pareto,
     make_power_decreasing,
@@ -228,6 +229,25 @@ class TestErrorContracts:
 
 
 class TestFarTails:
+    def test_entropy_of_a_custom_logistic_law(self):
+        # a whole-line law: the tail ladder runs toward -inf as well
+        def pdf(x):
+            e = np.exp(-np.abs(np.asarray(x, float)))
+            return (e / (1.0 + e) ** 2)[()]
+
+        def cdf(x):
+            x = np.asarray(x, float)
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
+
+        def quantile(p):
+            p = np.asarray(p, float)
+            return (np.log(p) - np.log1p(-p))[()]
+
+        logistic = make_custom(pdf, cdf, quantile, (-math.inf, math.inf), name="logistic")
+        res = M.shannon_entropy(logistic)
+        assert abs(res.value - 2.0) <= res.abs_error_estimate < 1e-10
+
     @pytest.mark.parametrize("theta", [2.0, 3.0])
     def test_residual_inaccuracy_of_first_lower_record_on_pareto(self, theta):
         # the first lower 1-record law is the parent, with survival built

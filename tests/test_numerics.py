@@ -106,6 +106,29 @@ class TestIntegrate:
             integrate(lambda x: x, (1.0, 1.0))
         with pytest.raises(DomainError):
             integrate(lambda x: x, (2.0, 1.0))
+        for interval in [(math.nan, 1.0), (0.0, math.nan)]:
+            with pytest.raises(DomainError, match="must not be NaN"):
+                integrate(lambda x: x, interval)
+
+    def test_nodes_round_onto_an_endpoint_only_away_from_zero(self):
+        # refinement toward a singular end narrows a panel there until a
+        # node rounds onto the end; floats are dense enough near 0 that no
+        # node reaches it
+        seen = []
+
+        def inv_sqrt(x):
+            x = np.asarray(x, float)
+            seen.append(float(x.min()))
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.sqrt(x)
+
+        with pytest.raises(IntegrandError) as exc:
+            integrate(lambda x: inv_sqrt(1.0 - x), (0.0, 1.0))
+        assert exc.value.abscissa == 1.0
+        seen.clear()
+        r = integrate(inv_sqrt, (0.0, 1.0))
+        assert r.value == pytest.approx(2.0, abs=1e-8)
+        assert min(seen) > 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -94,6 +94,11 @@ class TestStreamExtraction:
         with pytest.raises(StreamCapError):
             O.stream_record_sample(U, "upper", 1, 12, reps=200, seed=0)
 
+    @pytest.mark.parametrize("reps", [0, 2.5])
+    def test_bad_reps_is_a_parameter_error(self, reps):
+        with pytest.raises(ParameterError, match="reps must be a positive integer"):
+            O.stream_record_sample(E1, "upper", 2, 2, reps=reps, seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 2.5, "x"])
     @pytest.mark.parametrize("sampler", ["stream_extract_records", "stream_record_sample"])
     def test_bad_seed_is_a_parameter_error(self, sampler, seed):
@@ -134,6 +139,13 @@ class TestMcMeasure:
         assert res.method == "monte_carlo"
         assert res.abs_error_estimate < 0.01
         assert abs(res.value - 2.0) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("measure", ["kerridge", "cri"])
+    def test_error_estimate_is_a_python_float(self, measure):
+        req = RM.RecordMeasureRequest(E1, RecordSpec("upper", 2, 1), measure)
+        res = O.mc_measure(req, O.McConfig(samples=10_000, seed=1))
+        assert type(res.value) is float
+        assert type(res.abs_error_estimate) is float
 
     def test_uniform_kerridge_is_exactly_zero(self):
         req = RM.RecordMeasureRequest(U, RecordSpec("upper", 3, 2), "kerridge")

@@ -33,6 +33,7 @@ from recinacc.errors import (
     UnsupportedMethodError,
 )
 from recinacc.numerics import QuadratureConfig
+from recinacc.oracle import mc_measure
 from recinacc.records import RecordSpec, record_distribution
 
 E1 = make_exponential(1.0)
@@ -190,6 +191,13 @@ class TestKerridgeRouteAgreement:
         message = str(exc.value)
         assert "integrand at t=37.895" in message and 'method="quadrature"' in message
         assert "np.float64(" not in message
+
+    @pytest.mark.parametrize("route", [RM.kerridge_record, RM.residual_record_inaccuracy])
+    def test_gamma_route_out_of_budget_is_likely_divergent(self, route):
+        # a gamma route's non-convergence is not a refusal: no fallback takes it
+        with pytest.raises(DivergenceError) as exc:
+            route(W205, up(2, 1), "gamma_expectation", QuadratureConfig(max_subdivisions=1))
+        assert "did not converge and is likely divergent (partial value " in str(exc.value)
 
     def test_auto_kerridge_takes_quadrature_where_the_gamma_route_refuses(self):
         res = RM.kerridge_record(CUSTOM_E2, up(2, 1))
@@ -559,7 +567,7 @@ class TestLookAhead:
         log = _spy_integrands(monkeypatch)
         one, two = RM.residual_inaccuracy_hazard_forms(W205, up(2, 1))
         assert [(r.value.hex(), r.abs_error_estimate.hex()) for r in (one, two)] == [
-            ("0x1.fffffffee75a2p+1", "0x1.67f697fda87bfp-27"),
+            ("0x1.fffffffee75a2p+1", "0x1.67f697fea68a7p-27"),
             ("0x1.00000000009bcp+2", "0x1.8553fbe100f38p-30"),
         ]
         outer = [(sum(sizes), consumed) for name, sizes, consumed in log if "outer" in name]
@@ -749,6 +757,24 @@ class TestRequestAndDispatch:
             with pytest.raises(error) as exc:
                 named(kwargs["parent"], kwargs["spec"], kwargs.get("method", "auto"))
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("form, spec, what", [
+        (RM.residual_inaccuracy_mean_difference_form, low(2), "mean-difference form"),
+        (RM.residual_inaccuracy_hazard_forms, low(2), "hazard double-integral forms"),
+        (RM.past_inaccuracy_cdf_difference_form, up(2), "cdf-difference form"),
+        (lambda parent, spec: RM.scale_shift_check(parent, spec, 2.0, 1.0), low(2),
+         "scale-shift check"),
+    ], ids=["mean-difference", "hazard", "cdf-difference", "scale-shift"])
+    def test_representation_forms_refuse_the_other_side(self, form, spec, what):
+        # the measures' wording: one side check for requests and forms
+        with pytest.raises(ParameterError) as exc:
+            form(E1, spec)
+        side, other = ("upper", "lower") if spec.side == "lower" else ("lower", "upper")
+        assert str(exc.value) == f"{what} is defined for {side} records; got side '{other}'"
+
+    def test_monte_carlo_route_is_mc_measure(self):
+        request = RM.RecordMeasureRequest(E1, up(2, 1), "kerridge", "monte_carlo")
+        assert RM.kerridge_record(E1, up(2, 1), "monte_carlo") == mc_measure(request)
 
     def test_dispatch_routes_to_each_measure(self):
         r = RM.compute_record_measure(

@@ -273,6 +273,14 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_record(make_exponential(1.0), RecordSpec("upper", 1, 1), seed=0, count=0)
 
+    def test_refuses_more_draws_than_the_budget(self):
+        # 10^13 exponentials: numpy's allocator failed with a bare MemoryError
+        with pytest.raises(ParameterError) as exc:
+            sample_record(make_exponential(1.0), RecordSpec("upper", 10**8, 1), seed=0,
+                          count=100_000)
+        assert str(exc.value) == (
+            "count * n = 10000000000000 draws exceeds the budget of 100000000")
+
     @pytest.mark.parametrize("count", [2.5, "100"])
     def test_rejects_non_integer_count(self, count):
         with pytest.raises(ParameterError, match="count"):
