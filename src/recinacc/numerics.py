@@ -30,20 +30,25 @@ gamma density is a difference of regularised incomplete gamma functions,
 accurate to a few eps of its peak at every shape.
 
 This module is the package's one gateway to ``scipy.special``, and it
-imports it on first use: the import costs more than the rest of the
-package together, and the closed forms need only ``math`` and numpy.
+loads scipy on first use: the closed forms need only ``math`` and numpy.
 Each special function the package uses is a module-level name here
 (``gammainc``, ``gammaincc``, ``gammaincinv``, ``gammainccinv``, ``gammaln``,
 ``hyp1f1``, ``psi``, ``smirnov``, ``xlogy``) that starts as a stand-in;
-its first call imports ``scipy.special`` and puts scipy's function in its
-place.  Other modules call them as ``numerics.<name>``, so that from then
-on a call costs one attribute lookup, as ``scipy.special.<name>`` would.
+its first call loads the compiled module ``scipy.special._ufuncs`` and
+puts scipy's function in its place.  That skips ``scipy.special``'s
+package init, whose array-API layer imports much of numpy (``numpy.f2py``,
+``numpy.testing``, ``numpy.ma``) and costs more than the rest of a command;
+the functions are the ones ``scipy.special`` exports, the same objects.
+Other modules call them as ``numerics.<name>``, so that from then on a
+call costs one attribute lookup, as ``scipy.special.<name>`` would.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -70,14 +75,29 @@ __all__ = [
 ]
 
 
+def _ufuncs():
+    """``scipy.special._ufuncs``, without running scipy.special's init
+    unless something has already imported it."""
+    if "scipy.special" in sys.modules:
+        return importlib.import_module("scipy.special._ufuncs")
+    # an empty package module stands in for scipy.special while its compiled
+    # submodule loads; a later ``import scipy.special`` runs the real init,
+    # which reuses the loaded submodule
+    spec = importlib.util.find_spec("scipy.special")
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        del sys.modules["scipy.special"]
+
+
 def _from_scipy(name: str) -> Callable:
-    """A stand-in for ``scipy.special.<name>``: its first call imports
-    scipy.special and binds scipy's function to ``name`` in this module."""
+    """A stand-in for ``scipy.special.<name>``: its first call loads
+    scipy.special's compiled ufuncs and binds scipy's function to ``name``
+    in this module."""
 
     def first_call(*args, **kwargs):
-        from scipy import special
-
-        fn = globals()[name] = getattr(special, name)
+        fn = globals()[name] = getattr(_ufuncs(), name)
         return fn(*args, **kwargs)
 
     first_call.__name__ = first_call.__qualname__ = name

@@ -20,7 +20,7 @@ from .distributions import Distribution
 from .errors import ContaminationError, ParameterError, StreamCapError
 from .measures import MeasureResult
 from .record_measures import _validate
-from .records import STREAM_CAP, RecordSpec, check_seed, sample_record
+from .records import STREAM_CAP, RecordSpec, check_draws, check_seed, sample_record
 
 # every stochastic routine in this package derives its stream from this
 # generator family; recorded in verification reports for reproducibility
@@ -205,6 +205,8 @@ def mc_measure(request, cfg: McConfig | None = None) -> MeasureResult:
     # cumulative measures: one substream per term of the order expansion
     n, k = spec.n, spec.k
     ratio_num = parent.survival if request.measure == "cri" else parent.cdf
+    # the last term, of order n + 1, draws the most: refuse before sampling
+    check_draws(cfg.samples, n + 1)
     children = root.spawn(n)
     total = 0.0
     var_total = 0.0

@@ -210,6 +210,14 @@ def check_seed(seed) -> None:
         )
 
 
+def check_draws(count: int, n: int) -> None:
+    """Raise ParameterError if ``sample_record`` would refuse count n-th
+    records: more than ``STREAM_CAP`` draws in all."""
+    draws = int(count) * n
+    if draws > STREAM_CAP:
+        raise ParameterError(f"count * n = {draws} draws exceeds the budget of {STREAM_CAP}")
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)`` bit for bit.
 
@@ -244,9 +252,7 @@ def sample_record(
     """
     if not (isinstance(count, (int, np.integer)) and count >= 1):
         raise ParameterError(f"count must be an integer >= 1, got {count!r}")
-    draws = int(count) * spec.n
-    if draws > STREAM_CAP:
-        raise ParameterError(f"count * n = {draws} draws exceeds the budget of {STREAM_CAP}")
+    check_draws(count, spec.n)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     t = _row_sums(rng.exponential(scale=1.0 / spec.k, size=(count, spec.n)))

@@ -455,12 +455,15 @@ class TestVerify:
 
 class TestColdStart:
     def test_scipy_loads_on_first_use(self):
-        # scipy.special takes a large share of a cold start; numerics imports
-        # it on first use, so import, help, the closed forms, a closed-form
-        # table and Monte Carlo never load it.  The gamma route and the
-        # oracle suite load it, and still neither scipy.stats (the suite
-        # computes its KS p-values itself) nor scipy.linalg (nothing needs
-        # it).  numpy.random waits for the first sampler: Monte Carlo here
+        # scipy takes a large share of a cold start; numerics loads it on
+        # first use, so import, help, the closed forms, a closed-form table
+        # and Monte Carlo never load it.  The gamma route and the oracle
+        # suite load scipy.special's compiled ufuncs alone: not the
+        # scipy.special package, whose init imports its array-API layer and
+        # with it numpy.f2py, numpy.testing and numpy.ma; nor scipy.stats
+        # (the suite computes its KS p-values itself) nor scipy.linalg
+        # (nothing needs it).  numpy.random waits for the first sampler:
+        # Monte Carlo here
         args = {
             "compute exponential cri": "compute --dist exponential --param theta=2 --measure cri"
                                        " --side upper --n 3 --k 2",
@@ -480,7 +483,9 @@ class TestColdStart:
         probe = "\n".join([
             "import contextlib, io, json, sys",
             "def loaded(step):",
-            "    heavy = ('numpy.random', 'scipy', 'scipy.special', 'scipy.stats', 'scipy.linalg')",
+            "    heavy = ('numpy.random', 'scipy', 'scipy.special._ufuncs', 'scipy.special',",
+            "             'scipy._lib._array_api', 'scipy.stats', 'scipy.linalg', 'numpy.f2py',",
+            "             'numpy.testing', 'numpy.ma')",
             "    print(json.dumps([step, [m for m in heavy if m in sys.modules]]))",
             "import recinacc",
             "loaded('import recinacc')",
@@ -505,6 +510,6 @@ class TestColdStart:
         assert len(steps) == len(args) + 2
         assert {step: mods for step, mods in steps.items() if mods} == {
             "compute exponential mc": ["numpy.random"],
-            "compute exponential gamma": ["numpy.random", "scipy", "scipy.special"],
-            "verify oracle": ["numpy.random", "scipy", "scipy.special"],
+            "compute exponential gamma": ["numpy.random", "scipy", "scipy.special._ufuncs"],
+            "verify oracle": ["numpy.random", "scipy", "scipy.special._ufuncs"],
         }

@@ -5,6 +5,9 @@ from the code under test.
 """
 
 import math
+import subprocess
+import sys
+import textwrap
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CHILD_ENV
 from recinacc import numerics
 from recinacc.errors import (
     DomainError,
@@ -662,17 +666,22 @@ class TestDigamma:
             digamma(-1.5)
 
 
+# each special function numerics stands in for, with arguments to call it on
+SPECIAL_CASES = [
+    ("gammainc", (3, 1.5)),
+    ("gammaincc", (3, 1.5)),
+    ("gammaincinv", (3, 0.25)),
+    ("gammainccinv", (3, 0.25)),
+    ("gammaln", (7.5,)),
+    ("hyp1f1", (1, 4, 0.5)),
+    ("psi", (2.5,)),
+    ("xlogy", (0.5, 3.0)),
+    ("smirnov", (5, 0.3)),
+]
+
+
 class TestScipySpecialGateway:
-    @pytest.mark.parametrize("name, args", [
-        ("gammainc", (3, 1.5)),
-        ("gammaincc", (3, 1.5)),
-        ("gammaincinv", (3, 0.25)),
-        ("gammainccinv", (3, 0.25)),
-        ("gammaln", (7.5,)),
-        ("hyp1f1", (1, 4, 0.5)),
-        ("psi", (2.5,)),
-        ("xlogy", (0.5, 3.0)),
-    ])
+    @pytest.mark.parametrize("name, args", SPECIAL_CASES)
     def test_first_call_puts_scipys_function_in_place(self, name, args):
         # from the first call on, numerics.<name> is scipy's ufunc itself,
         # so a call through it costs no Python frame of the package's own
@@ -680,6 +689,52 @@ class TestScipySpecialGateway:
 
         assert getattr(numerics, name)(*args) == getattr(special, name)(*args)
         assert getattr(numerics, name) is getattr(special, name)
+
+    # This process has imported scipy.special already (through the tests
+    # that use scipy.stats), so the stand-ins' load without the package
+    # init runs in fresh interpreters.
+    @pytest.mark.parametrize("probe", [
+        # stand-ins first: the package init that a later import runs reuses
+        # the loaded ufuncs, so numerics and scipy.special share them
+        """
+        first = {name: getattr(numerics, name)(*args) for name, args in CASES}
+        assert "scipy.special" not in sys.modules
+        import scipy.special
+        for name, args in CASES:
+            assert getattr(numerics, name) is getattr(scipy.special, name), name
+            assert getattr(scipy.special, name)(*args) == first[name], name
+        """,
+        # scipy.stats imports after the stand-ins' load; n <= 140 is a branch
+        # of kstwo.sf that verify leaves to scipy.stats
+        """
+        numerics.smirnov(5, 0.3)
+        assert "scipy.special" not in sys.modules
+        from scipy import stats
+        assert stats.kstwo.sf(0.01, 100) == verify._kstwo_sf(0.01, 100)
+        """,
+        # scipy.special imported first: the gateway takes its ufuncs from it
+        # and leaves the package in place
+        """
+        import scipy.special
+        package = sys.modules["scipy.special"]
+        for name, args in CASES:
+            getattr(numerics, name)(*args)
+            assert getattr(numerics, name) is getattr(scipy.special, name), name
+        assert sys.modules["scipy.special"] is package
+        """,
+    ], ids=["stand-ins-first", "scipy-stats-after", "scipy-special-first"])
+    def test_fresh_interpreter(self, probe):
+        script = "\n".join([
+            "import sys",
+            "from recinacc import numerics, verify",
+            f"CASES = {SPECIAL_CASES!r}",
+            textwrap.dedent(probe),
+        ])
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=600,
+            env=CHILD_ENV,
+        )
+        assert res.returncode == 0, res.stderr
 
     def test_sp_is_scipy_special(self):
         from scipy import special

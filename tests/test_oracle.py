@@ -14,6 +14,7 @@ from scipy import stats
 
 from recinacc import oracle as O
 from recinacc import record_measures as RM
+from recinacc import records as R
 from recinacc.distributions import (
     make_custom,
     make_exponential,
@@ -199,6 +200,23 @@ class TestMcMeasure:
         with pytest.raises(UnsupportedMethodError) as exc:
             O.mc_measure(req, O.McConfig(samples=10_000, seed=0))
         assert str(exc.value) == f"no monte_carlo route is known for {label}"
+
+    @pytest.mark.parametrize("measure, side", [("cri", "upper"), ("cpi", "lower")])
+    def test_over_budget_refused_before_any_sampling(self, monkeypatch, measure, side):
+        # the cumulative branch samples orders 2 .. n + 1; the last term's
+        # draws are over the cap, so nothing is sampled before the refusal,
+        # which is the one sample_record gives for that term
+        monkeypatch.setattr(R, "STREAM_CAP", 200_000)
+        n, samples = 1000, 1000
+        with pytest.raises(ParameterError) as direct:
+            sample_record(E1, RecordSpec(side, n + 1, 1), 0, samples)
+        calls = []
+        monkeypatch.setattr(O, "sample_record", lambda *a: calls.append(a))
+        req = RM.RecordMeasureRequest(E1, RecordSpec(side, n, 1), measure)
+        with pytest.raises(ParameterError) as exc:
+            O.mc_measure(req, O.McConfig(samples=samples, seed=0))
+        assert str(exc.value) == str(direct.value)
+        assert calls == []
 
     def test_contaminated_functional_raises(self):
         # valid uniform law, but the log-density is poisoned near 1 where
