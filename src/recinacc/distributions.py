@@ -9,7 +9,8 @@ precision.
 
 Each catalog family is described once, in log space: its support, six
 formulas for points inside it and the closed forms of the record measures
-it admits.  One function, ``_family``, turns that into a Distribution.
+it admits.  One function, ``_family``, turns that into a Distribution,
+and builds custom and affine laws from their log forms too.
 
 Conventions: support endpoints are open; evaluating a pdf exactly at an
 endpoint returns the one-sided limit, evaluation outside the support
@@ -20,7 +21,7 @@ floats or numpy arrays and return matching scalars or arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Mapping
 
@@ -49,16 +50,17 @@ _INF = math.inf
 class Distribution:
     """A continuous distribution described by its standard functions.
 
-    ``log_cdf`` and ``log_survival`` default to logs of the plain
-    functions, but catalog members and record laws supply their own
-    formulas: record-value densities need the cumulative hazard -log S(x)
-    far beyond the point where S(x) itself underflows.  ``hazard`` (pdf/survival) and
+    No field has a default: ``_family`` builds every law but record laws,
+    which ``records.record_distribution`` builds.  Record-value densities
+    need the log tails, the cumulative hazard -log S(x) far beyond the
+    point where S(x) itself underflows.  ``hazard`` (pdf/survival) and
     ``reversed_hazard`` (pdf/cdf) are derived on demand.
 
     ``log_pdf_at_tail(side, t)`` is log f(x(t)) at x(t) = S^-1(e^-t) for
     upper records and F^-1(e^-t) for lower ones, t > 0.  Catalog families
     give it without forming x(t), which rounds onto a support end far out;
-    other laws compose ``log_pdf`` with the inverse.
+    an affine law shifts its parent's; other laws compose ``log_pdf`` with
+    the inverse.
 
     ``closed_forms`` maps a record measure ('kerridge', 'cri', 'cpi') to a
     function of (side, n, k) giving its exact value, or None on a side it
@@ -75,19 +77,10 @@ class Distribution:
     survival: Callable
     quantile: Callable
     inverse_survival: Callable
-    log_cdf: Callable = None
-    log_survival: Callable = None
-    log_pdf_at_tail: Callable = None
-    closed_forms: Mapping[str, Callable] | None = None
-
-    def __post_init__(self) -> None:
-        if self.log_cdf is None:
-            object.__setattr__(self, "log_cdf", _log_of(self.cdf))
-        if self.log_survival is None:
-            object.__setattr__(self, "log_survival", _log_of(self.survival))
-        if self.log_pdf_at_tail is None:
-            object.__setattr__(self, "log_pdf_at_tail", partial(
-                _log_pdf_through_inverse, self.log_pdf, self.quantile, self.inverse_survival))
+    log_cdf: Callable
+    log_survival: Callable
+    log_pdf_at_tail: Callable
+    closed_forms: Mapping[str, Callable] | None
 
     def hazard(self, x):
         return self.pdf(x) / self.survival(x)
@@ -96,12 +89,8 @@ class Distribution:
         return self.pdf(x) / self.cdf(x)
 
 
-def _log_of(f: Callable) -> Callable:
-    def log_f(x):
-        with np.errstate(divide="ignore"):
-            return np.log(np.asarray(f(x), float))[()]
-
-    return log_f
+def _on_floats(f: Callable) -> Callable:
+    return lambda x: np.asarray(f(np.asarray(x, float)), float)[()]
 
 
 _LOG_2 = math.log(2.0)
@@ -179,16 +168,17 @@ def _family(
     log_cdf: Callable,
     quantile: Callable,
     inverse_survival: Callable,
-    log_pdf_by_tails: Callable,
+    log_pdf_by_tails: Callable | None = None,
     **closed_forms: Callable,
 ) -> Distribution:
-    """A catalog Distribution from formulas valid inside its support and
-    the closed forms of (side, n, k) of its record measures, by measure.
+    """A Distribution from formulas valid inside its support and the
+    closed forms of (side, n, k) of its record measures, by measure.
 
     ``log_pdf`` holds on the closed support (its endpoint values are the
     one-sided limits), the log tails on the open one.  ``log_pdf_by_tails``
     gives log f from (log S, log F), which at x(t) are (-t, log(1 - e^-t))
-    for upper records and the reverse for lower ones.  pdf, cdf and
+    for upper records and the reverse for lower ones; a law without it
+    composes the masked ``log_pdf`` with the inverses.  pdf, cdf and
     survival exponentiate their own log forms: cdf = -expm1(log_survival)
     would lose a cdf below machine epsilon.  They close over the formulas,
     not the fields, so replacing one field leaves the others unchanged.
@@ -200,22 +190,24 @@ def _family(
         with np.errstate(divide="ignore"):
             return log_cdf(x)
 
-    def unmasked(f):
-        return lambda p: f(np.asarray(p, float))[()]
-
-    def log_pdf_at_tail(side, t):
-        t = np.asarray(t, float)
-        tails = (-t, _log1mexp(-t))
-        return log_pdf_by_tails(*(tails if side == "upper" else tails[::-1]))[()]
+    log_density = _on_support(log_pdf, lo, hi, True, -_INF, -_INF)
+    quantile, inverse_survival = _on_floats(quantile), _on_floats(inverse_survival)
+    if log_pdf_by_tails is None:
+        log_pdf_at_tail = partial(_log_pdf_through_inverse, log_density, quantile, inverse_survival)
+    else:
+        def log_pdf_at_tail(side, t):
+            t = np.asarray(t, float)
+            tails = (-t, _log1mexp(-t))
+            return log_pdf_by_tails(*(tails if side == "upper" else tails[::-1]))[()]
 
     return Distribution(
         name, params, support,
         pdf=_on_support(lambda x: np.exp(log_pdf(x)), lo, hi, True, 0.0, 0.0),
-        log_pdf=_on_support(log_pdf, lo, hi, True, -_INF, -_INF),
+        log_pdf=log_density,
         cdf=_on_support(lambda x: np.exp(quiet_log_cdf(x)), lo, hi, False, 0.0, 1.0),
         survival=_on_support(lambda x: np.exp(log_survival(x)), lo, hi, False, 1.0, 0.0),
-        quantile=unmasked(quantile),
-        inverse_survival=unmasked(inverse_survival),
+        quantile=quantile,
+        inverse_survival=inverse_survival,
         log_cdf=_on_support(quiet_log_cdf, lo, hi, False, -_INF, 0.0),
         log_survival=_on_support(log_survival, lo, hi, False, 0.0, -_INF),
         log_pdf_at_tail=log_pdf_at_tail,
@@ -386,21 +378,12 @@ def make_custom(
     :class:`ConsistencyError` naming the probe, catching sign errors and
     mismatched parameterizations before they poison downstream integrals.
     Whatever its ``name`` and ``params``, the result has no closed forms.
+    ``_family`` builds it from log forms (of the plain functions where none
+    is given), so it is masked at its support as a catalog law is.
     """
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise ParameterError(f"support must satisfy lo < hi, got {support!r}")
-
-    if log_pdf is None:
-        log_pdf = _log_of(pdf)
-
-    if survival is None:
-        def survival(x, _cdf=cdf):
-            return 1.0 - np.asarray(_cdf(x), float)
-
-    if inverse_survival is None:
-        def inverse_survival(q, _quantile=quantile):
-            return np.asarray(_quantile(1.0 - np.asarray(q, float)), float)
 
     for x in _interior_probes(quantile).tolist():
         h = 1e-6 * max(1.0, abs(x))
@@ -419,10 +402,21 @@ def make_custom(
                 f"quantile-cdf roundtrip probe failed at x={x!r}: got {roundtrip!r}"
             )
 
-    return Distribution(
+    def log_form(log_f, f):
+        def log_of(x):
+            with np.errstate(divide="ignore"):
+                return np.log(np.asarray(f(x), float))
+
+        return log_of if log_f is None else _on_floats(log_f)
+
+    survival = survival or (lambda x: 1.0 - np.asarray(cdf(x), float))
+    return _family(
         name, dict(params or {}), (lo, hi),
-        pdf, log_pdf, cdf, survival, quantile, inverse_survival,
-        log_cdf, log_survival,
+        log_pdf=log_form(log_pdf, pdf),
+        log_survival=log_form(log_survival, survival),
+        log_cdf=log_form(log_cdf, cdf),
+        quantile=quantile,
+        inverse_survival=inverse_survival or (lambda q: quantile(1.0 - q)),
     )
 
 
@@ -435,20 +429,15 @@ def affine_transform(dist: Distribution, a: float, b: float) -> Distribution:
     lo, hi = dist.support
     log_a = math.log(a)
 
-    def back(y):
-        return (np.asarray(y, float) - b) / a
-
-    return Distribution(
+    law = _family(
         f"affine({dist.name})",
         {**dist.params, "scale": a, "shift": b},
         (a * lo + b, a * hi + b),
-        lambda y: dist.pdf(back(y)) / a,
-        lambda y: dist.log_pdf(back(y)) - log_a,
-        lambda y: dist.cdf(back(y)),
-        lambda y: dist.survival(back(y)),
-        lambda p: a * np.asarray(dist.quantile(p), float) + b,
-        lambda q: a * np.asarray(dist.inverse_survival(q), float) + b,
-        lambda y: dist.log_cdf(back(y)),
-        lambda y: dist.log_survival(back(y)),
-        lambda side, t: dist.log_pdf_at_tail(side, t) - log_a,
+        log_pdf=lambda y: dist.log_pdf((y - b) / a) - log_a,
+        log_survival=lambda y: dist.log_survival((y - b) / a),
+        log_cdf=lambda y: dist.log_cdf((y - b) / a),
+        quantile=lambda p: a * dist.quantile(p) + b,
+        inverse_survival=lambda q: a * dist.inverse_survival(q) + b,
     )
+    # the parent's t-space formula holds past where x(t) rounds
+    return replace(law, log_pdf_at_tail=lambda side, t: dist.log_pdf_at_tail(side, t) - log_a)

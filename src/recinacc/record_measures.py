@@ -48,6 +48,7 @@ import numpy as np
 from . import numerics as _nx
 from .distributions import Distribution, affine_transform
 from .errors import (
+    DivergenceError,
     IntegrandError,
     ParameterError,
     QuadratureError,
@@ -177,7 +178,15 @@ def _cumulative_expectation(measure: str, parent: Distribution, spec: RecordSpec
     what = f"{MEASURES[measure].label} expectation on {parent.name}"
     edges = gamma_mass_edges(n, k)
     with np.errstate(all="ignore"):
-        peak = _certify_integrable_tail(integrand, (0.0, math.inf), what)
+        try:
+            peak = _certify_integrable_tail(integrand, (0.0, math.inf), what)
+        except DivergenceError as exc:
+            # a rung where log f is not finite refuses the route, as a node does
+            finite = np.isfinite(parent.log_pdf_at_tail(side, _measures._LADDER))
+            if finite.all():
+                raise
+            t = float(_measures._LADDER[np.argmin(finite)])
+            raise _gamma_failure(parent, side, what, IntegrandError("", t)) from exc
         cuts = sorted({0.0, 0.5 * peak, peak, 2.0 * peak}
                       | {e for e in edges if 0.5 * peak < e < 2.0 * peak}) + [math.inf]
         parts, failure = integrate_each(integrand, list(zip(cuts, cuts[1:])), config)

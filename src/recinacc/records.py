@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import numerics as _nx
-from .distributions import Distribution
+from .distributions import Distribution, _log_pdf_through_inverse
 from .errors import DomainError, ParameterError
 from .numerics import _TINY, log_gamma, log_gammaincc
 
@@ -151,10 +152,7 @@ def gamma_transform_point(parent: Distribution, side: str, t):
     t = np.asarray(t, float)
     if not np.all(t > 0.0):  # also rejects NaN
         raise DomainError("gamma transform requires t > 0")
-    e = np.exp(-t)
-    if side == "upper":
-        return np.asarray(parent.inverse_survival(e), float)[()]
-    return np.asarray(parent.quantile(e), float)[()]
+    return (parent.inverse_survival if side == "upper" else parent.quantile)(np.exp(-t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +163,8 @@ class RecordDistribution(Distribution):
     keeps record-vs-parent comparisons free of special cases.
     """
 
-    parent: Distribution = None
-    spec: RecordSpec = None
+    parent: Distribution
+    spec: RecordSpec
 
 
 def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistribution:
@@ -179,20 +177,24 @@ def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistrib
         y = inv(n, np.asarray(level, float))
         # a level of 0 or 1 maps g to 0, where back takes its support-end limit
         with np.errstate(divide="ignore"):
-            return np.asarray(back(np.exp(-y / k)), float)[()]
+            return back(np.exp(-y / k))
 
+    log_pdf = partial(record_log_pdf, parent, spec)
+    quantile, inverse_survival = partial(inverse, cdf=True), partial(inverse, cdf=False)
     return RecordDistribution(
         name=f"{spec.side}_record[n={n},k={k}]({parent.name})",
         params=dict(parent.params),
         support=parent.support,
         pdf=lambda x: record_pdf(parent, spec, x),
-        log_pdf=lambda x: record_log_pdf(parent, spec, x),
+        log_pdf=log_pdf,
         cdf=lambda x: record_cdf(parent, spec, x),
         survival=lambda x: record_survival(parent, spec, x),
         log_cdf=lambda x: _record_log_tail(parent, spec, x, cdf=True),
         log_survival=lambda x: _record_log_tail(parent, spec, x, cdf=False),
-        quantile=lambda p: inverse(p, cdf=True),
-        inverse_survival=lambda q: inverse(q, cdf=False),
+        quantile=quantile,
+        inverse_survival=inverse_survival,
+        log_pdf_at_tail=partial(_log_pdf_through_inverse, log_pdf, quantile, inverse_survival),
+        closed_forms=None,
         parent=parent,
         spec=spec,
     )

@@ -267,6 +267,24 @@ class TestExitCodes:
         assert res.stderr == single.stderr
         assert "missing ['theta']" in res.stderr
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("compute", ("--n", "1", "--param", "theta"), "--param expects name=value, got 'theta'"),
+        ("compute", ("--n", "1", "--param", "theta=abc"),
+         "parameter theta has non-numeric value 'abc'"),
+        ("table", ("--n", "1..x", "--param", "theta=1"), "--n expects INT or LO..HI, got '1..x'"),
+        ("table", ("--n", "1", "--param-grid", "theta"),
+         "--param-grid expects name=v1,v2,..., got 'theta'"),
+        ("table", ("--n", "1", "--param-grid", "theta=a,b"),
+         "--param-grid 'theta=a,b' has a non-numeric value"),
+    ], ids=["param-without-value", "param-not-a-number", "range-not-an-int",
+            "grid-without-values", "grid-not-numbers"])
+    def test_parse_errors_are_usage_errors(self, command, args, message):
+        res = run_cli(command, "--dist", "exponential", "--measure", "kerridge",
+                      "--side", "upper", "--k", "1", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
     @pytest.mark.parametrize("m", ["inf", "nan", "2.5"])
     def test_non_integer_power_is_usage_error(self, m):
         res = run_cli(

@@ -1,6 +1,5 @@
 """Catalog checks: closed-form values, normalization, inverse round trips."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recinacc.distributions import (
+    _log_pdf_through_inverse,
     affine_transform,
     make_custom,
     make_exponential,
@@ -19,8 +19,10 @@ from recinacc.distributions import (
     make_weibull,
 )
 from recinacc.errors import ConsistencyError, ParameterError
+from recinacc.measures import cumulative_past_inaccuracy
 from recinacc.numerics import integrate
-from recinacc.records import gamma_transform_point
+from recinacc.record_measures import kerridge_record
+from recinacc.records import RecordSpec, gamma_transform_point
 
 
 def catalog():
@@ -185,7 +187,8 @@ class TestInvariants:
         want = np.asarray(dist.log_pdf(gamma_transform_point(dist, side, t)), float)
         np.testing.assert_allclose(dist.log_pdf_at_tail(side, t), want, rtol=1e-12, atol=1e-13)
         # the composition that laws without the family formula get
-        composed = dataclasses.replace(dist, log_pdf_at_tail=None).log_pdf_at_tail(side, t)
+        composed = _log_pdf_through_inverse(dist.log_pdf, dist.quantile, dist.inverse_survival,
+                                            side, t)
         np.testing.assert_allclose(composed, want, rtol=1e-12, atol=1e-13)
 
     def test_weibull_lower_log_pdf_at_tail_past_the_underflow_of_e_to_the_minus_t(self):
@@ -218,6 +221,43 @@ class TestCustom:
         assert triangular.pdf(0.25) == pytest.approx(1.0, rel=1e-15)
         r = integrate(triangular.pdf, triangular.support)
         assert r.value == pytest.approx(1.0, abs=1e-10)
+
+    def test_unclipped_functions_are_masked_at_the_support(self):
+        # power-inc(2)'s formulas, which hold only on (0, 1): outside it they
+        # gave pdf 4 and cdf 4 at x = 2, and cpi against exponential(1)
+        # read 2.1646464674 where its catalog twin gives 0.6365810652
+        law = make_custom(
+            lambda x: 2.0 * np.asarray(x, float),
+            lambda x: np.asarray(x, float) ** 2,
+            lambda p: np.sqrt(np.asarray(p, float)),
+            (0.0, 1.0),
+        )
+        assert law.pdf(2.0) == 0.0 and law.cdf(2.0) == 1.0 and law.survival(2.0) == 0.0
+        assert law.pdf(-1.0) == 0.0 and law.cdf(-1.0) == 0.0 and law.survival(-1.0) == 1.0
+        res = cumulative_past_inaccuracy(law, make_exponential(1.0))
+        assert abs(res.value - 0.6365810651532333) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("given", ["plain", "all"])
+    def test_functions_may_return_lists(self, given):
+        e2 = make_exponential(2.0)
+
+        def listed(f):
+            return lambda x: np.asarray(f(x)).tolist()
+
+        optional = ("log_pdf", "survival", "inverse_survival", "log_cdf", "log_survival")
+        law = make_custom(
+            listed(e2.pdf), listed(e2.cdf), listed(e2.quantile), e2.support,
+            **{name: listed(getattr(e2, name)) for name in optional if given == "all"},
+        )
+        xs = np.array([0.0, 0.5, 3.0])
+        for name in ("pdf", "cdf", "survival", "log_pdf", "log_cdf", "log_survival"):
+            got = getattr(law, name)(xs)
+            assert isinstance(got, np.ndarray)
+            np.testing.assert_allclose(got, getattr(e2, name)(xs), rtol=1e-12)
+        assert isinstance(law.quantile(0.5), float)
+        assert law.log_pdf_at_tail("upper", 1.0) == pytest.approx(math.log(2.0) - 1.0, rel=1e-12)
+        res = kerridge_record(law, RecordSpec("upper", 2, 1))
+        assert abs(res.value - (2.0 - math.log(2.0))) <= res.abs_error_estimate + 1e-12
 
     def test_mismatched_pdf_cdf_rejected(self):
         with pytest.raises(ConsistencyError, match="pdf-cdf") as exc:

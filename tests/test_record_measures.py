@@ -192,6 +192,24 @@ class TestKerridgeRouteAgreement:
         assert "integrand at t=37.895" in message and 'method="quadrature"' in message
         assert "np.float64(" not in message
 
+    def test_tail_ladder_refuses_where_log_f_is_not_finite(self):
+        # exponential(2)'s own exact functions through make_custom: x(t)
+        # is inf once e^-t underflows, and log f there is -inf.  The tail
+        # ladder called that a divergence (D17's label); it is a refusal
+        e2 = make_exponential(2.0)
+        custom = make_custom(
+            e2.pdf, e2.cdf, e2.quantile, e2.support, log_pdf=e2.log_pdf, survival=e2.survival,
+            log_cdf=e2.log_cdf, log_survival=e2.log_survival, inverse_survival=e2.inverse_survival,
+        )
+        with pytest.raises(UnsupportedMethodError) as exc:
+            RM.residual_record_inaccuracy(custom, up(1, 1), "gamma_expectation")
+        assert str(exc.value) == (
+            "the gamma route cannot evaluate residual inaccuracy expectation on custom: its "
+            'integrand at t=1024.0 has a parent log-density of -inf; use method="quadrature"')
+        # a catalog law's log f is finite at every rung: its divergence stays one
+        with pytest.raises(DivergenceError, match="appears divergent"):
+            RM.residual_record_inaccuracy(make_pareto(0.5), up(1, 1), "gamma_expectation")
+
     @pytest.mark.parametrize("route", [RM.kerridge_record, RM.residual_record_inaccuracy])
     def test_gamma_route_out_of_budget_is_likely_divergent(self, route):
         # a gamma route's non-convergence is not a refusal: no fallback takes it
@@ -525,6 +543,32 @@ class TestHazardFormKnotChain:
         assert at([0.25, 0.75]) == [math.atan(0.25),
                                     math.atan(0.5) + (math.atan(0.75) - math.atan(0.5))]
         assert calls == [(0.0, 0.25), (0.5, 0.75)]
+
+    def test_failed_restart_from_the_anchor_raises_and_leaves_the_chain(self):
+        calls = []
+        failing = []
+
+        def integrals(spans):
+            calls.extend(spans)
+            if failing and spans == [(0.0, 0.02)]:
+                return [], DivergenceError("restart failed")
+            return [measures.MeasureResult(b - a, "quadrature", 0.6 * self.INNER.abs_tol)
+                    for a, b in spans], None
+
+        at = RM._knot_chain(integrals, 0.0, self.INNER)
+        assert at([0.01]) == [0.01]
+        failing.append(True)
+        # 0.005 settles from the anchor; 0.02 chains two pieces past the
+        # tolerance, and its direct integral from the anchor fails
+        with pytest.raises(DivergenceError, match="restart failed"):
+            at([0.005, 0.02])
+        assert calls[1:] == [(0.0, 0.005), (0.01, 0.02), (0.0, 0.02)]
+        # the failed call added no knot: 0.007 still integrates from 0, not
+        # 0.005, and 0.03 chains from 0.01, not 0.02, then restarts
+        failing.clear()
+        calls.clear()
+        assert at([0.007, 0.03]) == [0.007, 0.03]
+        assert calls == [(0.0, 0.007), (0.01, 0.03), (0.0, 0.03)]
 
 
 def _spy_integrands(monkeypatch):

@@ -3,12 +3,14 @@
 The CLI tests cover the subprocess surface; these pin the in-process
 report shape that downstream tooling parses, the oracle suite's report
 text, and its Kolmogorov-Smirnov p-values, which must equal scipy.stats's
-to the bit.
+to the bit.  The monotonicity and symmetry reports are pinned byte for
+byte too, from files under ``pinned/``.
 """
 
 import contextlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,26 @@ class TestRunSuite:
         assert {"paper-examples", "propositions", "monotonicity", "symmetry", "oracle"} == set(
             V.SUITES
         )
+
+
+def verify_output(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", *args])
+    return code, out.getvalue()
+
+
+# `recinacc verify --suite S`, captured before custom and affine laws were
+# built by the catalog's constructor (the symmetry suite's triangular law
+# is a custom one)
+PINNED = Path(__file__).parent / "pinned"
+
+
+@pytest.mark.parametrize("suite", ["monotonicity", "symmetry"])
+def test_report_text_is_pinned(suite):
+    code, text = verify_output("--suite", suite)
+    assert code == 0
+    assert text == (PINNED / f"verify_{suite}.txt").read_text()
 
 
 # `recinacc verify --suite oracle --seed S`, captured before the suite's
@@ -123,11 +145,9 @@ def fallbacks(monkeypatch):
 class TestOracleKS:
     @pytest.mark.parametrize("seed", [0, 42])
     def test_report_text(self, seed):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["verify", "--suite", "oracle", "--seed", str(seed)])
+        code, text = verify_output("--suite", "oracle", "--seed", str(seed))
         assert code == 0
-        assert out.getvalue() == ORACLE_REPORTS[seed]
+        assert text == ORACLE_REPORTS[seed]
 
     def test_suite_p_values_are_scipys(self, monkeypatch, fallbacks):
         # each test's p-value, scipy's, and whether ours called no scipy.stats
