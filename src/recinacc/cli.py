@@ -104,6 +104,8 @@ def _parse_params(pairs: list[str]) -> dict[str, float]:
         name, sep, raw = pair.partition("=")
         if not sep or not name:
             raise ParameterError(f"--param expects name=value, got {pair!r}")
+        if name in out:
+            raise ParameterError(f"parameter {name} is given twice")
         try:
             out[name] = float(raw)
         except ValueError as exc:
@@ -194,18 +196,20 @@ def cmd_table(args, out=None) -> int:
     ns = _parse_range(args.n, "--n")
     ks = _parse_range(args.k, "--k")
 
-    grids: list[tuple[str, list[float]]] = []
+    grids: dict[str, list[float]] = {}
     for raw in args.param_grid:
         name, sep, values = raw.partition("=")
         if not sep or not values:
             raise ParameterError(f"--param-grid expects name=v1,v2,..., got {raw!r}")
+        if name in params or name in grids:
+            raise ParameterError(f"parameter {name} is given twice")
         try:
-            grids.append((name, [float(v) for v in values.split(",")]))
+            grids[name] = [float(v) for v in values.split(",")]
         except ValueError as exc:
             raise ParameterError(f"--param-grid {raw!r} has a non-numeric value") from exc
 
     combos: list[dict[str, float]] = [dict(params)]
-    for name, values in grids:
+    for name, values in grids.items():
         combos = [{**combo, name: v} for combo in combos for v in sorted(values)]
     order = _param_names(args.dist, combos[0])  # every combo has the same names
 

@@ -162,15 +162,12 @@ def _diverged(exc: QuadratureError, what: str) -> DivergenceError:
     """A quadrature failure as the DivergenceError the measures raise:
     a breakdown means the integral could not be certified finite."""
     if isinstance(exc, NonConvergenceError):
-        out = DivergenceError(
+        return DivergenceError(
             f"{what} did not converge and is likely divergent "
             f"(partial value {exc.partial_value!r})",
             partial_value=exc.partial_value,
         )
-    else:
-        out = DivergenceError(f"{what} has a non-integrable singularity: {exc}")
-    out.__cause__ = exc
-    return out
+    return DivergenceError(f"{what} has a non-integrable singularity: {exc}")
 
 
 def _quad_each(fn, intervals, config: QuadratureConfig, what: str, *, elementwise=True):
@@ -179,31 +176,34 @@ def _quad_each(fn, intervals, config: QuadratureConfig, what: str, *, elementwis
     ``elementwise``); a failed integration becomes a DivergenceError
     (``_diverged``).
 
-    Returns the IntegrationResults of the intervals before the first one
-    that fails its tail certification or its integration, and that
-    failure (None if none does): for an ``fn`` that returns rather than
-    raises, the outcome of one interval after another.
+    Returns the IntegrationResults in order, or raises the failure of the
+    first interval that fails its tail certification or its integration:
+    for an ``fn`` that returns rather than raises, the outcome of one
+    interval after another.  No interval after a failed certification is
+    integrated.
     """
-    certified, error = [], None
+    certified = []
+    failure = None
     for interval in intervals:
         try:
             _certify_integrable_tail(fn, interval, what)
         except DivergenceError as exc:
-            error = exc
+            failure = exc
             break
         certified.append(interval)
-    results, failure = integrate_each(fn, certified, config, elementwise=elementwise)
-    if isinstance(failure, QuadratureError):
-        failure = _diverged(failure, what)
-    return results, failure if failure is not None else error
+    try:
+        results = integrate_each(fn, certified, config, elementwise=elementwise)
+    except QuadratureError as exc:
+        raise _diverged(exc, what) from exc
+    if failure is not None:
+        raise failure
+    return results
 
 
 def _quad(fn, interval, config: QuadratureConfig, what: str, *,
           elementwise=True) -> MeasureResult:
-    results, failure = _quad_each(fn, [interval], config, what, elementwise=elementwise)
-    if failure is not None:
-        raise failure
-    return MeasureResult(results[0].value, "quadrature", results[0].abs_error_estimate)
+    [res] = _quad_each(fn, [interval], config, what, elementwise=elementwise)
+    return MeasureResult(res.value, "quadrature", res.abs_error_estimate)
 
 
 def _weighted_integral(weight, term, scale: float, floor: float, interval,

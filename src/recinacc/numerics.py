@@ -15,14 +15,16 @@ where the refinement chases a chain of panels toward one end.  One call
 may so carry the abscissae of many integrals, and of panels that are
 never consumed, and the integrand must be elementwise, each value
 depending on its own abscissa only; each integral's result is then the
-one it gets alone and without look-ahead, to the bit, as long as the
-integrand returns values rather than raising.  ``evaluations`` counts
-consumed points, 15 plus 30 per bisection.  An integrand that is not
-elementwise passes ``elementwise=False``: a bisection then evaluates its
-two halves alone, 30 points.  Semi-infinite integrals over (a, inf)
-are mapped onto (0, 1) through u = 1/(1 + x - a), so tail behaviour is
-handled by the same adaptive machinery instead of an ad hoc truncation
-point; integrals over the whole line are split at zero.
+one it gets alone and without look-ahead, to the bit, and a batch that
+fails raises the failure of its first integral, in order, that fails
+alone, as long as the integrand returns values rather than raising.
+``evaluations`` counts consumed points, 15 plus 30 per bisection.  An
+integrand that is not elementwise passes ``elementwise=False``: a
+bisection then evaluates its two halves alone, 30 points.
+Semi-infinite integrals over (a, inf) are mapped onto (0, 1) through
+u = 1/(1 + x - a), so tail behaviour is handled by the same adaptive
+machinery instead of an ad hoc truncation point; integrals over the
+whole line are split at zero.
 
 Expectations under an integer-shape gamma weight are one batch of the
 same adaptive integrals, split where the mass starts, peaks and ends; the
@@ -59,7 +61,6 @@ from .errors import (
     IntegrandError,
     NonConvergenceError,
     ParameterError,
-    RecinaccError,
 )
 
 __all__ = [
@@ -147,8 +148,9 @@ class QuadratureConfig:
             raise ParameterError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise ParameterError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ParameterError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
+        budget = self.max_subdivisions
+        if not (isinstance(budget, (int, np.integer)) and budget >= 1):
+            raise ParameterError(f"max_subdivisions must be an integer >= 1, got {budget!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -412,17 +414,17 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
     per round on the abscissae of the panels every live piece asks for
     next: its first panel, then the ``_subtree`` of a bisected panel.
 
-    Each piece refines as it would alone.  Returns the results of the
-    pieces before the first one, in order, that failed, and that
-    failure (None if none did): a piece is dropped once an earlier one
-    fails, so for an ``f`` that returns values the outcome is that of
-    running the pieces one by one.  A panel holding a non-finite value
-    fails its piece only once the refinement consumes it, with the
-    panel's first such abscissa, left to right in the piece's variable,
-    reported in x.  An exception ``f`` raises propagates from the round
-    it is raised in, whichever piece's abscissae caused it, where a run
-    one by one could first have stopped on an earlier piece's failure,
-    or have never asked for the panel.
+    Each piece refines as it would alone.  Returns the pieces' results,
+    in order, or raises the failure of the first one, in order, that
+    fails: a piece is dropped once an earlier one fails, and the earlier
+    ones run to their end, so for an ``f`` that returns values the
+    outcome is that of running the pieces one by one.  A panel holding a
+    non-finite value fails its piece only once the refinement consumes
+    it, with the panel's first such abscissa, left to right in the
+    piece's variable, reported in x.  An exception ``f`` raises
+    propagates from the round it is raised in, whichever piece's
+    abscissae caused it, where a run one by one could first have stopped
+    on an earlier piece's failure, or have never asked for the panel.
     """
     refiners = [_refine(p.a, p.b, p.cfg, elementwise) for p in pieces]
     asks = [next(r) for r in refiners]
@@ -482,7 +484,9 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
                 stop, failure = i, exc
                 break
         live = [i for i in live if i < stop and done[i] is None]
-    return done[:stop], failure
+    if failure is not None:
+        raise failure
+    return done
 
 
 def integrate_each(
@@ -491,7 +495,7 @@ def integrate_each(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
     elementwise: bool = True,
-) -> tuple[list[IntegrationResult], RecinaccError | None]:
+) -> list[IntegrationResult]:
     """Integrate ``f`` over each of ``intervals``, the integrals sharing
     integrand calls; see :func:`integrate` for one, and for ``f`` and
     ``elementwise``.
@@ -499,32 +503,22 @@ def integrate_each(
     Each integral's value, error estimate and evaluation count (of
     consumed points) are those it gets alone, with or without look-ahead:
     however many panels below a bisection a call evaluates.  Returns the
-    results of the intervals before the first one, in order, that fails,
-    and that failure (a DomainError, IntegrandError or
-    NonConvergenceError; None if none fails): for an ``f`` that returns
-    values, the same outcome as integrating them one after another.  An
-    exception raised by ``f`` itself propagates from the shared call,
-    even where an earlier integral would have failed first alone, or
-    where it was raised at an abscissa of a panel that is never consumed.
+    results in order.  An interval that is not (a, b) with a < b raises
+    DomainError before any integral runs; otherwise the first integral,
+    in order, that fails raises its IntegrandError or
+    NonConvergenceError: for an ``f`` that returns values, the same
+    outcome as integrating them one after another.  An exception raised
+    by ``f`` itself propagates from the shared call, even where an
+    earlier integral would have failed first alone, or where it was
+    raised at an abscissa of a panel that is never consumed.
     """
     pieces: list[_Piece] = []
-    ends = []
-    failure = None
+    ends = [0]
     for interval in intervals:
-        try:
-            pieces += _pieces(interval, cfg)
-        except DomainError as exc:
-            failure = exc
-            break
+        pieces += _pieces(interval, cfg)
         ends.append(len(pieces))
-    done, error = _advance(f, pieces, elementwise)
-    results, start = [], 0
-    for end in ends:
-        if end > len(done):
-            break
-        results.append(_join(done[start:end]))
-        start = end
-    return results, error if error is not None else failure
+    done = _advance(f, pieces, elementwise)
+    return [_join(done[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 def integrate(
@@ -564,10 +558,7 @@ def integrate(
     ignored) and :class:`NonConvergenceError` (carrying the partial value)
     when the subdivision budget runs out.
     """
-    results, failure = integrate_each(f, [interval], cfg, elementwise=elementwise)
-    if failure is not None:
-        raise failure
-    return results[0]
+    return integrate_each(f, [interval], cfg, elementwise=elementwise)[0]
 
 
 def gamma_mass_edges(n: int, k: int) -> tuple[float, float]:
@@ -627,9 +618,7 @@ def gamma_expectation(
     cuts = sorted({0.0, (n - 1) / k, *gamma_mass_edges(n, k)}) + [math.inf]
     spans = list(zip(cuts, cuts[1:]))
     part_cfg = replace(cfg, abs_tol=cfg.abs_tol / len(spans), rel_tol=cfg.rel_tol / len(spans))
-    parts, failure = integrate_each(weighted, spans, part_cfg)
-    if failure is not None:
-        raise failure
+    parts = integrate_each(weighted, spans, part_cfg)
     return IntegrationResult(
         sum(p.value for p in parts),
         sum(p.abs_error_estimate for p in parts),

@@ -189,12 +189,13 @@ def _cumulative_expectation(measure: str, parent: Distribution, spec: RecordSpec
             raise _gamma_failure(parent, side, what, IntegrandError("", t)) from exc
         cuts = sorted({0.0, 0.5 * peak, peak, 2.0 * peak}
                       | {e for e in edges if 0.5 * peak < e < 2.0 * peak}) + [math.inf]
-        parts, failure = integrate_each(integrand, list(zip(cuts, cuts[1:])), config)
+        try:
+            parts = integrate_each(integrand, list(zip(cuts, cuts[1:])), config)
+        except QuadratureError as exc:
+            raise _gamma_failure(parent, side, what, exc) from exc
         # the exponent rounds by about eps (t + |log f(t)|) relative to the
         # integrand, which no rule estimate sees; the mass lies below 2 * peak
         reach = 2.0 * peak + abs(float(parent.log_pdf_at_tail(side, 2.0 * peak)))
-    if failure is not None:
-        raise _gamma_failure(parent, side, what, failure) from failure
     value = sum(p.value for p in parts)
     err = sum(p.abs_error_estimate for p in parts) + _EPS * reach * abs(value)
     return MeasureResult(value, "gamma_expectation", err)
@@ -409,10 +410,9 @@ def _knot_chain(integrals, anchor: float, cfg: QuadratureConfig):
     knot's value.  ``at`` plans every query's gap by that insertion
     order, integrates all the gaps in one call of ``integrals``, and then
     settles the values in query order.  ``integrals(spans)`` integrates
-    over each (a, b), a < b, and returns the results up to the first
-    failure and that failure, or None; an anchor of -inf or below all
-    queries chains upward, an anchor of +inf or above all queries chains
-    downward.
+    over each (a, b), a < b, and returns the results in order or raises
+    the first failure; an anchor of -inf or below all queries chains
+    upward, an anchor of +inf or above all queries chains downward.
 
     Each knot carries the summed error estimate of its chain.  Where a
     new knot's sum would exceed the tolerance ``cfg`` holds one direct
@@ -444,21 +444,16 @@ def _knot_chain(integrals, anchor: float, cfg: QuadratureConfig):
             if planned[j] != x:
                 gaps.append(span(planned[j], x))
                 planned.insert(slot, x)
-        pieces, failure = integrals(gaps)
-        pieces = iter(pieces)
+        pieces = iter(integrals(gaps))
         out = []
         for x, base in zip(xs, bases):
             if base != x:
-                piece = next(pieces, None)
-                if piece is None:
-                    raise failure
+                piece = next(pieces)
                 value, err = known[base]
                 value, err = value + piece.value, err + piece.abs_error_estimate
                 if base != anchor and err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                    direct, error = integrals([span(anchor, x)])
-                    if error is not None:
-                        raise error
-                    value, err = direct[0].value, direct[0].abs_error_estimate
+                    [direct] = integrals([span(anchor, x)])
+                    value, err = direct.value, direct.abs_error_estimate
                 known[x] = (value, err)
             out.append(known[x][0])
         knots[:] = planned

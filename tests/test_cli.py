@@ -276,8 +276,15 @@ class TestExitCodes:
          "--param-grid expects name=v1,v2,..., got 'theta'"),
         ("table", ("--n", "1", "--param-grid", "theta=a,b"),
          "--param-grid 'theta=a,b' has a non-numeric value"),
+        ("compute", ("--n", "1", "--param", "theta=1", "--param", "theta=2"),
+         "parameter theta is given twice"),
+        ("table", ("--n", "1", "--param", "theta=2", "--param-grid", "theta=3"),
+         "parameter theta is given twice"),
+        ("table", ("--n", "1", "--param-grid", "theta=2", "--param-grid", "theta=3"),
+         "parameter theta is given twice"),
     ], ids=["param-without-value", "param-not-a-number", "range-not-an-int",
-            "grid-without-values", "grid-not-numbers"])
+            "grid-without-values", "grid-not-numbers", "param-twice", "param-and-grid",
+            "grid-twice"])
     def test_parse_errors_are_usage_errors(self, command, args, message):
         res = run_cli(command, "--dist", "exponential", "--measure", "kerridge",
                       "--side", "upper", "--k", "1", *args)

@@ -187,3 +187,26 @@ def test_d18_pareto_lower_kerridge_under_auto():
     res = kerridge_record(make_pareto(2.0), RecordSpec("lower", 10**7, 1))
     # -log 2 + 1.5 * 2^-n, which is -log 2 in double precision
     assert_within(res, -math.log(2.0))
+
+
+@pytest.mark.xfail(strict=True, reason="D19: the quadrature route misses the record mass below x = 1e-3 at k = 10^4")
+def test_d19_exponential_upper_kerridge_quadrature_at_k_ten_thousand():
+    # right at k = 10^3
+    res = kerridge_record(make_exponential(1.0), RecordSpec("upper", 1, 10**4), "quadrature")
+    # the closed form n/k
+    assert_within(res, 1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="D19: the generic route misses the record mass at k = 10^4")
+@pytest.mark.parametrize("measure, truth", [
+    ("kl", math.log(1e4) - 1.0 + 1e-4),
+    ("kij", -1e4 / (2.0 * (1e4 + 1.0))),
+    ("relinfo", 1e4 / 4.0 - 1e4 / (2.0 * (1e4 + 1.0))),
+], ids=["kl", "kij", "relinfo"])
+def test_d19_cli_default_path_at_k_ten_thousand(measure, truth):
+    res = run_cli(
+        "compute", "--dist", "exponential", "--param", "theta=1", "--measure", measure,
+        "--side", "upper", "--n", "1", "--k", "10000", "--format", "json",
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["value"] == pytest.approx(truth, rel=1e-9)

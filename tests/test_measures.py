@@ -227,6 +227,38 @@ class TestErrorContracts:
             # the translator with a partial value; either way it is loud
             assert "diverg" in str(exc)
 
+    @staticmethod
+    def _one_over_x_tail(seen):
+        # 1 on (0, 1] but NaN at 0.5, 1/x beyond 1 and on the negative side
+        def fn(x):
+            x = np.asarray(x, float)
+            seen.append(x.copy())
+            with np.errstate(divide="ignore"):
+                out = np.where(np.abs(x) <= 1.0, 1.0, 1.0 / np.abs(x))
+            return np.where(x == 0.5, np.nan, out)
+
+        return fn
+
+    def test_batch_earlier_integration_failure_wins_over_later_tail(self):
+        # interval 1 fails its integration at its first panel's centre,
+        # interval 2 its tail certification: the failure in interval order
+        # is the first one
+        fn = self._one_over_x_tail([])
+        with pytest.raises(DivergenceError, match="non-integrable singularity") as exc:
+            M._quad_each(fn, [(0.0, 1.0), (1.0, math.inf)], M.DEFAULT_QUADRATURE, "batch")
+        assert "x=0.5" in str(exc.value)
+
+    def test_batch_stops_at_a_failed_tail_certification(self):
+        seen = []
+        fn = self._one_over_x_tail(seen)
+        good = (0.0, 0.25)
+        with pytest.raises(DivergenceError, match="appears divergent"):
+            M._quad_each(fn, [good, (1.0, math.inf), (-3.0, -2.0)],
+                         M.DEFAULT_QUADRATURE, "batch")
+        xs = np.concatenate([x.ravel() for x in seen])
+        assert np.any((xs > 0.0) & (xs < 0.25))  # the first interval was integrated
+        assert not np.any(xs < 0.0)  # the third never evaluated
+
 
 class TestFarTails:
     def test_entropy_of_a_custom_logistic_law(self):

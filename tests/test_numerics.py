@@ -403,19 +403,17 @@ class TestBatchedIntegrals:
             calls.append(np.size(x))
             return f(x)
 
-        results, failure = numerics.integrate_each(counted, intervals, elementwise=False)
+        results = numerics.integrate_each(counted, intervals, elementwise=False)
         batch_calls = len(calls)
         singles = [_alone(counted, iv, DEFAULT, False) for iv in intervals]
-        assert failure is None
         assert [_outcome(r) for r in results] == [_outcome(r) for r in singles]
         assert sum(calls[:batch_calls]) == sum(r.evaluations for r in results)
         assert batch_calls < len(calls) - batch_calls
         # with look-ahead: the same results, batched and alone, in fewer calls
         del calls[:]
-        ahead, failure = numerics.integrate_each(counted, intervals)
+        ahead = numerics.integrate_each(counted, intervals)
         ahead_calls = len(calls)
         ahead_singles = [_alone(counted, iv, DEFAULT) for iv in intervals]
-        assert failure is None
         assert [_outcome(r) for r in ahead] == [_outcome(r) for r in results]
         assert [_outcome(r) for r in ahead_singles] == [_outcome(r) for r in singles]
         assert ahead_calls < len(calls) - ahead_calls
@@ -428,29 +426,37 @@ class TestBatchedIntegrals:
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x - bad_at) < 0.02, np.nan, _piecewise(x))
 
-        results, failure = numerics.integrate_each(f, BATCH)
         singles = [_alone(f, iv, DEFAULT) for iv in BATCH]
         first = next(i for i, r in enumerate(singles) if isinstance(r, Exception))
-        assert [_outcome(r) for r in results] == [_outcome(r) for r in singles[:first]]
-        assert isinstance(failure, IntegrandError)
-        assert _outcome(failure) == _outcome(singles[first])
+        with pytest.raises(IntegrandError) as failure:
+            numerics.integrate_each(f, BATCH)
+        assert _outcome(failure.value) == _outcome(singles[first])
 
     @pytest.mark.parametrize("budget", [1, 3, 4])
     def test_tiny_subdivision_budget(self, budget):
         cfg = QuadratureConfig(max_subdivisions=budget)
         intervals = [BATCH[i] for i in (4, 1, 3, 0, 2)]
-        results, failure = numerics.integrate_each(_piecewise, intervals, cfg)
         singles = [_alone(_piecewise, iv, cfg) for iv in intervals]
         failed = [i for i, r in enumerate(singles) if isinstance(r, Exception)]
         assert failed and failed[0] > 0  # some integrals finish before the first failure
-        assert [_outcome(r) for r in results] == [_outcome(r) for r in singles[:failed[0]]]
-        assert isinstance(failure, NonConvergenceError)
-        assert _outcome(failure) == _outcome(singles[failed[0]])
+        with pytest.raises(NonConvergenceError) as failure:
+            numerics.integrate_each(_piecewise, intervals, cfg)
+        assert _outcome(failure.value) == _outcome(singles[failed[0]])
 
     def test_bad_interval_stops_the_batch_there(self):
-        results, failure = numerics.integrate_each(_piecewise, [(0.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
-        assert [_outcome(r) for r in results] == [_outcome(_alone(_piecewise, (0.0, 1.0), DEFAULT))]
-        assert isinstance(failure, DomainError)
+        with pytest.raises(DomainError):
+            numerics.integrate_each(_piecewise, [(0.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
+
+    def test_bad_interval_raises_before_any_integral_runs(self):
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return _piecewise(x)
+
+        with pytest.raises(DomainError, match=r"a < b, got \(2.0, 1.0\)"):
+            numerics.integrate_each(counted, [(0.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
+        assert calls == []
 
     def test_panel_sums_match_the_per_panel_loop(self):
         # reference: each panel summed on its own with `@`
@@ -508,6 +514,11 @@ class TestQuadratureConfig:
             {"abs_tol": -1e-3},
             {"rel_tol": 0.0},
             {"max_subdivisions": 0},
+            # floats passed the check, then raised TypeError from range()
+            # on the first integral
+            {"max_subdivisions": 2.5},
+            {"max_subdivisions": 1e9},
+            {"max_subdivisions": math.nan},
         ],
     )
     def test_validation(self, kwargs):

@@ -371,9 +371,9 @@ class TestResidualInaccuracy:
         real = numerics.integrate_each
 
         def counting(*args, **kwargs):
-            results, failure = real(*args, **kwargs)
+            results = real(*args, **kwargs)
             evaluations.extend(r.evaluations for r in results)
-            return results, failure
+            return results
 
         monkeypatch.setattr(numerics, "integrate_each", counting)
         monkeypatch.setattr(measures, "integrate_each", counting)
@@ -477,7 +477,7 @@ class TestHazardFormKnotChain:
         def integrals(spans):
             calls.extend(spans)
             return [measures.MeasureResult(math.atan(b) - math.atan(a), "quadrature", error)
-                    for a, b in spans], None
+                    for a, b in spans]
 
         return integrals
 
@@ -487,7 +487,7 @@ class TestHazardFormKnotChain:
         def integrals(spans):
             calls.extend(spans)
             return [measures.MeasureResult(b - a, "quadrature", 0.6 * self.INNER.abs_tol)
-                    for a, b in spans], None
+                    for a, b in spans]
 
         at = RM._knot_chain(integrals, 0.0, self.INNER)
         assert at([0.01]) == [0.01]
@@ -525,10 +525,10 @@ class TestHazardFormKnotChain:
         failing = []
 
         def integrals(spans):
-            results, _ = good(spans)
+            results = good(spans)
             if failing:
-                return results[:2], DivergenceError("third gap failed")
-            return results, None
+                raise DivergenceError("third gap failed")
+            return results
 
         at = RM._knot_chain(integrals, 0.0, self.INNER)
         assert at([0.5]) == [math.atan(0.5)]
@@ -551,9 +551,9 @@ class TestHazardFormKnotChain:
         def integrals(spans):
             calls.extend(spans)
             if failing and spans == [(0.0, 0.02)]:
-                return [], DivergenceError("restart failed")
+                raise DivergenceError("restart failed")
             return [measures.MeasureResult(b - a, "quadrature", 0.6 * self.INNER.abs_tol)
-                    for a, b in spans], None
+                    for a, b in spans]
 
         at = RM._knot_chain(integrals, 0.0, self.INNER)
         assert at([0.01]) == [0.01]
@@ -584,9 +584,9 @@ def _spy_integrands(monkeypatch):
             sizes.append(np.size(x))
             return f(x)
 
-        results, failure = real(counted, intervals, *args, **kwargs)
+        results = real(counted, intervals, *args, **kwargs)
         log.append((f.__name__, sizes, sum(r.evaluations for r in results)))
-        return results, failure
+        return results
 
     monkeypatch.setattr(measures, "integrate_each", spy)
     return log
