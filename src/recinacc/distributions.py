@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import numerics as _nx
-from .errors import ConsistencyError, ParameterError
+from .errors import ConsistencyError, ParameterError, check_integer, check_positive
 from .numerics import digamma
 
 __all__ = [
@@ -215,16 +215,9 @@ def _family(
     )
 
 
-def _positive(value: float, what: str) -> float:
-    value = float(value)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ParameterError(f"{what} must be positive and finite, got {value}")
-    return value
-
-
 def make_exponential(theta: float) -> Distribution:
     """Exponential with rate theta: density theta * exp(-theta x) on (0, inf)."""
-    theta = _positive(theta, "exponential rate")
+    theta = check_positive(theta, "exponential rate")
     log_theta = math.log(theta)
     return _family(
         "exponential", {"theta": theta}, (0.0, _INF),
@@ -241,7 +234,7 @@ def make_exponential(theta: float) -> Distribution:
 
 def make_pareto(theta: float) -> Distribution:
     """Pareto with tail index theta: density theta * x^-(theta+1) on (1, inf)."""
-    theta = _positive(theta, "pareto tail index")
+    theta = check_positive(theta, "pareto tail index")
     log_theta = math.log(theta)
     return _family(
         "pareto", {"theta": theta}, (1.0, _INF),
@@ -260,8 +253,8 @@ def make_weibull(lam: float, beta: float) -> Distribution:
 
     beta = 1 reduces to the exponential with rate lam.
     """
-    lam = _positive(lam, "weibull scale parameter")
-    beta = _positive(beta, "weibull shape parameter")
+    lam = check_positive(lam, "weibull scale parameter")
+    beta = check_positive(beta, "weibull shape parameter")
     lam_beta = lam * beta
     # in two logs only where the product leaves the normal range
     log_lam_beta = (math.log(lam_beta) if _nx._TINY <= lam_beta < _INF
@@ -333,9 +326,7 @@ def make_power_decreasing() -> Distribution:
 
 def make_power_increasing(m: int) -> Distribution:
     """Density m x^(m-1) on (0, 1) for integer m >= 2; strictly increasing."""
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise ParameterError(f"power exponent must be an integer >= 2, got {m!r}")
-    m = int(m)
+    m = int(check_integer(m, "power exponent", 2))
     log_m = math.log(m)
     return _family(
         "power_increasing", {"m": m}, (0.0, 1.0),

@@ -1,10 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the two argument
+checks every entry point uses: counts and positive reals.
 
 Numerical failure modes are deliberately loud: a caller always learns
 whether a value is trustworthy, partially converged, or undefined.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class RecinaccError(Exception):
@@ -78,3 +82,20 @@ class ContaminationError(RecinaccError):
 
 class UnsupportedMethodError(RecinaccError, ValueError):
     """The requested evaluation method is not available for this input."""
+
+
+def check_integer(value, what: str, least: int = 1, error: type = ParameterError):
+    """``value`` if it is an integer of at least ``least``, else ``error``.
+    A bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def check_positive(value, what: str) -> float:
+    """``value`` as a float if it is a positive, finite real (not a bool),
+    else ParameterError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value > 0 and math.isfinite(value))):
+        raise ParameterError(f"{what} must be positive and finite, got {value!r}")
+    return float(value)

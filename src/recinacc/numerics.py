@@ -61,6 +61,8 @@ from .errors import (
     IntegrandError,
     NonConvergenceError,
     ParameterError,
+    check_integer,
+    check_positive,
 )
 
 __all__ = [
@@ -144,13 +146,9 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ParameterError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ParameterError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        budget = self.max_subdivisions
-        if not (isinstance(budget, (int, np.integer)) and budget >= 1):
-            raise ParameterError(f"max_subdivisions must be an integer >= 1, got {budget!r}")
+        check_positive(self.abs_tol, "abs_tol")
+        check_positive(self.rel_tol, "rel_tol")
+        check_integer(self.max_subdivisions, "max_subdivisions")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -599,10 +597,8 @@ def gamma_expectation(
     between the nodes of its mapped tail.  It leaves out t where the
     density is below 1e-260, and raises on a non-finite g elsewhere.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError(f"shape n must be an integer >= 1, got {n!r}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError(f"rate k must be an integer >= 1, got {k!r}")
+    check_integer(n, "shape n", error=DomainError)
+    check_integer(k, "rate k", error=DomainError)
 
     def weighted(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import ContaminationError, ParameterError, StreamCapError
+from .errors import ContaminationError, StreamCapError, check_integer
 from .measures import MeasureResult
 from .record_measures import _validate
 from .records import STREAM_CAP, RecordSpec, check_draws, check_seed, sample_record
@@ -37,15 +37,10 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.samples, (int, np.integer)) and self.samples >= 1000):
-            raise ParameterError(
-                f"samples must be an integer >= 1000, got {self.samples!r}"
-            )
+        check_integer(self.samples, "samples", 1000)
         # the samplers also take a SeedSequence, but mc_measure builds its
         # own from this seed, so the seed must be an integer
-        if isinstance(self.seed, np.random.SeedSequence):
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        check_seed(self.seed)
+        check_integer(self.seed, "seed", 0)
 
 
 def stream_extract_records(
@@ -114,8 +109,7 @@ def stream_record_sample(
     The total draw budget across all replications is capped.
     """
     RecordSpec(side, n, k)
-    if not (isinstance(reps, (int, np.integer)) and reps >= 1):
-        raise ParameterError(f"reps must be a positive integer, got {reps!r}")
+    check_integer(reps, "reps")
     check_seed(seed)
     sgn = 1.0 if side == "upper" else -1.0
     rng = np.random.default_rng(seed)

@@ -24,9 +24,11 @@ each measure is its generic two-distribution measure
 (:mod:`recinacc.measures`) on the record law and the parent.
 
 Closed forms belong to the parent: a catalog family carries them in
-``Distribution.closed_forms``, and the one dispatcher (``_dispatch``)
-takes them under ``auto`` where they exist; it checks its arguments in
-the validator requests use.  Every route is written once for both sides.
+``Distribution.closed_forms``.  Under ``auto`` the one dispatcher
+(``_dispatch``) takes the closed form where it exists, else the
+measure's gamma route where it has one, else quadrature; it checks its
+arguments in the validator requests use.  Every route is written once
+for both sides.
 
 The cri/cpi measures additionally have representation forms (mean
 differences, hazard-weighted double integrals, cdf differences) exposed
@@ -205,25 +207,22 @@ def _cumulative_expectation(measure: str, parent: Distribution, spec: RecordSpec
 class _Measure:
     """One record measure.  Its quadrature route is ``generic``, its
     two-distribution form in :mod:`recinacc.measures`, on the record law
-    and the parent.  ``auto`` is the route taken where the family has no
-    closed form; quadrature stands in where a gamma route refuses."""
+    and the parent; ``gamma``, where there is one, is its t-space route."""
 
     label: str  # its name in messages
     generic: str
     side: str | None = None  # the one record side it is defined on
-    auto: str = "quadrature"
     gamma: Callable[..., MeasureResult] | None = None  # (measure, parent, spec, config)
     monte_carlo: bool = False  # whether oracle.mc_measure estimates it
 
 
 # every record measure, in the order the CLI lists them
 MEASURES = {
-    "kerridge": _Measure("kerridge", "kerridge", None, "gamma_expectation",
-                         _kerridge_expectation, True),
+    "kerridge": _Measure("kerridge", "kerridge", None, _kerridge_expectation, True),
     "cri": _Measure("residual inaccuracy", "cumulative_residual_inaccuracy", "upper",
-                    "quadrature", _cumulative_expectation, True),
+                    _cumulative_expectation, True),
     "cpi": _Measure("past inaccuracy", "cumulative_past_inaccuracy", "lower",
-                    "quadrature", _cumulative_expectation, True),
+                    _cumulative_expectation, True),
     "cpij": _Measure("cumulative past extropy inaccuracy", "cumulative_past_extropy_inaccuracy"),
     "crij": _Measure("cumulative residual extropy inaccuracy",
                      "cumulative_residual_extropy_inaccuracy"),
@@ -257,10 +256,11 @@ def _dispatch(
     method: str,
     config: QuadratureConfig,
 ) -> MeasureResult:
-    """The one route dispatch: ``auto`` takes the family's closed form
-    where it has one on this side, and the measure's ``auto`` route
-    otherwise, quadrature where that is a gamma route that refuses the
-    parent (a custom law whose inverse rounds onto a support end)."""
+    """The one route dispatch.  ``auto`` takes the family's closed form
+    where it has one on this side; else the measure's gamma route where
+    it has one; else quadrature, which also stands in where the gamma
+    route refuses the parent (a custom law whose inverse rounds onto a
+    support end)."""
     row = _validate(measure, spec, method)
     if method in ("auto", "closed_form"):
         form = (parent.closed_forms or {}).get(measure)
@@ -269,7 +269,7 @@ def _dispatch(
             return MeasureResult(value, "closed_form", 0.0)
         if method == "closed_form":
             raise UnsupportedMethodError(f"no closed form is known for {row.label} on {parent.name}")
-        if row.auto == "gamma_expectation":
+        if row.gamma is not None:
             with suppress(UnsupportedMethodError):
                 return row.gamma(measure, parent, spec, config)
         method = "quadrature"
@@ -610,13 +610,14 @@ def scale_shift_check(
     """Residual record inaccuracy scales linearly under x -> a*x + b.
 
     Returns the measure on the transformed parent next to a times the
-    measure on the original; the two must agree.  The transformed parent
-    never hits a closed form, so the left side exercises the quadrature
-    path even when the right side is exact.
+    measure on the original; the two must agree.  The left side takes the
+    quadrature route: under ``auto`` both sides would take the gamma
+    route, whose integrand on the transformed parent is the original's
+    shifted by log a, and the check would compare it with itself.
     """
     _require_side(spec, "upper", "scale-shift check")
     transformed = affine_transform(parent, a, b)
-    lhs = residual_record_inaccuracy(transformed, spec, "auto", config)
+    lhs = residual_record_inaccuracy(transformed, spec, "quadrature", config)
     base = residual_record_inaccuracy(parent, spec, "auto", config)
     rhs = MeasureResult(a * base.value, base.method, a * base.abs_error_estimate)
     return lhs, rhs

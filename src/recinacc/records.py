@@ -29,7 +29,7 @@ import numpy as np
 
 from . import numerics as _nx
 from .distributions import Distribution, _log_pdf_through_inverse
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_integer
 from .numerics import _TINY, log_gamma, log_gammaincc
 
 __all__ = [
@@ -61,10 +61,8 @@ class RecordSpec:
     def __post_init__(self) -> None:
         if self.side not in _SIDES:
             raise ParameterError(f"side must be 'upper' or 'lower', got {self.side!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ParameterError(f"record index n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ParameterError(f"record level k must be an integer >= 1, got {self.k!r}")
+        check_integer(self.n, "record index n")
+        check_integer(self.k, "record level k")
 
 
 def _base_log_function(parent: Distribution, side: str):
@@ -203,13 +201,8 @@ def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistrib
 def check_seed(seed) -> None:
     """Raise ParameterError unless seed is an integer >= 0 or a SeedSequence,
     the seeds every sampler hands to ``np.random.default_rng``."""
-    if not (
-        isinstance(seed, np.random.SeedSequence)
-        or (isinstance(seed, (int, np.integer)) and seed >= 0)
-    ):
-        raise ParameterError(
-            f"seed must be a nonnegative integer or a SeedSequence, got {seed!r}"
-        )
+    if not isinstance(seed, np.random.SeedSequence):
+        check_integer(seed, "seed", 0)
 
 
 def check_draws(count: int, n: int) -> None:
@@ -252,8 +245,7 @@ def sample_record(
     row reduction costs one inner-loop call per row (see ``_row_sums``).
     More than ``STREAM_CAP`` draws in all (count * n) are refused.
     """
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
-        raise ParameterError(f"count must be an integer >= 1, got {count!r}")
+    check_integer(count, "count")
     check_draws(count, spec.n)
     check_seed(seed)
     rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -394,6 +395,37 @@ class TestTable:
         assert res.returncode == 3
 
 
+# one parameter set per --dist choice
+TABLE_FAMILIES = [
+    ("exponential", "theta=2"),
+    ("pareto", "theta=2"),
+    ("weibull", "lambda=2", "beta=0.5"),
+    ("uniform",),
+    ("power-dec",),
+    ("power-inc", "m=2"),
+]
+PINNED = Path(__file__).parent / "pinned"
+
+
+def default_tables() -> str:
+    """Default ``table`` output (CSV, n 1..3, k 1..2) of cri upper and cpi
+    lower on every family, each after the command that printed it."""
+    text = []
+    for dist, *params in TABLE_FAMILIES:
+        for measure, side in (("cri", "upper"), ("cpi", "lower")):
+            argv = ["table", "--dist", dist, *(a for p in params for a in ("--param", p)),
+                    "--measure", measure, "--side", side, "--n", "1..3", "--k", "1..2"]
+            res = run_cli(*argv)
+            assert (res.returncode, res.stderr) == (0, ""), argv
+            text.append("$ recinacc " + " ".join(argv) + "\n" + res.stdout)
+    return "".join(text)
+
+
+def test_default_tables_are_pinned():
+    # a change of the route auto takes, or of its digits, shows up as a diff
+    assert default_tables() == (PINNED / "table_default.txt").read_text()
+
+
 class TestNumpyWarnings:
     # both print correct error rows; numpy's warnings about the same
     # non-finite values would only be noise above them
@@ -473,9 +505,7 @@ class TestVerify:
         res = run_cli("verify", "--suite", "oracle", "--seed", "-1")
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr.strip() == (
-            "error: seed must be a nonnegative integer or a SeedSequence, got -1"
-        )
+        assert res.stderr.strip() == "error: seed must be an integer >= 0, got -1"
 
 
 class TestColdStart:

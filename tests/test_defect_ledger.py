@@ -1,8 +1,10 @@
 """The open defects of ROADMAP's defect ledger, each against its truth.
 
-Every test here fails today and is marked ``xfail(strict=True)`` with its
-D id, so the change that mends a defect turns its test into an unexpected
-pass, and that change must drop the mark.
+Every open cell here fails today and is marked ``xfail(strict=True)`` with
+its D id, so the change that mends a defect turns its test into an
+unexpected pass, and that change must drop the mark.  The unmarked tests
+here stand beside a defect's open cells: a cell a change has mended, or
+a mirror cell that shows the truth the open cells are held to.
 """
 
 import json
@@ -27,6 +29,7 @@ from recinacc.record_measures import (
     RecordMeasureRequest,
     compute_record_measure,
     kerridge_record,
+    past_record_inaccuracy,
     residual_inaccuracy_hazard_forms,
     residual_record_inaccuracy,
 )
@@ -106,9 +109,17 @@ def test_d5_power_decreasing_upper_kerridge_quadrature():
     assert_within(res, 2.0 * 100 / 3.0 - math.log(3.0), 1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="D9: a false 'appears divergent' from the tail ladder, under auto")
 def test_d9_pareto_upper_cri_under_auto():
+    # auto takes the gamma route, which certifies the (log x)^n tail
     res = residual_record_inaccuracy(make_pareto(2.0), RecordSpec("upper", 100, 1))
+    assert res.method == "gamma_expectation"
+    # the exact sum
+    assert_within(res, 2.5099481884518942e32)
+
+
+@pytest.mark.xfail(strict=True, reason="D9: a false 'appears divergent' from the tail ladder")
+def test_d9_pareto_upper_cri_quadrature():
+    res = residual_record_inaccuracy(make_pareto(2.0), RecordSpec("upper", 100, 1), "quadrature")
     # the gamma route's value and estimate
     assert_within(res, 2.5099481884518957e32, 1.1e22)
 
@@ -210,3 +221,36 @@ def test_d19_cli_default_path_at_k_ten_thousand(measure, truth):
     )
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["value"] == pytest.approx(truth, rel=1e-9)
+
+
+# mpmath, 30 digits: the defining integral of the triangular law's cri
+TRIANGULAR_CRI = {50: 1.446696661095674462, 100: 1.4466967002794841632}
+
+
+@pytest.mark.xfail(strict=True, reason="D20: the survival 1 - cdf loses its digits where the record mass lies")
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_d20_custom_triangular_cri_silently_wrong(triangular, method):
+    res = residual_record_inaccuracy(triangular, RecordSpec("upper", 100, 1), method)
+    assert_within(res, TRIANGULAR_CRI[100])
+
+
+def test_d20_custom_triangular_cpi_mirror_is_right(triangular):
+    # the mirror cell reads the cdf, which keeps its digits there
+    res = past_record_inaccuracy(triangular, RecordSpec("lower", 100, 1))
+    assert_within(res, TRIANGULAR_CRI[100])
+
+
+@pytest.mark.xfail(strict=True, reason="D20: a false SupportError where 1 - cdf rounds to 0")
+def test_d20_custom_triangular_cri_false_support_error(triangular):
+    res = residual_record_inaccuracy(triangular, RecordSpec("upper", 50, 1))
+    assert_within(res, TRIANGULAR_CRI[50])
+
+
+@pytest.mark.xfail(strict=True, reason="D20: a false 'likely divergent' where 1 - cdf loses its digits")
+def test_d20_custom_exponential_cri_false_divergence():
+    e2 = make_exponential(2.0)
+    custom = make_custom(e2.pdf, e2.cdf, e2.quantile, e2.support,
+                         inverse_survival=e2.inverse_survival)
+    res = residual_record_inaccuracy(custom, RecordSpec("upper", 10, 1))
+    # the closed form n(n+1) / (2 theta k^2)
+    assert_within(res, 27.5)

@@ -130,6 +130,11 @@ class TestParameterValidation:
             lambda: make_weibull(1.0, 0.0),
             lambda: make_power_increasing(1),
             lambda: make_power_increasing(2.5),
+            # a bool passed as a number; a string passed through float()
+            lambda: make_power_increasing(True),
+            lambda: make_exponential(True),
+            lambda: make_pareto("2"),
+            lambda: make_weibull(1.0, None),
         ],
     )
     def test_rejects_bad_parameters(self, factory):

@@ -519,6 +519,12 @@ class TestQuadratureConfig:
             {"max_subdivisions": 2.5},
             {"max_subdivisions": 1e9},
             {"max_subdivisions": math.nan},
+            # a bool passed as an integer
+            {"max_subdivisions": True},
+            # these raised a bare TypeError from the comparison
+            {"abs_tol": "1e-3"},
+            {"rel_tol": None},
+            {"abs_tol": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -630,6 +636,11 @@ class TestGammaExpectation:
             gamma_expectation(lambda t: t, 2, 0)
         with pytest.raises(DomainError):
             gamma_expectation(lambda t: t, 2.5, 1)
+        # a bool passed as an integer
+        with pytest.raises(DomainError):
+            gamma_expectation(lambda t: t, True, 1)
+        with pytest.raises(DomainError):
+            gamma_expectation(lambda t: t, 2, True)
 
 
 class TestLogGamma:

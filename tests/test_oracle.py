@@ -47,6 +47,9 @@ class TestMcConfig:
             dict(seed=-1),
             dict(seed=3.5),
             dict(seed=np.random.SeedSequence(0)),
+            # a bool passed as an integer
+            dict(samples=True),
+            dict(seed=True),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -95,9 +98,10 @@ class TestStreamExtraction:
         with pytest.raises(StreamCapError):
             O.stream_record_sample(U, "upper", 1, 12, reps=200, seed=0)
 
-    @pytest.mark.parametrize("reps", [0, 2.5])
+    # True passed as 1, then numpy raised a bare TypeError
+    @pytest.mark.parametrize("reps", [0, 2.5, True])
     def test_bad_reps_is_a_parameter_error(self, reps):
-        with pytest.raises(ParameterError, match="reps must be a positive integer"):
+        with pytest.raises(ParameterError, match="reps must be an integer >= 1"):
             O.stream_record_sample(E1, "upper", 2, 2, reps=reps, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "x"])

@@ -217,10 +217,14 @@ class TestKerridgeRouteAgreement:
             route(W205, up(2, 1), "gamma_expectation", QuadratureConfig(max_subdivisions=1))
         assert "did not converge and is likely divergent (partial value " in str(exc.value)
 
-    def test_auto_kerridge_takes_quadrature_where_the_gamma_route_refuses(self):
-        res = RM.kerridge_record(CUSTOM_E2, up(2, 1))
+    @pytest.mark.parametrize("route, truth", [
+        (RM.kerridge_record, 2.0 - math.log(2.0)),
+        (RM.residual_record_inaccuracy, 1.5),
+    ], ids=["kerridge", "cri"])
+    def test_auto_takes_quadrature_where_the_gamma_route_refuses(self, route, truth):
+        res = route(CUSTOM_E2, up(2, 1))
         assert res.method == "quadrature"
-        assert res.value == pytest.approx(2.0 - math.log(2.0), abs=1e-9)
+        assert res.value == pytest.approx(truth, abs=1e-9)
 
     def test_gamma_route_normaliser_is_exact_at_large_n(self):
         # normalising by exp(log_gamma(n)) alone put it 9e-13 off at n=80

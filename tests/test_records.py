@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -160,6 +161,38 @@ class TestCdfConsistency:
             prev = cur
 
 
+class TestRecordLogTails:
+    """A record law's log_cdf and log_survival against mpmath's regularised
+    incomplete gamma, where the record cdf or survival underflows."""
+
+    @pytest.mark.parametrize("x", [1e-3, 1e-80, 1e-200])
+    def test_upper_log_cdf_through_hyp1f1(self, x):
+        # P(5, 2x) underflows from x = 1e-80 on: log P is taken from 1F1
+        law = record_distribution(make_exponential(1.0), RecordSpec("upper", 5, 2))
+        with mp.workdps(40):
+            ref = float(mp.log(mp.gammainc(5, 0, 2 * mp.mpf(x), regularized=True)))
+        assert float(law.log_cdf(x)) == pytest.approx(ref, rel=1e-14)
+
+    def test_log_cdf_array_matches_its_points(self):
+        law = record_distribution(make_exponential(1.0), RecordSpec("upper", 5, 2))
+        xs = [1e-3, 1e-80, 1e-200]
+        assert law.log_cdf(np.array(xs)).tolist() == [float(law.log_cdf(x)) for x in xs]
+
+    def test_upper_log_survival_through_log_gammaincc(self):
+        # Q(3, 800) = 1.2e-342 underflows
+        law = record_distribution(make_exponential(1.0), RecordSpec("upper", 3, 1))
+        with mp.workdps(40):
+            ref = float(mp.log(mp.gammainc(3, 800, mp.inf, regularized=True)))
+        assert float(law.log_survival(800.0)) == pytest.approx(ref, rel=1e-14)
+
+    def test_lower_log_survival_near_the_upper_end(self):
+        law = record_distribution(make_uniform01(), RecordSpec("lower", 3, 1))
+        x = 1.0 - 1e-15
+        with mp.workdps(40):
+            ref = float(mp.log(mp.gammainc(3, 0, -mp.log(mp.mpf(x)), regularized=True)))
+        assert float(law.log_survival(x)) == pytest.approx(ref, rel=1e-14)
+
+
 class TestGammaTransform:
     def test_known_points(self):
         assert gamma_transform_point(make_exponential(1.0), "upper", 2.0) == pytest.approx(2.0)
@@ -281,7 +314,8 @@ class TestSampling:
         assert str(exc.value) == (
             "count * n = 10000000000000 draws exceeds the budget of 100000000")
 
-    @pytest.mark.parametrize("count", [2.5, "100"])
+    # True passed as 1, then numpy raised a bare TypeError
+    @pytest.mark.parametrize("count", [2.5, "100", True])
     def test_rejects_non_integer_count(self, count):
         with pytest.raises(ParameterError, match="count"):
             sample_record(make_exponential(1.0), RecordSpec("upper", 1, 1), seed=0, count=count)
@@ -314,6 +348,9 @@ class TestRecordSpecValidation:
             ("upper", 1.5, 1),
             ("lower", 2, 2.0),
             ("lower", -3, 1),
+            # a bool passed as an integer
+            ("upper", True, 1),
+            ("upper", 1, False),
         ],
     )
     def test_rejects_invalid_fields(self, side, n, k):
