@@ -291,8 +291,13 @@ def make_uniform01() -> Distribution:
 
     def cumulative(side, n, k):
         # the uniform law is symmetric about 1/2, so cdf-side values mirror
-        # the survival-side ones
-        return sum((i + 1) * k**i / (k + 1) ** (i + 2) for i in range(n))
+        # the survival-side ones: sum_{i<n} (i+1) k^i / (k+1)^(i+2) is
+        # 1 - k^n (k+1+n) / (k+1)^(n+1), one division of exact integers and
+        # so correctly rounded; 1.0 once the subtracted term is below 2^-60
+        if n * math.log1p(1.0 / k) - math.log((k + 1 + n) / (k + 1)) > 60.0 * math.log(2.0):
+            return 1.0
+        den = (k + 1) ** (n + 1)
+        return (den - k**n * (k + 1 + n)) / den
 
     return _family(
         "uniform", {}, (0.0, 1.0),

@@ -341,6 +341,7 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
     # Heap entries: (-error, tiebreak, a, b, value, error).  Panels that are
     # negligible or at the width floor are retired from the heap for good.
     heap = [(-err, 0, a, b, value, err)]
+    retired: list[tuple[float, float]] = []
     total_val = value
     total_err = err
     tick = 1
@@ -358,6 +359,7 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
         width_floor = abs(pb - pa) <= 4.0 * _EPS * max(abs(pa), abs(pb), 1e-300)
         negligible = abs(pv) <= _TAIL_MASS_BOUND * scale and pe <= _TAIL_MASS_BOUND * scale
         if width_floor or negligible:
+            retired.append((pv, pe))
             continue
         pm = 0.5 * (pa + pb)
         if (pa, pm) not in cache or (pm, pb) not in cache:
@@ -371,6 +373,11 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
         heapq.heappush(heap, (-le, tick, pa, pm, lv, le))
         heapq.heappush(heap, (-re, tick + 1, pm, pb, rv, re))
         tick += 2
+        # the running totals keep a replaced panel's digits only to an ulp
+        # of it; where that ulp could reach the tolerance (halves far
+        # smaller than their panel), they restart from the panels' own sums
+        if max(abs(pv), pe) > 2.0**48 * max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+            total_val, total_err = (math.fsum(col) for col in zip(*[e[4:] for e in heap], *retired))
     if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
         return IntegrationResult(total_val, total_err, evals)
     raise NonConvergenceError(
@@ -632,22 +639,26 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _log_gamma_series(n: int, y: np.ndarray) -> np.ndarray:
+    """log sum_{i<n} y^i / i!, which is y + log Q(n, y), for y far above n
+    (where Q underflows).  Its terms fall from the last by a factor (n-1)/y
+    or less per step: only those down to e^-45 of it are summed."""
+    step = math.log(y.min() / max(n - 1, 1))
+    i = np.arange(max(0, n - 1 - math.ceil(45.0 / step)), n)[:, None]
+    terms = i * np.log(y) - gammaln(i + 1.0)
+    return terms[-1] + np.log(np.exp(terms - terms[-1]).sum(axis=0))
+
+
 def log_gammaincc(n: int, y):
     """log Q(n, y) for integer n >= 1, Q the regularised upper incomplete
-    gamma function, also where Q underflows.  There y is far above n, and
-    the terms of Q = e^-y sum_{i<n} y^i / i! fall from the last by a factor
-    (n-1)/y or less per step: only those down to e^-45 of it are summed."""
+    gamma function, also where Q underflows (``_log_gamma_series``)."""
     y = np.asarray(y, float)
     q = gammaincc(n, y)
     with np.errstate(divide="ignore"):
         out = np.log(q)
     gone = (q < _TINY) & np.isfinite(y)
     if np.any(gone):
-        yg = y[gone]
-        step = math.log(yg.min() / max(n - 1, 1))
-        i = np.arange(max(0, n - 1 - math.ceil(45.0 / step)), n)[:, None]
-        terms = i * np.log(yg) - gammaln(i + 1.0)
-        out[gone] = terms[-1] - yg + np.log(np.exp(terms - terms[-1]).sum(axis=0))
+        out[gone] = _log_gamma_series(n, y[gone]) - y[gone]
     return out[()]
 
 

@@ -33,8 +33,9 @@ for both sides.
 The cri/cpi measures additionally have representation forms (mean
 differences, hazard-weighted double integrals, cdf differences) exposed
 as separate functions so the identity checks exercise genuinely
-different arithmetic.  Hazard form one takes log f at the record scale
-from ``log_pdf_at_tail``, as the gamma routes do.
+different arithmetic.  Both hazard forms run over the cumulative hazard
+and take log f at the record scale from ``log_pdf_at_tail``, as the gamma
+routes do.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ from .numerics import (
     _TINY,
     DEFAULT_QUADRATURE,
     QuadratureConfig,
+    _log_gamma_series,
     gamma_expectation,
     gamma_mass_edges,
     integrate_each,
-    log_gammaincc,
 )
 from .records import (
     RecordSpec,
@@ -120,17 +121,19 @@ def _require_side(spec: RecordSpec, side: str, what: str) -> None:
 
 def _gamma_failure(parent: Distribution, side: str, what: str, exc: QuadratureError):
     """A gamma route's failure as the error it raises: a breakdown means the
-    integral could not be certified finite (as in _quad), and an integrand
-    that is not finite at t refuses the route."""
+    integral could not be certified finite (as in _quad); an integrand that
+    is not finite at t refuses the route where log f is not finite there,
+    and is an IntegrandError where it passes the double range."""
     if not isinstance(exc, IntegrandError):
         return _diverged(exc, what)
     t = exc.abscissa
     with np.errstate(all="ignore"):
         log_f = float(parent.log_pdf_at_tail(side, t))
-    why = ("passes the double range, and so does the value" if math.isfinite(log_f) else
-           f'has a parent log-density of {log_f!r}; use method="quadrature"')
+    head = f"the gamma route cannot evaluate {what}: its integrand at t={t!r}"
+    if math.isfinite(log_f):
+        return IntegrandError(f"{head} passes the double range, and so does the value", t)
     return UnsupportedMethodError(
-        f"the gamma route cannot evaluate {what}: its integrand at t={t!r} {why}")
+        f'{head} has a parent log-density of {log_f!r}; use method="quadrature"')
 
 
 def _kerridge_expectation(measure: str, parent: Distribution, spec: RecordSpec,
@@ -173,8 +176,14 @@ def _cumulative_expectation(measure: str, parent: Distribution, spec: RecordSpec
         # in logs where Q underflows against e^expo > 1, or e^expo overflows
         logs = (expo > 0.0) & ((q < _TINY) | (expo > _LOG_MAX))
         if np.any(logs):
-            tl = t[logs]
-            out[logs] = np.exp(np.log(tl) + log_gammaincc(n, k * tl) + expo[logs])
+            tl, ex, log_q = t[logs], expo[logs], np.log(q[logs])
+            # where Q underflows, Q = e^-kt times a series whose log is kept
+            # apart from -kt: past t ~ 1e17 the sum would round it away
+            gone = q[logs] < _TINY
+            if np.any(gone):
+                log_q[gone] = _log_gamma_series(n, k * tl[gone])
+                ex[gone] -= k * tl[gone]
+            out[logs] = np.exp(np.log(tl) + log_q + ex)
         return out
 
     what = f"{MEASURES[measure].label} expectation on {parent.name}"
@@ -347,57 +356,33 @@ def residual_inaccuracy_mean_difference_form(
     return MeasureResult(total, "quadrature", err)
 
 
-def _hazard_tail_integrand(parent: Distribution, n: int, k: int):
-    """Form one's inner integrand in cumulative-hazard space.
+def _hazard_inner_integrand(parent: Distribution, n: int, k: int, rate: float, power: int):
+    """The hazard forms' inner integrand over the cumulative hazard u:
 
-    sum_i (ks)^i/i! * e^{-(k+1)s} / f(x(s)), x(s) the upper record-scale
-    image of the cumulative hazard s, with log f(x(s)) from the parent's
-    ``log_pdf_at_tail``.  Points where it is not finite (a custom law's
-    inverse rounds onto a support end) carry true mass below working
-    precision and are dropped.
+        sum_{i<n} (ku)^(i+power) / i! * e^(-rate u) / f(x(u)),
+
+    x(u) the upper record-scale image of u, with log f(x(u)) from the
+    parent's ``log_pdf_at_tail``.  Form one's tail integrand has rate
+    k + 1 and power 0, form two's head integrand rate 1 and power 1; the
+    n terms of either share their range, so they are integrated as one
+    sum.  Points where log f is not finite (a custom law's inverse rounds
+    onto a support end) are dropped.
     """
     log_k = math.log(k)
     log_fact = [math.lgamma(i + 1) for i in range(n)]
 
-    def tail_sum(s):
-        s = np.asarray(s, float)
+    def inner(u):
+        u = np.asarray(u, float)
         with np.errstate(all="ignore"):
-            lp = np.asarray(parent.log_pdf_at_tail("upper", s), float)
-            base = -(k + 1.0) * s - lp
-            ls = np.log(s)
-            acc = np.zeros(s.shape)
+            lp = np.asarray(parent.log_pdf_at_tail("upper", u), float)
+            base = -rate * u - lp
+            log_ku = log_k + np.log(u)
+            acc = np.zeros(u.shape)
             for i in range(n):
-                acc += np.exp(base + i * (log_k + ls) - log_fact[i])
+                acc += np.exp(base + (i + power) * log_ku - log_fact[i])
         return np.where(np.isfinite(lp), acc, 0.0)[()]
 
-    return tail_sum
-
-
-def _hazard_head_integrand(parent: Distribution, n: int, k: int):
-    """Form two's inner integrand: sum_i (-k log survival)^(i+1) / i!.
-
-    The n head integrals of form two share their range, so they are
-    integrated as this one sum.  A vanished survival function (past the
-    upper endpoint) is reported as +inf so that an inner range reaching
-    there surfaces as a divergence rather than a silent zero.
-    """
-    log_k = math.log(k)
-    log_fact = [math.lgamma(i + 1) for i in range(n)]
-
-    def head_sum(x):
-        lg = np.asarray(parent.log_survival(x), float)
-        out = np.zeros(lg.shape)
-        m = np.isfinite(lg) & (lg < 0.0)
-        if np.any(m):
-            log_ky = log_k + np.log(-lg[m])
-            acc = np.zeros(log_ky.shape)
-            for i in range(n):
-                acc += np.exp((i + 1) * log_ky - log_fact[i])
-            out[m] = acc
-        out[~np.isfinite(lg)] = np.inf
-        return out[()]
-
-    return head_sum
+    return inner
 
 
 def _knot_chain(integrals, anchor: float, cfg: QuadratureConfig):
@@ -480,24 +465,26 @@ def residual_inaccuracy_hazard_forms(
     outer integrals run to ``config``, the inner ones to a tenth of its
     tolerances.
 
-    Form one's tail integrals are evaluated after substituting the
-    cumulative hazard s for the integration variable.  In x-space a heavy
-    tail spreads the mass so thinly that the adaptive integrator can
-    declare convergence below its absolute floor without ever sampling
-    it; in hazard-space the mass sits against the finite endpoint where
-    the first panel sees it.
+    Both forms run over the cumulative hazard s = -log S(x), in which
+    h(x) dx = ds and S^(k-1) f dx = e^(-ks) ds: form one is the integral
+    over s > 0 of T(s), the integral of ``_hazard_inner_integrand`` (rate
+    k + 1, power 0) from s to infinity, and form two the integral of
+    e^(-ks) H(s), H(s) that of the integrand with rate 1 and power 1 from
+    0 to s.  Neither evaluates the parent in x: a bounded law's record
+    mass sits a few float spacings below its upper end, which x-space
+    nodes do not resolve, and a heavy tail spreads it so thinly there
+    that the integrator can declare convergence without sampling it.
 
     Inner integrals are chained over knots (see ``_knot_chain``) within
-    one call.  Form two sums its n head pieces into one integrand, keeps
-    knots t with H(t) = integral from the lower support end to t, anchored
-    at H(lo) = 0, and visits each batch of outer nodes in ascending t, so
-    a node integrates only the gap from the nearest knot below it.  Form
-    one keeps knots s with T(s) = integral from s to infinity, anchored at
-    T(inf) = 0; the cumulative hazard s0 rises with t, so it visits the
-    nodes in descending t and integrates from s0 up to the nearest knot
-    above it; only a node past the largest knot runs a full (s0, inf)
-    tail integral with its tail certification.  A knot whose chained
-    error estimate would exceed the inner tolerance is integrated
+    one call.  Form two keeps knots s with H(s), anchored at H(0) = 0,
+    and visits each batch of outer nodes in ascending s, so a node
+    integrates only the gap from the nearest knot below it; nodes where
+    e^(-ks) underflows are skipped, since H grows without bound there.
+    Form one keeps knots s with T(s), anchored at T(inf) = 0, and visits
+    the nodes in descending s, so a node integrates from s up to the
+    nearest knot above it; only a node past the largest knot runs a full
+    (s, inf) tail integral with its tail certification.  A knot whose
+    chained error estimate would exceed the inner tolerance is integrated
     directly from its anchor instead.  The gaps of all nodes of one outer
     integrand call are integrated as one batch (``integrate_each``), so
     they share their integrand calls; each gap's result, and so each
@@ -508,70 +495,45 @@ def residual_inaccuracy_hazard_forms(
     (``elementwise=False``): a node of a panel the refinement never
     consumed would lay a knot and move later values.
 
-    This is not Fubini: the outer integral stays over t and the inner
-    ones over x (form two) and s (form one), so both forms remain
-    arithmetically distinct from the direct single integral they are
-    checked against.
+    This is a change of variable, not Fubini: each form stays an outer
+    integral of inner integrals over s, so both remain arithmetically
+    distinct from the direct single integral they are checked against.
     """
     _require_side(spec, "upper", "hazard double-integral forms")
     n, k = spec.n, spec.k
-    lo, hi = parent.support
     inner_cfg = replace(config, abs_tol=config.abs_tol / 10, rel_tol=config.rel_tol / 10)
-    tail_sum = _hazard_tail_integrand(parent, n, k)
-    head_sum = _hazard_head_integrand(parent, n, k)
-    tail = _knot_chain(
-        lambda spans: _quad_each(tail_sum, spans, inner_cfg, "hazard-form tail integral"),
-        math.inf,
-        inner_cfg,
-    )
-    head = _knot_chain(
-        lambda spans: _quad_each(head_sum, spans, inner_cfg, "hazard-form head integral"),
-        lo,
-        inner_cfg,
-    )
 
-    def form_one_outer(ts):
-        ts = np.asarray(ts, float)
-        flat = np.atleast_1d(ts)
-        order = np.argsort(flat)[::-1]
-        log_s = np.asarray(parent.log_survival(flat[order]), float)
-        log_dens = np.asarray(parent.log_pdf(flat[order]), float)
-        live = np.isfinite(log_s) & np.isfinite(log_dens)
-        log_s, log_dens = log_s[live].tolist(), log_dens[live].tolist()
-        values = tail([max(-ls, 1e-300) for ls in log_s])
-        vals = np.zeros(flat.shape)
-        vals[order[live]] = [
-            math.exp(ld - ls) * value for ld, ls, value in zip(log_dens, log_s, values)
-        ]
-        return vals.reshape(ts.shape)[()]
+    def outer(rate, power, anchor, weight, what):
+        # weight(s) times the inner integral between the anchor and s, the
+        # nodes of a call visited from the anchor's side
+        inner = _hazard_inner_integrand(parent, n, k, rate, power)
+        at = _knot_chain(lambda spans: _quad_each(inner, spans, inner_cfg, what),
+                         anchor, inner_cfg)
 
-    def form_two_outer(ts):
-        ts = np.asarray(ts, float)
-        flat = np.atleast_1d(ts)
-        order = np.argsort(flat)
-        x = flat[order]
-        weight = np.array([
-            s ** (k - 1) * dens
-            for s, dens in zip(np.asarray(parent.survival(x), float).tolist(),
-                               np.asarray(parent.pdf(x), float).tolist())
-        ])
-        live = (weight != 0.0) & np.isfinite(weight)
-        vals = np.zeros(flat.shape)
-        vals[order[live]] = weight[live] * np.array(head(x[live].tolist()))
-        return vals.reshape(ts.shape)[()]
+        def outer_integrand(s):
+            s = np.asarray(s, float)
+            flat = np.atleast_1d(s)
+            order = np.argsort(flat)
+            if anchor > 0.0:
+                order = order[::-1]
+            w = weight(flat[order])
+            live = w != 0.0
+            vals = np.zeros(flat.shape)
+            vals[order[live]] = w[live] * np.array(at(flat[order[live]].tolist()))
+            return vals.reshape(s.shape)[()]
 
-    # Over a half line (lo, inf) the outer head (lo, lo + 1) and mapped
-    # tail share integrand calls, so one call may hold nodes on both sides
-    # of lo + 1.  Their values are still those of running head then tail
-    # only because the outer tail certification probes t = |lo| + 1 first
-    # and so lays a knot at the split in both chains before either piece
-    # runs: no node then chains from a knot on the other side.  For lo < 0,
-    # or the whole line (split at 0, probed at +-1), that knot is missing
-    # and values can move in the last bits, within the inner tolerance.
-    one = _quad(form_one_outer, (lo, hi), config, "hazard-weighted form one",
-                elementwise=False)
-    two = _quad(form_two_outer, (lo, hi), config, "hazard-weighted form two",
-                elementwise=False)
+        return outer_integrand
+
+    # The outer head (0, 1) and mapped tail (1, inf) share integrand calls,
+    # so one call may hold nodes on both sides of s = 1.  Their values are
+    # still those of running head then tail only because the outer tail
+    # certification probes s = 1 first and so lays a knot at the split in
+    # each form's chain before either piece runs: no node then chains from
+    # a knot on the other side.
+    one = _quad(outer(k + 1.0, 0, math.inf, np.ones_like, "hazard-form tail integral"),
+                (0.0, math.inf), config, "hazard-weighted form one", elementwise=False)
+    two = _quad(outer(1.0, 1, 0.0, lambda s: np.exp(-k * s), "hazard-form head integral"),
+                (0.0, math.inf), config, "hazard-weighted form two", elementwise=False)
     return one, two
 
 

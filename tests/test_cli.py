@@ -258,6 +258,17 @@ class TestExitCodes:
         )
         assert res.returncode == 3
 
+    def test_value_past_the_double_range_exits_three(self):
+        # auto keeps the gamma route's failure, where quadrature in its
+        # place said "divergent: ... appears divergent"
+        res = run_cli(
+            "compute", "--dist", "pareto", "--param", "theta=2",
+            "--measure", "cri", "--side", "upper", "--n", "3000", "--k", "1",
+        )
+        assert res.returncode == 3
+        assert res.stderr.startswith("quadrature failure: the gamma route cannot evaluate ")
+        assert res.stderr.endswith(" passes the double range, and so does the value\n")
+
     def test_table_missing_parameter_is_usage_error(self):
         # the same message and exit code as compute, not a traceback
         args = ("--dist", "exponential", "--measure", "kerridge", "--side", "upper")

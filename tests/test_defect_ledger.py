@@ -142,10 +142,14 @@ def test_d11_pareto_upper_kerridge_quadrature_estimate():
     assert_within(res, 1.5 * 50 / 2 - math.log(2.0), 1e-14)
 
 
-@pytest.mark.xfail(strict=True, reason="D13: a refusal where the integral diverges")
-def test_d13_pareto_cri_gamma_route_diverges():
-    with pytest.raises(DivergenceError):
-        residual_record_inaccuracy(make_pareto(1.0), RecordSpec("upper", 2, 1), "gamma_expectation")
+@pytest.mark.parametrize("theta, n, k", [(1.0, 1, 1), (1.0, 2, 1), (1.0, 8, 1), (0.5, 3, 2)])
+@pytest.mark.parametrize("method", ["auto", "gamma_expectation"])
+def test_d13_pareto_cri_gamma_route_diverges(theta, n, k, method):
+    # mended: the gamma integrand's log Q kept -kt inside a sum that
+    # rounded (n - 1) log kt away past t ~ 1e17, so the tail ladder passed
+    # pareto(1) and the route refused at t = 2.45e154
+    with pytest.raises(DivergenceError, match="appears divergent"):
+        residual_record_inaccuracy(make_pareto(theta), RecordSpec("upper", n, k), method)
 
 
 @pytest.mark.xfail(strict=True, reason="D14: a false 'likely divergent' from the head integral")
@@ -161,6 +165,17 @@ def test_d15_exponential_rate_1e308_kerridge_quadrature():
     res = kerridge_record(make_exponential(1e308), RecordSpec("upper", 2, 1), "quadrature")
     # the closed form, 2 - log(1e308)
     assert_within(res, -707.19620864216608, 1e-12)
+
+
+# mpmath, 30 digits: the defining integral of the triangular law's cri
+TRIANGULAR_HAZARD_CRI = {(3, 2): 0.28725109433751307, (5, 1): 0.95007130579607422}
+
+
+@pytest.mark.xfail(strict=True, reason="D21: the hazard forms' head integral stalls on an inverse survival that loses the digits of 1 - x")
+@pytest.mark.parametrize("n, k", list(TRIANGULAR_HAZARD_CRI))
+def test_d21_hazard_forms_on_a_custom_triangular(triangular, n, k):
+    for res in residual_inaccuracy_hazard_forms(triangular, RecordSpec("upper", n, k)):
+        assert_within(res, TRIANGULAR_HAZARD_CRI[n, k])
 
 
 def _exact_wrapper(dist):

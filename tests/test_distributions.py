@@ -1,6 +1,7 @@
 """Catalog checks: closed-form values, normalization, inverse round trips."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ class TestClosedFormValues:
         assert u.hazard(0.5) == pytest.approx(2.0, rel=1e-15)
         assert u.reversed_hazard(0.5) == pytest.approx(2.0, rel=1e-15)
         assert u.pdf(-0.5) == 0.0 and u.pdf(1.5) == 0.0
+
+    @pytest.mark.parametrize("measure, side", [("cri", "upper"), ("cpi", "lower")])
+    def test_uniform_cumulative_closed_form_is_the_exact_sum_rounded_once(self, measure, side):
+        # summed term by term in floats, n = 100 k = 1 gave 0.9999999999999999
+        form = make_uniform01().closed_forms[measure]
+        for n in [*range(1, 41), 60, 100, 200]:
+            for k in (1, 2, 3, 5):
+                exact = sum(Fraction((i + 1) * k**i, (k + 1) ** (i + 2)) for i in range(n))
+                assert form(side, n, k) == float(exact), (n, k)
+        assert form(side, 10**5, 1) == 1.0
 
     def test_power_decreasing(self):
         d = make_power_decreasing()

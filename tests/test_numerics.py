@@ -66,6 +66,15 @@ class TestIntegrate:
         r = integrate(lambda x: x**-1.5, (1.0, math.inf))
         assert r.value == pytest.approx(2.0, abs=1e-8)
 
+    def test_panel_far_above_its_halves_leaves_no_trace_in_the_totals(self):
+        # s^201 e^(-s/2) / 201!, mass 2^202 near s = 400: the first tail
+        # panel reads 1e61 and its halves 3e32, so running totals updated by
+        # difference cancelled to 0 +- 0, and the integral stopped there
+        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
+        r = integrate(lambda s: np.exp(201.0 * np.log(s) - 0.5 * s - math.lgamma(202.0)),
+                      (0.0, math.inf), cfg)
+        assert abs(r.value - 2.0**202) <= r.abs_error_estimate <= 1e-8 * 2.0**202
+
     def test_polynomial_exactness(self):
         r = integrate(lambda x: x**10, (0.0, 1.0))
         assert r.value == pytest.approx(1.0 / 11.0, rel=1e-14)

@@ -27,6 +27,7 @@ from recinacc.distributions import (
 )
 from recinacc.errors import (
     DivergenceError,
+    IntegrandError,
     ParameterError,
     RecinaccError,
     SupportError,
@@ -56,6 +57,32 @@ CUSTOM_E2 = make_custom(
     (0.0, math.inf),
     name="custom-exponential",
 )
+
+
+def _logistic():
+    """The standard logistic law on the whole line, with its own survival
+    and inverse survival."""
+
+    def pdf(x):
+        a = np.abs(np.asarray(x, float))
+        return np.exp(-a - 2.0 * np.logaddexp(0.0, -a))[()]
+
+    def logit(p, q):
+        with np.errstate(divide="ignore"):
+            return (np.log(np.asarray(p, float)) - np.log(np.asarray(q, float)))[()]
+
+    return make_custom(
+        pdf,
+        lambda x: np.exp(-np.logaddexp(0.0, -np.asarray(x, float)))[()],
+        lambda p: logit(p, 1.0 - np.asarray(p, float)),
+        (-math.inf, math.inf),
+        name="logistic",
+        survival=lambda x: np.exp(-np.logaddexp(0.0, np.asarray(x, float)))[()],
+        inverse_survival=lambda q: logit(1.0 - np.asarray(q, float), q),
+    )
+
+
+LOGISTIC = _logistic()
 
 
 def up(n, k=1):
@@ -226,6 +253,14 @@ class TestKerridgeRouteAgreement:
         assert res.method == "quadrature"
         assert res.value == pytest.approx(truth, abs=1e-9)
 
+    @pytest.mark.parametrize("theta", [2.0, 3.0])
+    def test_auto_keeps_a_value_past_the_double_range(self, theta):
+        # not a refusal of the parent: quadrature, taken in its place, raised
+        # a false "appears divergent" at x = 3.21e+60
+        with pytest.raises(IntegrandError) as exc:
+            RM.residual_record_inaccuracy(make_pareto(theta), up(3000, 1))
+        assert str(exc.value).endswith("passes the double range, and so does the value")
+
     def test_gamma_route_normaliser_is_exact_at_large_n(self):
         # normalising by exp(log_gamma(n)) alone put it 9e-13 off at n=80
         g = RM.kerridge_record(W12, up(80, 1), "gamma_expectation")
@@ -366,6 +401,21 @@ class TestResidualInaccuracy:
         assert one.value == pytest.approx(direct.value, abs=1e-7)
         assert two.value == pytest.approx(direct.value, abs=1e-7)
 
+    @pytest.mark.parametrize("parent, n", [(U, 20), (P2, 20), (make_power_increasing(3), 30)],
+                             ids=["uniform", "power_increasing2", "power_increasing3"])
+    def test_hazard_forms_where_the_record_mass_nears_the_upper_end(self, parent, n):
+        # the mass sits a few float spacings below x = 1, where x-space head
+        # integrals raised a false "likely divergent"
+        direct = RM.residual_record_inaccuracy(parent, up(n, 1))
+        for res in RM.residual_inaccuracy_hazard_forms(parent, up(n, 1)):
+            assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
+
+    def test_hazard_forms_on_a_custom_law_on_the_whole_line(self):
+        # x-space tail integrals raised a false "likely divergent" here
+        for res in RM.residual_inaccuracy_hazard_forms(LOGISTIC, up(2, 1)):
+            # mpmath, 30 digits
+            assert abs(res.value - 4.049047873167415) <= res.abs_error_estimate
+
     def test_hazard_forms_evaluation_budget(self, monkeypatch):
         # the knot chains keep each inner integral to the gap between
         # neighbouring outer nodes; restarting every inner integral from
@@ -442,37 +492,35 @@ class TestHazardFormKnotChain:
     @pytest.mark.parametrize("order", ["descending", "random"])
     def test_knots_match_direct_inner_integrals(self, parent, order):
         n, k = 3, 2
-        lo = parent.support[0]
-        head_sum = RM._hazard_head_integrand(parent, n, k)
-        tail_sum = RM._hazard_tail_integrand(parent, n, k)
-        head = RM._knot_chain(self._integrals(head_sum), lo, self.INNER)
+        head_sum = RM._hazard_inner_integrand(parent, n, k, 1.0, 1)
+        tail_sum = RM._hazard_inner_integrand(parent, n, k, k + 1.0, 0)
+        head = RM._knot_chain(self._integrals(head_sum), 0.0, self.INNER)
         tail = RM._knot_chain(self._integrals(tail_sum), math.inf, self.INNER)
         ts = np.asarray(parent.quantile(np.linspace(0.02, 0.98, 25)), float)
         if order == "descending":
             ts = ts[::-1]
         else:
             ts = np.random.default_rng(7).permutation(ts)
-        ts = ts.tolist()
         s0s = [-float(parent.log_survival(t)) for t in ts]
-        heads = self._in_batches(head, ts)
+        heads = self._in_batches(head, s0s)
         tails = self._in_batches(tail, s0s)
-        for t, s0, got_head, got_tail in zip(ts, s0s, heads, tails):
-            want_head = measures._quad(head_sum, (lo, t), self.INNER, "head").value
+        for s0, got_head, got_tail in zip(s0s, heads, tails):
+            want_head = measures._quad(head_sum, (0.0, s0), self.INNER, "head").value
             want_tail = measures._quad(tail_sum, (s0, math.inf), self.INNER, "tail").value
             assert abs(got_head - want_head) <= self._tolerance(want_head)
             assert abs(got_tail - want_tail) <= self._tolerance(want_tail)
 
     @pytest.mark.parametrize("parent", [PAR2, W205, U, PD], ids=lambda d: d.name + str(d.params))
     def test_batch_answers_are_the_one_by_one_answers(self, parent):
-        lo = parent.support[0]
-        head_sum = RM._hazard_head_integrand(parent, 3, 2)
+        head_sum = RM._hazard_inner_integrand(parent, 3, 2, 1.0, 1)
         ts = np.asarray(parent.quantile(np.linspace(0.02, 0.98, 25)), float)
-        ts = np.random.default_rng(11).permutation(ts).tolist()
-        ts = ts[:10] + [lo, ts[3], ts[12]] + ts[10:] + [ts[0], ts[20]]  # anchor, duplicates
-        one = RM._knot_chain(self._integrals(head_sum), lo, self.INNER)
-        singles = [one([t])[0] for t in ts]
-        batched = RM._knot_chain(self._integrals(head_sum), lo, self.INNER)
-        got = self._in_batches(batched, ts)
+        ts = np.random.default_rng(11).permutation(ts)
+        s0s = [-float(parent.log_survival(t)) for t in ts]
+        s0s = s0s[:10] + [0.0, s0s[3], s0s[12]] + s0s[10:] + [s0s[0], s0s[20]]  # anchor, duplicates
+        one = RM._knot_chain(self._integrals(head_sum), 0.0, self.INNER)
+        singles = [one([s0])[0] for s0 in s0s]
+        batched = RM._knot_chain(self._integrals(head_sum), 0.0, self.INNER)
+        got = self._in_batches(batched, s0s)
         assert [v.hex() for v in got] == [v.hex() for v in singles]
 
     @staticmethod
@@ -615,8 +663,8 @@ class TestLookAhead:
         log = _spy_integrands(monkeypatch)
         one, two = RM.residual_inaccuracy_hazard_forms(W205, up(2, 1))
         assert [(r.value.hex(), r.abs_error_estimate.hex()) for r in (one, two)] == [
-            ("0x1.fffffffee75a2p+1", "0x1.67f697fea68a7p-27"),
-            ("0x1.00000000009bcp+2", "0x1.8553fbe100f38p-30"),
+            ("0x1.0000000000005p+2", "0x1.61a8f55f04c3ep-27"),
+            ("0x1.0000000000000p+2", "0x1.b85ef3d5d134ap-31"),
         ]
         outer = [(sum(sizes), consumed) for name, sizes, consumed in log if "outer" in name]
         assert len(outer) == 2
