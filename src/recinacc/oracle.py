@@ -28,6 +28,10 @@ GENERATOR_NAME = "numpy PCG64 (seeded via SeedSequence, substreams by spawn)"
 
 _BAD_FRACTION = 1e-4  # tolerated share of non-finite functional evaluations
 
+# draws per row a stream-scan round maps first: most rows meet their next
+# record among them, and only the others map the rest of their chunk
+_HEAD = 4
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -107,18 +111,25 @@ def stream_record_sample(
     one stream position at a time per replication and compared against
     the current k-th extreme, so this is the same definitional process.
     The total draw budget across all replications is capped.
+
+    Each round draws a chunk of uniforms per active replication, and every
+    one of them is consumed from the generator, so the stream and the cap
+    count every draw.  Only the draws the scan reads are mapped through
+    ``parent.quantile``: the first ``_HEAD`` of each row, then the rest of
+    the rows that had no new record among those.  Within a round a row's
+    scan stops at its first draw past the current k-th extreme, and the
+    rest of its chunk goes unread.
     """
     RecordSpec(side, n, k)
     check_integer(reps, "reps")
     check_seed(seed)
-    sgn = 1.0 if side == "upper" else -1.0
     rng = np.random.default_rng(seed)
 
     drawn = 0
 
-    def draw(shape) -> np.ndarray:
+    def uniforms(shape) -> np.ndarray:
         nonlocal drawn
-        count = int(np.prod(shape))
+        count = shape[0] * shape[1]
         if drawn + count > STREAM_CAP:
             raise StreamCapError(
                 f"stream cap of {STREAM_CAP} draws reached with "
@@ -126,12 +137,23 @@ def stream_record_sample(
                 records_found=int(done.sum()),
             )
         drawn += count
-        return sgn * np.asarray(parent.quantile(rng.random(shape)), float)
+        return rng.random(shape)
+
+    def observe(u: np.ndarray) -> np.ndarray:
+        # the sign-adjusted observations
+        x = np.asarray(parent.quantile(u), float)
+        return x if side == "upper" else -x
+
+    def first_hit(xs: np.ndarray, level: np.ndarray):
+        # each row's first draw above its level, and whether there is one
+        hit = xs > level[:, None]
+        at = (np.arange(xs.shape[0]), hit.argmax(axis=1))
+        return xs[at], hit[at]
 
     done = np.zeros(reps, dtype=bool)
     # top-k buffer of the sign-adjusted stream, ascending; column 0 holds the
     # k-th largest, whose sign-adjusted value is the current record
-    z = np.sort(draw((reps, k)), axis=1)
+    z = np.sort(observe(uniforms((reps, k))), axis=1)
     count = np.ones(reps, dtype=np.int64)
     record = z[:, 0].copy()
     done = count >= n
@@ -139,16 +161,25 @@ def stream_record_sample(
     active = np.flatnonzero(~done)
     chunk = 16
     while active.size:
-        zs = draw((active.size, chunk))
-        hit = zs > z[active, 0][:, None]
-        any_hit = hit.any(axis=1)
-        rows = active[any_hit]
+        u = uniforms((active.size, chunk))
+        level = z[active, 0]
+        new, found = first_hit(observe(u[:, :_HEAD]), level)
+        miss = np.flatnonzero(~found)
+        if miss.size:
+            new[miss], found[miss] = first_hit(observe(u[miss, _HEAD:]), level[miss])
+        rows = active[found]
         if rows.size:
-            first = hit[any_hit].argmax(axis=1)
-            z[rows, 0] = zs[any_hit, first]
-            z[rows] = np.sort(z[rows], axis=1)
+            # the new value displaces the k-th largest; compare-swaps move
+            # it up the ascending row to its place
+            top = z[rows]
+            top[:, 0] = new[found]
+            for j in range(1, k):
+                low = np.minimum(top[:, j - 1], top[:, j])
+                np.maximum(top[:, j - 1], top[:, j], out=top[:, j])
+                top[:, j - 1] = low
+            z[rows] = top
             count[rows] += 1
-            record[rows] = z[rows, 0]
+            record[rows] = top[:, 0]
             finished = rows[count[rows] >= n]
             done[finished] = True
         active = np.flatnonzero(~done)
@@ -156,7 +187,7 @@ def stream_record_sample(
         # bounded so the chunk never exceeds a few million draws
         if active.size:
             chunk = min(2 * chunk, max(16, 4_000_000 // active.size))
-    return sgn * record
+    return record if side == "upper" else -record
 
 
 def _functional_mean(vals: np.ndarray, what: str) -> tuple[float, float, int]:
@@ -167,7 +198,7 @@ def _functional_mean(vals: np.ndarray, what: str) -> tuple[float, float, int]:
             f"{what}: {n_bad} of {vals.size} functional evaluations were "
             f"non-finite, above the {_BAD_FRACTION:.2%} tolerance"
         )
-    good = vals[~bad]
+    good = vals[~bad] if n_bad else vals
     mean = float(good.mean())
     var = float(good.var(ddof=1)) if good.size > 1 else 0.0
     return mean, var, good.size

@@ -249,7 +249,11 @@ def sample_record(
     check_draws(count, spec.n)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    t = _row_sums(rng.exponential(scale=1.0 / spec.k, size=(count, spec.n)))
+    # exponential(scale=1/k) is standard_exponential times 1/k, bit for bit
+    e = rng.standard_exponential(size=(count, spec.n))
+    if spec.k != 1:
+        e *= 1.0 / spec.k
+    t = _row_sums(e)
     # sums of positive exponentials cannot round to zero in practice, but
     # the transform requires strict positivity
     np.maximum(t, _TINY, out=t)

@@ -34,6 +34,7 @@ from recinacc.record_measures import (
     residual_record_inaccuracy,
 )
 from recinacc.records import RecordSpec
+from recinacc.verify import _kstwo_sf
 
 
 def assert_within(res, truth, truth_error=0.0):
@@ -269,3 +270,20 @@ def test_d20_custom_exponential_cri_false_divergence():
     res = residual_record_inaccuracy(custom, RecordSpec("upper", 10, 1))
     # the closed form n(n+1) / (2 theta k^2)
     assert_within(res, 27.5)
+
+
+@pytest.mark.xfail(strict=True, reason="D22: scipy's Durbin-matrix branch overflows and the KS survival reads 0")
+def test_d22_kstwo_sf_at_a_tiny_distance():
+    # 1.0 at d = 1.2e-5 and at d = 4e-5
+    assert _kstwo_sf(1.8854330129967254e-05, 100000) == pytest.approx(1.0, abs=1e-15)
+
+
+# the gamma route's value and estimate
+PARETO_CRI_N200 = (6.395613416151002e62, 4.1e50)
+
+
+@pytest.mark.xfail(strict=True, reason="D23: a false 'non-integrable singularity' where the head integrand overflows")
+def test_d23_hazard_forms_on_pareto_at_n_200():
+    truth, truth_error = PARETO_CRI_N200
+    for res in residual_inaccuracy_hazard_forms(make_pareto(2.0), RecordSpec("upper", 200, 1)):
+        assert_within(res, truth, truth_error)

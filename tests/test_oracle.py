@@ -16,10 +16,14 @@ from recinacc import oracle as O
 from recinacc import record_measures as RM
 from recinacc import records as R
 from recinacc.distributions import (
+    affine_transform,
     make_custom,
     make_exponential,
+    make_pareto,
     make_power_decreasing,
+    make_power_increasing,
     make_uniform01,
+    make_weibull,
 )
 from recinacc.errors import (
     ContaminationError,
@@ -32,6 +36,59 @@ from recinacc.records import RecordSpec, record_cdf, sample_record
 E1 = make_exponential(1.0)
 U = make_uniform01()
 PD = make_power_decreasing()
+
+
+def _reference_stream_record_sample(parent, side, k, n, reps, seed):
+    """The stream scan that maps every draw of each chunk through the
+    quantile: the bit-for-bit reference of ``oracle.stream_record_sample``,
+    which maps only the draws it reads."""
+    RecordSpec(side, n, k)
+    sgn = 1.0 if side == "upper" else -1.0
+    rng = np.random.default_rng(seed)
+
+    drawn = 0
+
+    def draw(shape) -> np.ndarray:
+        nonlocal drawn
+        count = int(np.prod(shape))
+        if drawn + count > O.STREAM_CAP:
+            raise StreamCapError(
+                f"stream cap of {O.STREAM_CAP} draws reached with "
+                f"{int(done.sum())} of {reps} replications finished",
+                records_found=int(done.sum()),
+            )
+        drawn += count
+        return sgn * np.asarray(parent.quantile(rng.random(shape)), float)
+
+    done = np.zeros(reps, dtype=bool)
+    # top-k buffer of the sign-adjusted stream, ascending; column 0 holds the
+    # k-th largest, whose sign-adjusted value is the current record
+    z = np.sort(draw((reps, k)), axis=1)
+    count = np.ones(reps, dtype=np.int64)
+    record = z[:, 0].copy()
+    done = count >= n
+
+    active = np.flatnonzero(~done)
+    chunk = 16
+    while active.size:
+        zs = draw((active.size, chunk))
+        hit = zs > z[active, 0][:, None]
+        any_hit = hit.any(axis=1)
+        rows = active[any_hit]
+        if rows.size:
+            first = hit[any_hit].argmax(axis=1)
+            z[rows, 0] = zs[any_hit, first]
+            z[rows] = np.sort(z[rows], axis=1)
+            count[rows] += 1
+            record[rows] = z[rows, 0]
+            finished = rows[count[rows] >= n]
+            done[finished] = True
+        active = np.flatnonzero(~done)
+        # heavy-tailed waiting times: widen the window for the stragglers,
+        # bounded so the chunk never exceeds a few million draws
+        if active.size:
+            chunk = min(2 * chunk, max(16, 4_000_000 // active.size))
+    return sgn * record
 
 
 class TestMcConfig:
@@ -112,6 +169,75 @@ class TestStreamExtraction:
             getattr(O, sampler)(*args, seed=seed)
 
 
+def _scan_parents():
+    from recinacc.verify import _make_triangular
+
+    return {
+        "exp1": E1,
+        "exp2": make_exponential(2.0),
+        "pareto2": make_pareto(2.0),
+        "pareto3": make_pareto(3.0),
+        "weibull2-0.5": make_weibull(2.0, 0.5),
+        "weibull1-2": make_weibull(1.0, 2.0),
+        "uniform": U,
+        "power-dec": PD,
+        "power-inc2": make_power_increasing(2),
+        "power-inc3": make_power_increasing(3),
+        "triangular": _make_triangular(),
+        "affine-weibull": affine_transform(make_weibull(1.0, 2.0), 2.0, 1.0),
+    }
+
+
+SCAN_PARENTS = _scan_parents()
+
+
+def _scan_or_cap(sampler, *args):
+    try:
+        return sampler(*args)
+    except StreamCapError as exc:
+        return str(exc), exc.records_found
+
+
+class TestStreamScanBits:
+    """The scan maps only the draws it reads, and returns the bits of the
+    scan that mapped every draw."""
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("name", list(SCAN_PARENTS))
+    def test_grid_matches_the_full_chunk_scan(self, name, side):
+        parent = SCAN_PARENTS[name]
+        for k in range(1, 5):
+            for n in range(1, 7):
+                for seed in range(3):
+                    args = (parent, side, k, n, 64, seed)
+                    got = O.stream_record_sample(*args)
+                    want = _reference_stream_record_sample(*args)
+                    # tobytes also tells -0.0 from 0.0
+                    assert got.tobytes() == want.tobytes(), (k, n, seed)
+
+    @pytest.mark.parametrize("name, side, k, n, reps", [
+        ("exp1", "upper", 2, 2, 50_000),
+        ("pareto2", "upper", 3, 3, 20_000),
+        ("weibull2-0.5", "lower", 2, 3, 20_000),
+        ("uniform", "lower", 1, 2, 1000),
+    ])
+    def test_benchmark_scans_match_the_full_chunk_scan(self, name, side, k, n, reps):
+        args = (SCAN_PARENTS[name], side, k, n, reps, 17)
+        assert O.stream_record_sample(*args).tobytes() == _reference_stream_record_sample(*args).tobytes()
+
+    @pytest.mark.parametrize("cap, args", [
+        (5000, (U, "upper", 1, 12, 200, 0)),
+        (60_000, (E1, "lower", 1, 4, 300, 3)),
+        (2000, (PD, "upper", 3, 2, 1000, 1)),
+    ])
+    def test_cap_refusal_matches_the_full_chunk_scan(self, monkeypatch, cap, args):
+        monkeypatch.setattr(O, "STREAM_CAP", cap)
+        got = _scan_or_cap(O.stream_record_sample, *args)
+        want = _scan_or_cap(_reference_stream_record_sample, *args)
+        assert isinstance(want, tuple)
+        assert got == want
+
+
 class TestDistributionalAgreement:
     def test_second_upper_2_record_matches_analytic_cdf(self):
         spec = RecordSpec("upper", 2, 2)
@@ -181,6 +307,21 @@ class TestMcMeasure:
         req = RM.RecordMeasureRequest(U, RecordSpec("lower", 2, 1), "cpi")
         res = O.mc_measure(req, O.McConfig(samples=200_000, seed=6))
         assert abs(res.value - 0.5) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("name, side, n, k, measure, value, error", [
+        ("exp1", "upper", 3, 2, "kerridge", "0x1.8054b29dab419p+0", "0x1.2d86fafcffcd2p-6"),
+        ("weibull2-0.5", "lower", 2, 1, "kerridge", "-0x1.17d5d7c3a9686p+1", "0x1.466eb8b9692a7p-5"),
+        ("power-dec", "upper", 1, 3, "kerridge", "-0x1.bfc6619cbd5e8p-1", "0x1.3773ef6e3ebc5p-8"),
+        ("pareto2", "upper", 2, 2, "cri", "0x1.a0a0e80ee4a98p-1", "0x1.1417147faed1ap-7"),
+        ("weibull1-2", "upper", 3, 1, "cri", "0x1.eed43064dc8c2p+0", "0x1.1a110ed1669abp-7"),
+        ("uniform", "lower", 2, 2, "cpi", "0x1.08dedda4cac30p-2", "0x1.35b907cbfcb28p-9"),
+        ("power-inc2", "lower", 3, 1, "cpi", "0x1.9ef8b0f618fdap-1", "0x1.ba0cba82aa9eap-8"),
+    ])
+    def test_estimates_are_pinned_to_the_bit(self, name, side, n, k, measure, value, error):
+        # recorded when the sampler drew exponential(scale=1/k) directly
+        req = RM.RecordMeasureRequest(SCAN_PARENTS[name], RecordSpec(side, n, k), measure)
+        res = O.mc_measure(req, O.McConfig(samples=20_000, seed=7))
+        assert (res.value.hex(), res.abs_error_estimate.hex()) == (value, error)
 
     def test_deterministic_given_seed(self):
         req = RM.RecordMeasureRequest(E1, RecordSpec("upper", 2, 1), "kerridge")
