@@ -28,19 +28,21 @@ whole line are split at zero.
 
 Expectations under an integer-shape gamma weight are one batch of the
 same adaptive integrals, split where the mass starts, peaks and ends; the
-gamma density is a difference of regularised incomplete gamma functions,
-accurate to a few eps of its peak at every shape.
+gamma density is scipy's kernel x^a e^-x / Gamma(a), accurate to a few
+eps of its peak at every shape.
 
 This module is the package's one gateway to ``scipy.special``, and it
 loads scipy on first use: the closed forms need only ``math`` and numpy.
 Each special function the package uses is a module-level name here
 (``gammainc``, ``gammaincc``, ``gammaincinv``, ``gammainccinv``, ``gammaln``,
-``hyp1f1``, ``psi``, ``smirnov``, ``xlogy``) that starts as a stand-in;
-its first call loads the compiled module ``scipy.special._ufuncs`` and
-puts scipy's function in its place.  That skips ``scipy.special``'s
-package init, whose array-API layer imports much of numpy (``numpy.f2py``,
-``numpy.testing``, ``numpy.ma``) and costs more than the rest of a command;
-the functions are the ones ``scipy.special`` exports, the same objects.
+``hyp1f1``, ``psi``, ``smirnov``, ``xlogy``, ``_igam_fac``) that starts as
+a stand-in; its first call loads the compiled module
+``scipy.special._ufuncs`` and puts scipy's function in its place.  That
+skips ``scipy.special``'s package init, whose array-API layer imports much
+of numpy (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``) and costs more
+than the rest of a command; the functions are the ones ``scipy.special``
+exports, the same objects, but for ``_igam_fac``: the kernel of scipy's
+incomplete gammas, which only ``_ufuncs`` holds.
 Other modules call them as ``numerics.<name>``, so that from then on a
 call costs one attribute lookup, as ``scipy.special.<name>`` would.
 """
@@ -116,6 +118,7 @@ hyp1f1 = _from_scipy("hyp1f1")
 psi = _from_scipy("psi")
 smirnov = _from_scipy("smirnov")
 xlogy = _from_scipy("xlogy")
+_igam_fac = _from_scipy("_igam_fac")
 
 
 def __getattr__(name: str):
@@ -574,20 +577,15 @@ def gamma_mass_edges(n: int, k: int) -> tuple[float, float]:
 def _gamma_pdf(t: np.ndarray, n: int, k: int) -> np.ndarray:
     """The Gamma(n, rate k) density at t, k y^(n-1) e^-y / (n-1)! at y = kt.
 
-    That term is k[Q(n, y) - Q(n-1, y)] and k[P(n-1, y) - P(n, y)]; each
-    difference is taken where its two terms are at most 1/2 or so, Q right
-    of the mode and P left of it, so it is off by a few eps of the peak
-    at every n, where exp of the log form loses about n eps.
+    For n >= 2 that is k / (n-1) times scipy's kernel y^a e^-y / Gamma(a)
+    at a = n - 1, the factor its incomplete gammas scale by: a Lanczos sum
+    with log1pmx near the peak, within a few eps of the peak at every n.
     """
     y = k * np.asarray(t, dtype=float)
     if n == 1:
         return k * np.exp(-y)
-    out = np.empty_like(y)
-    right = y >= n - 1
-    out[right] = gammaincc(n, y[right]) - gammaincc(n - 1, y[right])
-    left = ~right
-    out[left] = gammainc(n - 1, y[left]) - gammainc(n, y[left])
-    return k * out
+    # the kernel is NaN at y = inf, where the density is 0
+    return np.where(y < math.inf, k / (n - 1) * _igam_fac(n - 1, y), 0.0)
 
 
 def gamma_expectation(

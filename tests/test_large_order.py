@@ -1,11 +1,12 @@
 """Large-order gate for the gamma routes against exact references.
 
 Every catalog cell of the kerridge, cri and cpi gamma routes that has an
-exact reference, over n up to 10^5 and k in {1, 3, 10}, must return a
+exact reference, over n up to 10^9 and k in {1, 3, 10}, must return a
 value within its own error estimate of the reference or raise a package
 error that names why.  The references are written out here from the
 families' definitions and summed in mpmath, so they share no code with
-the routes.
+the routes.  The weibull cri cells of ledger defect D25 stand apart as
+strict xfails.
 """
 
 import math
@@ -25,8 +26,11 @@ from recinacc.distributions import (
 from recinacc.errors import RecinaccError
 from recinacc.records import RecordSpec
 
-NS = (1, 2, 5, 20, 100, 300, 1000, 10**4, 10**5)
+NS = (1, 2, 5, 20, 100, 300, 1000, 10**4, 10**5,
+      10**6, 1_260_000, 10**7, 31_600_000, 10**8, 10**9)
 KS = (1, 3, 10)
+# (n, k) where the weibull cri gamma route raises a false divergence (D25)
+D25 = ((10**8, 1), (10**9, 1), (10**9, 3))
 
 mp.mp.dps = 30
 
@@ -104,6 +108,10 @@ _ROUTE = {
 _DOUBLE_MAX = mp.mpf(2) ** 1024
 
 
+def _is_d25(label, measure, n, k):
+    return measure == "cri" and label.startswith("weibull") and (n, k) in D25
+
+
 @pytest.mark.parametrize("label,parent,measure,side,reference", CELLS,
                          ids=[f"{c[2]}-{c[3]}-{c[0]}" for c in CELLS])
 def test_gamma_route_within_its_estimate_of_the_exact_value(label, parent, measure, side,
@@ -111,6 +119,8 @@ def test_gamma_route_within_its_estimate_of_the_exact_value(label, parent, measu
     outside, refused = [], []
     for n in NS:
         for k in KS:
+            if _is_d25(label, measure, n, k):
+                continue
             ref = reference(n, k)
             try:
                 res = _ROUTE[measure](parent, RecordSpec(side, n, k), "gamma_expectation")
@@ -124,6 +134,17 @@ def test_gamma_route_within_its_estimate_of_the_exact_value(label, parent, measu
     for n, k, ref, message in refused:
         assert abs(ref) >= _DOUBLE_MAX, (n, k, message)
         assert "double range" in message and "divergent" not in message
+
+
+D25_CELLS = [(c, n, k) for c in CELLS for n, k in D25 if _is_d25(c[0], c[2], n, k)]
+
+
+@pytest.mark.xfail(strict=True, reason="D25: the weibull cri gamma route calls itself likely divergent")
+@pytest.mark.parametrize("cell,n,k", D25_CELLS, ids=[f"{c[0]}-n{n}k{k}" for c, n, k in D25_CELLS])
+def test_d25_weibull_cri_within_its_estimate(cell, n, k):
+    _, parent, measure, side, reference = cell
+    res = _ROUTE[measure](parent, RecordSpec(side, n, k), "gamma_expectation")
+    assert abs(res.value - reference(n, k)) <= res.abs_error_estimate
 
 
 def _cpi_pareto(theta, n, k):

@@ -4,6 +4,7 @@ Expected values come from antiderivatives or classical constants, never
 from the code under test.
 """
 
+import inspect
 import math
 import subprocess
 import sys
@@ -601,22 +602,43 @@ class TestGammaExpectation:
         with pytest.raises(IntegrandError):
             gamma_expectation(lambda t: np.where(t > 5, np.nan, 1.0), 2, 1)
 
-    @pytest.mark.parametrize("n", [1, 2, 80, 10**3, 10**5])
+    @pytest.mark.parametrize("n", [1, 2, 80, 10**3, 10**5, 10**7, 10**9])
     @pytest.mark.parametrize("k", [1, 3])
     def test_density_within_eps_of_its_peak(self, n, k):
         # against 40 digits over the mean +- 8 sd; exp of the log form
         # n log k + (n-1) log t - kt - log (n-1)! is 4.8e-10 of the peak off
-        # at n = 10^5
+        # at n = 10^5.  The reference is taken at y = kt as rounded to a
+        # double, the density's own argument: at n = 10^9 and k = 3 that
+        # rounding alone moves it by 1.1e-12 of its peak.
         mean, sd = n / k, math.sqrt(n) / k
         t = np.linspace(max(mean - 8.0 * sd, 0.0), mean + 8.0 * sd, 161)
         with mp.workdps(40):
             exact = np.array([
-                float(mp.mpf(k) ** n * mp.mpf(x) ** (n - 1) * mp.exp(-k * mp.mpf(x))
-                      / mp.factorial(n - 1))
-                for x in t.tolist()
+                float(k * mp.mpf(y) ** (n - 1) * mp.exp(-mp.mpf(y)) / mp.factorial(n - 1))
+                for y in (k * t).tolist()
             ])
         gap = np.abs(numerics._gamma_pdf(t, n, k) - exact)
         assert gap.max() <= 1e-12 * exact.max()
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (80, 1), (10**7, 3)])
+    def test_density_is_zero_at_both_ends(self, n, k):
+        # scipy's kernel is NaN at t = inf, where the density is 0
+        density = numerics._gamma_pdf(np.array([0.0, math.inf]), n, k)
+        assert density.tolist() == [k if n == 1 else 0.0, 0.0]
+
+    def test_mass_mean_and_log_moment_to_a_billion(self):
+        # 41 log-spaced n in [10^5, 10^9], k in {1, 3}: E[1] = 1,
+        # E[T] = n / k and E[log T] = psi(n) - log k, each within its estimate
+        outside = []
+        for n in np.unique(np.round(np.logspace(5, 9, 41))).astype(int).tolist():
+            for k in (1, 3):
+                with mp.workdps(30):
+                    log_moment = float(mp.digamma(n) - mp.log(k))
+                for g, exact in ((np.ones_like, 1.0), (lambda t: t, n / k), (np.log, log_moment)):
+                    r = gamma_expectation(g, n, k)
+                    if not abs(r.value - exact) <= r.abs_error_estimate:
+                        outside.append((n, k, exact, r.value, r.abs_error_estimate))
+        assert outside == []
 
     @pytest.mark.parametrize("n", [1, 20, 171, 172, 301, 1001])
     def test_unit_mass_and_mean(self, n):
@@ -708,7 +730,17 @@ SPECIAL_CASES = [
     ("psi", (2.5,)),
     ("xlogy", (0.5, 3.0)),
     ("smirnov", (5, 0.3)),
+    # scipy's incomplete-gamma kernel, which scipy.special does not export
+    ("_igam_fac", (3, 1.5)),
 ]
+
+
+def scipys(name):
+    """scipy's function of this name; a private one from the compiled
+    module, so that a scipy without it fails here."""
+    import scipy.special._ufuncs
+
+    return getattr(scipy.special._ufuncs if name.startswith("_") else scipy.special, name)
 
 
 class TestScipySpecialGateway:
@@ -716,10 +748,8 @@ class TestScipySpecialGateway:
     def test_first_call_puts_scipys_function_in_place(self, name, args):
         # from the first call on, numerics.<name> is scipy's ufunc itself,
         # so a call through it costs no Python frame of the package's own
-        from scipy import special
-
-        assert getattr(numerics, name)(*args) == getattr(special, name)(*args)
-        assert getattr(numerics, name) is getattr(special, name)
+        assert getattr(numerics, name)(*args) == scipys(name)(*args)
+        assert getattr(numerics, name) is scipys(name)
 
     # This process has imported scipy.special already (through the tests
     # that use scipy.stats), so the stand-ins' load without the package
@@ -730,10 +760,9 @@ class TestScipySpecialGateway:
         """
         first = {name: getattr(numerics, name)(*args) for name, args in CASES}
         assert "scipy.special" not in sys.modules
-        import scipy.special
         for name, args in CASES:
-            assert getattr(numerics, name) is getattr(scipy.special, name), name
-            assert getattr(scipy.special, name)(*args) == first[name], name
+            assert getattr(numerics, name) is scipys(name), name
+            assert scipys(name)(*args) == first[name], name
         """,
         # scipy.stats imports after the stand-ins' load; n <= 140 is a branch
         # of kstwo.sf that verify leaves to scipy.stats
@@ -750,7 +779,7 @@ class TestScipySpecialGateway:
         package = sys.modules["scipy.special"]
         for name, args in CASES:
             getattr(numerics, name)(*args)
-            assert getattr(numerics, name) is getattr(scipy.special, name), name
+            assert getattr(numerics, name) is scipys(name), name
         assert sys.modules["scipy.special"] is package
         """,
     ], ids=["stand-ins-first", "scipy-stats-after", "scipy-special-first"])
@@ -759,6 +788,7 @@ class TestScipySpecialGateway:
             "import sys",
             "from recinacc import numerics, verify",
             f"CASES = {SPECIAL_CASES!r}",
+            inspect.getsource(scipys),
             textwrap.dedent(probe),
         ])
         res = subprocess.run(
