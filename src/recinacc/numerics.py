@@ -75,7 +75,7 @@ __all__ = [
     "gamma_expectation",
     "gamma_mass_edges",
     "log_gamma",
-    "log_gammaincc",
+    "log_gamma_tail",
     "digamma",
 ]
 
@@ -647,16 +647,21 @@ def _log_gamma_series(n: int, y: np.ndarray) -> np.ndarray:
     return terms[-1] + np.log(np.exp(terms - terms[-1]).sum(axis=0))
 
 
-def log_gammaincc(n: int, y):
-    """log Q(n, y) for integer n >= 1, Q the regularised upper incomplete
-    gamma function, also where Q underflows (``_log_gamma_series``)."""
+def log_gamma_tail(n: int, y, lower: bool):
+    """log P(n, y) if ``lower``, else log Q(n, y), for integer n >= 1, also
+    where the tail underflows: there log P is taken from y^n e^-y / n!
+    1F1(1; n+1; y) (small y) and log Q from ``_log_gamma_series`` (large y)."""
     y = np.asarray(y, float)
-    q = gammaincc(n, y)
+    value = (gammainc if lower else gammaincc)(n, y)
     with np.errstate(divide="ignore"):
-        out = np.log(q)
-    gone = (q < _TINY) & np.isfinite(y)
-    if np.any(gone):
-        out[gone] = _log_gamma_series(n, y[gone]) - y[gone]
+        out = np.asarray(np.log(value))
+        gone = (value < _TINY) & np.isfinite(y)
+        if np.any(gone):
+            yg = y[gone]
+            if lower:
+                out[gone] = n * np.log(yg) - yg - math.lgamma(n + 1) + np.log(hyp1f1(1, n + 1, yg))
+            else:
+                out[gone] = _log_gamma_series(n, yg) - yg
     return out[()]
 
 

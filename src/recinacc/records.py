@@ -30,7 +30,7 @@ import numpy as np
 from . import numerics as _nx
 from .distributions import Distribution, _log_pdf_through_inverse
 from .errors import DomainError, ParameterError, check_integer
-from .numerics import _TINY, log_gamma, log_gammaincc
+from .numerics import _TINY, log_gamma
 
 __all__ = [
     "RecordSpec",
@@ -113,24 +113,10 @@ def _record_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
 
 
 def _record_log_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
-    """log of ``_record_tail``, also where the gamma tail underflows.
-
-    There P(n, y) = y^n e^-y / n! 1F1(1; n+1; y) (small y) is taken in
-    logs, and Q(n, y) by ``log_gammaincc``.
-    """
+    # log of ``_record_tail``, also where the gamma tail underflows
     log_g = np.asarray(_base_log_function(parent, spec.side)(np.asarray(x, float)), float)
-    y = np.atleast_1d(np.maximum(-spec.k * log_g, 0.0))
-    n = spec.n
-    if not _is_lower_gamma(spec, cdf):
-        return log_gammaincc(n, y).reshape(log_g.shape)[()]
-    value = _nx.gammainc(n, y)
-    with np.errstate(divide="ignore"):
-        out = np.log(value)
-        gone = (value < _TINY) & np.isfinite(y)
-        if np.any(gone):
-            yg = y[gone]
-            out[gone] = n * np.log(yg) - yg - math.lgamma(n + 1) + np.log(_nx.hyp1f1(1, n + 1, yg))
-    return out.reshape(log_g.shape)[()]
+    y = np.maximum(-spec.k * log_g, 0.0)
+    return _nx.log_gamma_tail(spec.n, y, _is_lower_gamma(spec, cdf))
 
 
 def record_cdf(parent: Distribution, spec: RecordSpec, x):

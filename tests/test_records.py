@@ -178,12 +178,29 @@ class TestRecordLogTails:
         xs = [1e-3, 1e-80, 1e-200]
         assert law.log_cdf(np.array(xs)).tolist() == [float(law.log_cdf(x)) for x in xs]
 
-    def test_upper_log_survival_through_log_gammaincc(self):
+    def test_upper_log_survival_through_log_gamma_tail(self):
         # Q(3, 800) = 1.2e-342 underflows
         law = record_distribution(make_exponential(1.0), RecordSpec("upper", 3, 1))
         with mp.workdps(40):
             ref = float(mp.log(mp.gammainc(3, 800, mp.inf, regularized=True)))
         assert float(law.log_survival(800.0)) == pytest.approx(ref, rel=1e-14)
+
+    def test_lower_log_survival_through_hyp1f1(self):
+        # P(5, y) at y = -log F(200) = e^-200 is about e^-1005: log P from 1F1
+        law = record_distribution(make_exponential(1.0), RecordSpec("lower", 5, 1))
+        with mp.workdps(40):
+            # at 40 digits 1 - e^-200 rounds to 1
+            y = -mp.log1p(-mp.exp(-200))
+            ref = float(mp.log(mp.gammainc(5, 0, y, regularized=True)))
+        assert float(law.log_survival(200.0)) == pytest.approx(ref, rel=1e-14)
+
+    def test_lower_log_cdf_through_the_gamma_series(self):
+        # Q(3, y) at y = -log F(1e-200) = 921 is about e^-908 and underflows
+        law = record_distribution(make_power_increasing(2), RecordSpec("lower", 3, 1))
+        with mp.workdps(40):
+            y = -2 * mp.log(mp.mpf(1e-200))
+            ref = float(mp.log(mp.gammainc(3, y, mp.inf, regularized=True)))
+        assert float(law.log_cdf(1e-200)) == pytest.approx(ref, rel=1e-14)
 
     def test_lower_log_survival_near_the_upper_end(self):
         law = record_distribution(make_uniform01(), RecordSpec("lower", 3, 1))
