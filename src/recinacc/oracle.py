@@ -155,7 +155,6 @@ def stream_record_sample(
     # k-th largest, whose sign-adjusted value is the current record
     z = np.sort(observe(uniforms((reps, k))), axis=1)
     count = np.ones(reps, dtype=np.int64)
-    record = z[:, 0].copy()
     done = count >= n
 
     active = np.flatnonzero(~done)
@@ -179,7 +178,6 @@ def stream_record_sample(
                 top[:, j - 1] = low
             z[rows] = top
             count[rows] += 1
-            record[rows] = top[:, 0]
             finished = rows[count[rows] >= n]
             done[finished] = True
         active = np.flatnonzero(~done)
@@ -187,7 +185,7 @@ def stream_record_sample(
         # bounded so the chunk never exceeds a few million draws
         if active.size:
             chunk = min(2 * chunk, max(16, 4_000_000 // active.size))
-    return record if side == "upper" else -record
+    return z[:, 0].copy() if side == "upper" else -z[:, 0]
 
 
 def _functional_mean(vals: np.ndarray, what: str) -> tuple[float, float, int]:
@@ -204,43 +202,40 @@ def _functional_mean(vals: np.ndarray, what: str) -> tuple[float, float, int]:
     return mean, var, good.size
 
 
-def mc_measure(request, cfg: McConfig | None = None) -> MeasureResult:
+def mc_measure(request, cfg: McConfig = McConfig()) -> MeasureResult:
     """Monte Carlo estimate of a record measure with a 3-sigma error bar.
 
-    kerridge averages the log-density surprise over simulated record
-    values.  The cumulative measures average survival/pdf (upper) or
-    cdf/pdf (lower) ratios over record values of the next orders up,
-    which is what their defining integrals reduce to; each order's draws
-    come from an independently spawned substream, so replication results
+    An estimate is a sum of terms coeff * E[h(X)], each mean taken over
+    simulated record values of one order.  kerridge is the one term
+    E[-log f(X_n)]; the cumulative measures have a term (i+1)/k^2 * E[g/f]
+    per order i + 2 of their expansion, g the survival function (upper) or
+    the cdf (lower), each drawn from its own spawned substream so results
     do not depend on evaluation sequencing.  A measure with no Monte Carlo
     route is refused whatever the request's method.
     """
     _validate(request.measure, request.spec, "monte_carlo")
-    # built here, not as the default: McConfig's check imports numpy.random
-    cfg = McConfig() if cfg is None else cfg
     parent, spec = request.parent, request.spec
+    n, k = spec.n, spec.k
     root = np.random.SeedSequence(cfg.seed)
 
     if request.measure == "kerridge":
-        draws = sample_record(parent, spec, root, cfg.samples)
-        surprise = -np.asarray(parent.log_pdf(draws), float)
-        mean, var, m = _functional_mean(surprise, "kerridge surprise")
-        return MeasureResult(mean, "monte_carlo", 3.0 * float(np.sqrt(var / m)))
+        terms = [(1.0, n, lambda x: -np.asarray(parent.log_pdf(x), float),
+                  "kerridge surprise", root)]
+    else:
+        tail = parent.survival if spec.side == "upper" else parent.cdf
 
-    # cumulative measures: one substream per term of the order expansion
-    n, k = spec.n, spec.k
-    ratio_num = parent.survival if request.measure == "cri" else parent.cdf
-    # the last term, of order n + 1, draws the most: refuse before sampling
-    check_draws(cfg.samples, n + 1)
-    children = root.spawn(n)
-    total = 0.0
-    var_total = 0.0
-    for i in range(n):
-        term_spec = RecordSpec(spec.side, i + 2, k)
-        u = sample_record(parent, term_spec, children[i], cfg.samples)
-        vals = np.asarray(ratio_num(u), float) / np.asarray(parent.pdf(u), float)
-        mean, var, m = _functional_mean(vals, f"{request.measure} term {i}")
-        coeff = (i + 1) / k**2
+        def ratio(x):
+            return np.asarray(tail(x), float) / np.asarray(parent.pdf(x), float)
+
+        # the last term, of order n + 1, draws the most: refuse before sampling
+        check_draws(cfg.samples, n + 1)
+        terms = [((i + 1) / k**2, i + 2, ratio, f"{request.measure} term {i}", child)
+                 for i, child in enumerate(root.spawn(n))]
+
+    total = var_total = 0.0
+    for coeff, order, functional, what, seed in terms:
+        draws = sample_record(parent, RecordSpec(spec.side, order, k), seed, cfg.samples)
+        mean, var, m = _functional_mean(functional(draws), what)
         total += coeff * mean
         var_total += coeff**2 * var / m
     return MeasureResult(total, "monte_carlo", 3.0 * float(np.sqrt(var_total)))

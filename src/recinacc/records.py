@@ -105,18 +105,15 @@ def _is_lower_gamma(spec: RecordSpec, cdf: bool) -> bool:
     return (spec.side == "upper") == cdf
 
 
-def _record_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
+def _record_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool, log: bool = False):
+    # the record cdf or survival function at x; with ``log``, its log, also
+    # where the gamma tail underflows
     log_g = np.asarray(_base_log_function(parent, spec.side)(np.asarray(x, float)), float)
     y = np.maximum(-spec.k * log_g, 0.0)
-    gamma_tail = _nx.gammainc if _is_lower_gamma(spec, cdf) else _nx.gammaincc
-    return gamma_tail(spec.n, y)[()]
-
-
-def _record_log_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool):
-    # log of ``_record_tail``, also where the gamma tail underflows
-    log_g = np.asarray(_base_log_function(parent, spec.side)(np.asarray(x, float)), float)
-    y = np.maximum(-spec.k * log_g, 0.0)
-    return _nx.log_gamma_tail(spec.n, y, _is_lower_gamma(spec, cdf))
+    lower = _is_lower_gamma(spec, cdf)
+    if log:
+        return _nx.log_gamma_tail(spec.n, y, lower)
+    return (_nx.gammainc if lower else _nx.gammaincc)(spec.n, y)[()]
 
 
 def record_cdf(parent: Distribution, spec: RecordSpec, x):
@@ -173,8 +170,8 @@ def record_distribution(parent: Distribution, spec: RecordSpec) -> RecordDistrib
         log_pdf=log_pdf,
         cdf=lambda x: record_cdf(parent, spec, x),
         survival=lambda x: record_survival(parent, spec, x),
-        log_cdf=lambda x: _record_log_tail(parent, spec, x, cdf=True),
-        log_survival=lambda x: _record_log_tail(parent, spec, x, cdf=False),
+        log_cdf=lambda x: _record_tail(parent, spec, x, cdf=True, log=True),
+        log_survival=lambda x: _record_tail(parent, spec, x, cdf=False, log=True),
         quantile=quantile,
         inverse_survival=inverse_survival,
         log_pdf_at_tail=partial(_log_pdf_through_inverse, log_pdf, quantile, inverse_survival),

@@ -320,3 +320,27 @@ def test_d27_record_cdf_at_n_hundred_million():
     value = record_cdf(make_exponential(1.0), RecordSpec("upper", n, 1), n - 45000.0)
     # P(n, y) = y^n e^-y / n! 1F1(1; n+1; y) in mpmath
     assert value == pytest.approx(3.38742887984090e-06, rel=1e-9)
+
+
+D28_CELLS = pytest.mark.parametrize("measure, side", [("cri", "upper"), ("cpi", "lower")],
+                                    ids=["cri-upper", "cpi-lower"])
+
+
+@pytest.mark.xfail(strict=True, reason="D28: a finite Monte Carlo value with a bar where the measure diverges")
+@D28_CELLS
+def test_d28_pareto_half_monte_carlo_on_a_divergent_cell(measure, side):
+    # 23086716662.7 +- 53509520874.4 (cri) and 300.888 +- 197.629 (cpi) at
+    # this seed; the cri is finite only for k theta > 1
+    with pytest.raises(DivergenceError):
+        mc_measure(RecordMeasureRequest(make_pareto(0.5), RecordSpec(side, 2, 1), measure),
+                   McConfig(seed=0))
+
+
+@pytest.mark.xfail(strict=True, reason="D28: a finite Monte Carlo value with a bar where the measure diverges")
+def test_d28_cli_monte_carlo_on_a_divergent_cell():
+    res = run_cli(
+        "compute", "--dist", "pareto", "--param", "theta=0.5", "--measure", "cri",
+        "--side", "upper", "--n", "2", "--k", "1", "--method", "mc",
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("divergent: ")

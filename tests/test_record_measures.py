@@ -868,9 +868,14 @@ class TestRequestAndDispatch:
         side, other = ("upper", "lower") if spec.side == "lower" else ("lower", "upper")
         assert str(exc.value) == f"{what} is defined for {side} records; got side '{other}'"
 
-    def test_monte_carlo_route_is_mc_measure(self):
-        request = RM.RecordMeasureRequest(E1, up(2, 1), "kerridge", "monte_carlo")
-        assert RM.kerridge_record(E1, up(2, 1), "monte_carlo") == mc_measure(request)
+    @pytest.mark.parametrize("form, measure, spec", [
+        (RM.kerridge_record, "kerridge", up(2, 1)),
+        (RM.residual_record_inaccuracy, "cri", up(2, 1)),
+        (RM.past_record_inaccuracy, "cpi", low(2, 1)),
+    ], ids=["kerridge-upper", "cri-upper", "cpi-lower"])
+    def test_monte_carlo_route_is_mc_measure(self, form, measure, spec):
+        request = RM.RecordMeasureRequest(E1, spec, measure, "monte_carlo")
+        assert form(E1, spec, "monte_carlo") == mc_measure(request)
 
     def test_dispatch_routes_to_each_measure(self):
         r = RM.compute_record_measure(
