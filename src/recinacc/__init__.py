@@ -6,144 +6,24 @@ of information-theoretic inaccuracy measures (log-based and extropy-based,
 density-level and cumulative), closed forms and quadrature paths for the
 record-value specializations, and simulation oracles that check everything
 against brute-force sampling.
+
+Each module's ``__all__`` is its public surface, and the package re-exports
+exactly those names.
 """
 
-from .distributions import (
-    Distribution,
-    affine_transform,
-    make_custom,
-    make_exponential,
-    make_pareto,
-    make_power_decreasing,
-    make_power_increasing,
-    make_uniform01,
-    make_weibull,
-)
-from .errors import (
-    ConsistencyError,
-    ContaminationError,
-    DivergenceError,
-    DomainError,
-    IntegrandError,
-    NonConvergenceError,
-    ParameterError,
-    QuadratureError,
-    RecinaccError,
-    StreamCapError,
-    SupportError,
-    UnsupportedMethodError,
-)
-from .measures import (
-    MeasureResult,
-    cumulative_past_extropy,
-    cumulative_past_extropy_inaccuracy,
-    cumulative_past_inaccuracy,
-    cumulative_residual_extropy,
-    cumulative_residual_extropy_inaccuracy,
-    cumulative_residual_inaccuracy,
-    extropy_inaccuracy,
-    kerridge,
-    kl_divergence,
-    relative_information,
-    shannon_entropy,
-)
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    IntegrationResult,
-    QuadratureConfig,
-    digamma,
-    gamma_expectation,
-    integrate,
-    log_gamma,
-)
-from .oracle import GENERATOR_NAME, McConfig, mc_measure, stream_extract_records, stream_record_sample
-from .record_measures import (
-    RecordMeasureRequest,
-    compute_record_measure,
-    kerridge_record,
-    past_inaccuracy_cdf_difference_form,
-    past_record_inaccuracy,
-    residual_inaccuracy_hazard_forms,
-    residual_inaccuracy_mean_difference_form,
-    residual_record_inaccuracy,
-    scale_shift_check,
-)
-from .records import (
-    RecordDistribution,
-    RecordSpec,
-    gamma_transform_point,
-    record_cdf,
-    record_distribution,
-    record_log_pdf,
-    record_pdf,
-    record_survival,
-    sample_record,
-)
+from . import distributions, errors, measures, numerics, oracle, record_measures, records
+from .distributions import *
+from .errors import *
+from .measures import *
+from .numerics import *
+from .oracle import *
+from .record_measures import *
+from .records import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsistencyError",
-    "ContaminationError",
-    "DEFAULT_QUADRATURE",
-    "DivergenceError",
-    "DomainError",
-    "Distribution",
-    "GENERATOR_NAME",
-    "IntegrandError",
-    "IntegrationResult",
-    "McConfig",
-    "MeasureResult",
-    "NonConvergenceError",
-    "ParameterError",
-    "QuadratureConfig",
-    "QuadratureError",
-    "RecinaccError",
-    "RecordDistribution",
-    "RecordMeasureRequest",
-    "RecordSpec",
-    "StreamCapError",
-    "SupportError",
-    "UnsupportedMethodError",
-    "affine_transform",
-    "compute_record_measure",
-    "cumulative_past_extropy",
-    "cumulative_past_extropy_inaccuracy",
-    "cumulative_past_inaccuracy",
-    "cumulative_residual_extropy",
-    "cumulative_residual_extropy_inaccuracy",
-    "cumulative_residual_inaccuracy",
-    "digamma",
-    "extropy_inaccuracy",
-    "gamma_expectation",
-    "gamma_transform_point",
-    "integrate",
-    "kerridge",
-    "kerridge_record",
-    "kl_divergence",
-    "log_gamma",
-    "make_custom",
-    "make_exponential",
-    "make_pareto",
-    "make_power_decreasing",
-    "make_power_increasing",
-    "make_uniform01",
-    "make_weibull",
-    "mc_measure",
-    "past_inaccuracy_cdf_difference_form",
-    "past_record_inaccuracy",
-    "record_cdf",
-    "record_distribution",
-    "record_log_pdf",
-    "record_pdf",
-    "record_survival",
-    "relative_information",
-    "residual_inaccuracy_hazard_forms",
-    "residual_inaccuracy_mean_difference_form",
-    "residual_record_inaccuracy",
-    "sample_record",
-    "scale_shift_check",
-    "shannon_entropy",
-    "stream_extract_records",
-    "stream_record_sample",
+    name
+    for module in (distributions, errors, measures, numerics, oracle, record_measures, records)
+    for name in module.__all__
 ]

@@ -207,6 +207,8 @@ def cmd_table(args, out=None) -> int:
             grids[name] = [float(v) for v in values.split(",")]
         except ValueError as exc:
             raise ParameterError(f"--param-grid {raw!r} has a non-numeric value") from exc
+        if len(set(grids[name])) < len(grids[name]):
+            raise ParameterError(f"--param-grid {raw!r} lists a value twice")
 
     combos: list[dict[str, float]] = [dict(params)]
     for name, values in grids.items():

@@ -10,6 +10,21 @@ from __future__ import annotations
 import math
 import numbers
 
+__all__ = [
+    "RecinaccError",
+    "DomainError",
+    "ParameterError",
+    "ConsistencyError",
+    "QuadratureError",
+    "IntegrandError",
+    "NonConvergenceError",
+    "DivergenceError",
+    "SupportError",
+    "StreamCapError",
+    "ContaminationError",
+    "UnsupportedMethodError",
+]
+
 
 class RecinaccError(Exception):
     """Base class for all package-specific errors."""

@@ -69,13 +69,11 @@ from .errors import (
 
 __all__ = [
     "QuadratureConfig",
+    "DEFAULT_QUADRATURE",
     "IntegrationResult",
     "integrate",
-    "integrate_each",
     "gamma_expectation",
-    "gamma_mass_edges",
     "log_gamma",
-    "log_gamma_tail",
     "digamma",
 ]
 

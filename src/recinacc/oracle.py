@@ -22,6 +22,14 @@ from .measures import MeasureResult
 from .record_measures import _validate
 from .records import STREAM_CAP, RecordSpec, check_draws, check_seed, sample_record
 
+__all__ = [
+    "GENERATOR_NAME",
+    "McConfig",
+    "mc_measure",
+    "stream_extract_records",
+    "stream_record_sample",
+]
+
 # every stochastic routine in this package derives its stream from this
 # generator family; recorded in verification reports for reproducibility
 GENERATOR_NAME = "numpy PCG64 (seeded via SeedSequence, substreams by spawn)"

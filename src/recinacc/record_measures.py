@@ -77,7 +77,6 @@ from .records import (
 )
 
 __all__ = [
-    "MEASURES",
     "RecordMeasureRequest",
     "kerridge_record",
     "residual_record_inaccuracy",

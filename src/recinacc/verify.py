@@ -26,6 +26,7 @@ from .distributions import (
     make_uniform01,
     make_weibull,
 )
+from .errors import ParameterError
 from .records import RecordSpec, record_cdf, sample_record
 
 
@@ -473,6 +474,8 @@ SUITES = {
 
 def run_suite(name: str, seed: int | None = None) -> dict:
     """Run one suite and package the results for reporting."""
+    if name not in SUITES:
+        raise ParameterError(f"suite must be one of {tuple(SUITES)}, got {name!r}")
     fn = SUITES[name]
     checks = fn() if seed is None else fn(seed)
     return {

@@ -294,9 +294,11 @@ class TestExitCodes:
          "parameter theta is given twice"),
         ("table", ("--n", "1", "--param-grid", "theta=2", "--param-grid", "theta=3"),
          "parameter theta is given twice"),
+        ("table", ("--n", "1", "--param-grid", "theta=2,1,2.0"),
+         "--param-grid 'theta=2,1,2.0' lists a value twice"),
     ], ids=["param-without-value", "param-not-a-number", "range-not-an-int",
             "grid-without-values", "grid-not-numbers", "param-twice", "param-and-grid",
-            "grid-twice"])
+            "grid-twice", "grid-value-twice"])
     def test_parse_errors_are_usage_errors(self, command, args, message):
         res = run_cli(command, "--dist", "exponential", "--measure", "kerridge",
                       "--side", "upper", "--k", "1", *args)

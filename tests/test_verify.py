@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from recinacc import cli
+from recinacc import ParameterError, cli
 from recinacc import verify as V
 
 
@@ -39,7 +39,8 @@ class TestRunSuite:
         assert first["passed"] is True
 
     def test_unknown_suite_raises(self):
-        with pytest.raises(KeyError):
+        # a package error that names the known suites, not a bare KeyError
+        with pytest.raises(ParameterError, match="suite must be one of .*'oracle'.*got 'everything'"):
             V.run_suite("everything")
 
     def test_suite_names_cover_cli_tokens(self):
