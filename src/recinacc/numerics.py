@@ -381,9 +381,10 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
             total_val, total_err = (math.fsum(col) for col in zip(*[e[4:] for e in heap], *retired))
     if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
         return IntegrationResult(total_val, total_err, evals)
+    floor = "" if heap else " (every panel left is negligible or at the float-spacing floor)"
     raise NonConvergenceError(
-        f"no convergence after {cfg.max_subdivisions} subdivisions: "
-        f"value ~ {total_val!r}, error ~ {total_err!r}",
+        f"no convergence after {(evals - 15) // 30} of {cfg.max_subdivisions} subdivisions"
+        f"{floor}: value ~ {total_val!r}, error ~ {total_err!r}",
         partial_value=total_val,
         abs_error_estimate=total_err,
     )

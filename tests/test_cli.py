@@ -8,6 +8,7 @@ determinism across fresh interpreters, the exit status of
 ``python -m recinacc``) start real subprocesses.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -581,3 +582,17 @@ class TestColdStart:
             "compute exponential gamma": ["numpy.random", "scipy", "scipy.special._ufuncs"],
             "verify oracle": ["numpy.random", "scipy", "scipy.special._ufuncs"],
         }
+
+    def test_no_module_imports_scipy_stats(self):
+        # the cold start above follows one seed's path; no path of any module
+        # may import scipy.stats, which takes 0.6-0.7 s to load
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                stats = [n for n in names if n == "scipy.stats" or n.startswith("scipy.stats.")]
+                assert not stats, f"{path.name}:{node.lineno} imports {stats[0]}"

@@ -506,8 +506,22 @@ class TestMessages:
     def test_non_convergence(self):
         with pytest.raises(NonConvergenceError) as exc:
             integrate(lambda x: -np.log(x), (0.0, 1.0), QuadratureConfig(max_subdivisions=3))
+        assert str(exc.value).startswith("no convergence after 3 of 3 subdivisions: ")
         assert "np." not in str(exc.value)
         assert repr(exc.value.partial_value) in str(exc.value)
+
+    @pytest.mark.parametrize("width, jump, made", [(2, 1, 0), (16, 8, 2)])
+    def test_non_convergence_at_the_float_spacing_floor(self, width, jump, made):
+        # a jump of 1e30 on (1, 1 + width s), s the float spacing at 1: every
+        # panel reaches the floor long before the budget; the wider interval
+        # also asks for collapsed panels below the floor
+        s = np.spacing(1.0)
+        with pytest.raises(NonConvergenceError) as exc:
+            integrate(lambda x: np.where(x > 1.0 + jump * s, 1e30, 0.0), (1.0, 1.0 + width * s))
+        assert str(exc.value).startswith(
+            f"no convergence after {made} of 2000 subdivisions "
+            "(every panel left is negligible or at the float-spacing floor): value ~ "
+        )
 
 
 class TestQuadratureConfig:
@@ -764,13 +778,13 @@ class TestScipySpecialGateway:
             assert getattr(numerics, name) is scipys(name), name
             assert scipys(name)(*args) == first[name], name
         """,
-        # scipy.stats imports after the stand-ins' load; n <= 140 is a branch
-        # of kstwo.sf that verify leaves to scipy.stats
+        # scipy.stats imports after the stand-ins' load, and its kstwo.sf
+        # equals verify's port of it
         """
         numerics.smirnov(5, 0.3)
         assert "scipy.special" not in sys.modules
         from scipy import stats
-        assert stats.kstwo.sf(0.01, 100) == verify._kstwo_sf(0.01, 100)
+        assert stats.kstwo.sf(0.01, 15_000) == verify._kstwo_sf(0.01, 15_000)
         """,
         # scipy.special imported first: the gateway takes its ufuncs from it
         # and leaves the package in place
