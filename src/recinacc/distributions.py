@@ -374,9 +374,8 @@ def make_custom(
     :class:`ConsistencyError` naming the probe, catching sign errors and
     mismatched parameterizations before they poison downstream integrals.
     Each function must be elementwise, its value at a point depending on
-    that point alone: ``quantile`` in particular, since
-    ``oracle.stream_record_sample`` maps only the subset of its draws
-    that it reads.
+    that point alone: ``quantile`` in particular, since the stream scans
+    map their draws in blocks whose shape depends on the scan's progress.
     Whatever its ``name`` and ``params``, the result has no closed forms.
     ``_family`` builds it from log forms (of the plain functions where none
     is given), so it is masked at its support as a catalog law is.

@@ -346,7 +346,7 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
     total_val = value
     total_err = err
     tick = 1
-    for _ in range(cfg.max_subdivisions):
+    while evals < 15 + 30 * cfg.max_subdivisions:
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
         if total_err <= tol:
             return IntegrationResult(total_val, total_err, evals)

@@ -36,10 +36,6 @@ GENERATOR_NAME = "numpy PCG64 (seeded via SeedSequence, substreams by spawn)"
 
 _BAD_FRACTION = 1e-4  # tolerated share of non-finite functional evaluations
 
-# draws per row a stream-scan round maps first: most rows meet their next
-# record among them, and only the others map the rest of their chunk
-_HEAD = 4
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -120,22 +116,27 @@ def stream_record_sample(
     the current k-th extreme, so this is the same definitional process.
     The total draw budget across all replications is capped.
 
-    Each round draws a chunk of uniforms per active replication, and every
-    one of them is consumed from the generator, so the stream and the cap
-    count every draw.  Only the draws the scan reads are mapped through
-    ``parent.quantile``: the first ``_HEAD`` of each row, then the rest of
-    the rows that had no new record among those.  Within a round a row's
-    scan stops at its first draw past the current k-th extreme, and the
-    rest of its chunk goes unread.
+    Each round draws a chunk of uniforms per active replication and maps
+    all of them through ``parent.quantile``, so the stream and the cap
+    count every draw.  Within a round a row's scan stops at its first draw
+    past the current k-th extreme, and the rest of its chunk goes unread.
+    The chunk starts at 4 draws and doubles after a round in which fewer
+    than half of the active replications met a record.
     """
     RecordSpec(side, n, k)
     check_integer(reps, "reps")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-
+    # every draw goes into this one buffer, sized for the first k per row and
+    # for the largest round the chunk bound allows: rounds of changing size
+    # would each allocate anew, and the blocks they free move glibc's dynamic
+    # mmap threshold, so the allocation pattern, and the speed, of all later
+    # work in the process would depend on the chunk rule
+    buf = np.empty(max(k * reps, 4 * reps, 4_000_000))
     drawn = 0
 
-    def uniforms(shape) -> np.ndarray:
+    def observe(shape) -> np.ndarray:
+        # the sign-adjusted observations of a fresh (rows, draws) block
         nonlocal drawn
         count = shape[0] * shape[1]
         if drawn + count > STREAM_CAP:
@@ -145,41 +146,30 @@ def stream_record_sample(
                 records_found=int(done.sum()),
             )
         drawn += count
-        return rng.random(shape)
-
-    def observe(u: np.ndarray) -> np.ndarray:
-        # the sign-adjusted observations
-        x = np.asarray(parent.quantile(u), float)
+        x = np.asarray(parent.quantile(rng.random(out=buf[:count].reshape(shape))), float)
         return x if side == "upper" else -x
-
-    def first_hit(xs: np.ndarray, level: np.ndarray):
-        # each row's first draw above its level, and whether there is one
-        hit = xs > level[:, None]
-        at = (np.arange(xs.shape[0]), hit.argmax(axis=1))
-        return xs[at], hit[at]
 
     done = np.zeros(reps, dtype=bool)
     # top-k buffer of the sign-adjusted stream, ascending; column 0 holds the
     # k-th largest, whose sign-adjusted value is the current record
-    z = np.sort(observe(uniforms((reps, k))), axis=1)
+    z = np.sort(observe((reps, k)), axis=1)
     count = np.ones(reps, dtype=np.int64)
     done = count >= n
 
     active = np.flatnonzero(~done)
-    chunk = 16
+    chunk = 4
     while active.size:
-        u = uniforms((active.size, chunk))
-        level = z[active, 0]
-        new, found = first_hit(observe(u[:, :_HEAD]), level)
-        miss = np.flatnonzero(~found)
-        if miss.size:
-            new[miss], found[miss] = first_hit(observe(u[miss, _HEAD:]), level[miss])
+        xs = observe((active.size, chunk))
+        # each row's first draw above its current record, and whether there is one
+        hit = xs > z[active, 0][:, None]
+        at = (np.arange(active.size), hit.argmax(axis=1))
+        found = hit[at]
         rows = active[found]
         if rows.size:
             # the new value displaces the k-th largest; compare-swaps move
             # it up the ascending row to its place
             top = z[rows]
-            top[:, 0] = new[found]
+            top[:, 0] = xs[at][found]
             for j in range(1, k):
                 low = np.minimum(top[:, j - 1], top[:, j])
                 np.maximum(top[:, j - 1], top[:, j], out=top[:, j])
@@ -188,11 +178,11 @@ def stream_record_sample(
             count[rows] += 1
             finished = rows[count[rows] >= n]
             done[finished] = True
+        # heavy-tailed waiting times: widen the window while most rows miss,
+        # bounded so a round never exceeds a few million draws
+        if 2 * rows.size < active.size:
+            chunk = min(2 * chunk, max(4, 4_000_000 // active.size))
         active = np.flatnonzero(~done)
-        # heavy-tailed waiting times: widen the window for the stragglers,
-        # bounded so the chunk never exceeds a few million draws
-        if active.size:
-            chunk = min(2 * chunk, max(16, 4_000_000 // active.size))
     return z[:, 0].copy() if side == "upper" else -z[:, 0]
 
 

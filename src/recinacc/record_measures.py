@@ -199,13 +199,15 @@ def _cumulative_expectation(measure: str, parent: Distribution, spec: RecordSpec
             raise _gamma_failure(parent, side, what, IntegrandError("", t)) from exc
         cuts = sorted({0.0, 0.5 * peak, peak, 2.0 * peak}
                       | {e for e in edges if 0.5 * peak < e < 2.0 * peak}) + [math.inf]
+        # the exponent rounds by about eps (t + |log f(t)|) relative to the
+        # integrand, which no rule estimate sees; the mass lies below 2 * peak.
+        # No piece is asked to beat that floor
+        reach = 2.0 * peak + abs(float(parent.log_pdf_at_tail(side, 2.0 * peak)))
+        floored = replace(config, rel_tol=max(config.rel_tol, _EPS * reach))
         try:
-            parts = integrate_each(integrand, list(zip(cuts, cuts[1:])), config)
+            parts = integrate_each(integrand, list(zip(cuts, cuts[1:])), floored)
         except QuadratureError as exc:
             raise _gamma_failure(parent, side, what, exc) from exc
-        # the exponent rounds by about eps (t + |log f(t)|) relative to the
-        # integrand, which no rule estimate sees; the mass lies below 2 * peak
-        reach = 2.0 * peak + abs(float(parent.log_pdf_at_tail(side, 2.0 * peak)))
     value = sum(p.value for p in parts)
     err = sum(p.abs_error_estimate for p in parts) + _EPS * reach * abs(value)
     return MeasureResult(value, "gamma_expectation", err)

@@ -297,7 +297,6 @@ def test_d24_pareto_upper_cri_monte_carlo_bar():
     assert_within(res, 10.0)
 
 
-@pytest.mark.xfail(strict=True, reason="D25: a false 'likely divergent' from the weibull cri gamma route at n = 10^8")
 @pytest.mark.parametrize("method", ["auto", "gamma_expectation"])
 def test_d25_weibull_upper_cri_at_n_hundred_million(method):
     res = residual_record_inaccuracy(make_weibull(2.0, 0.5), RecordSpec("upper", 10**8, 1), method)
@@ -305,7 +304,6 @@ def test_d25_weibull_upper_cri_at_n_hundred_million(method):
     assert_within(res, 1.666666716666667e23)
 
 
-@pytest.mark.xfail(strict=True, reason="D26: the batch stream scan spends a whole chunk per record and hits its cap")
 def test_d26_batch_stream_scan_under_a_cap(monkeypatch):
     # 100 scalar scans under the same cap finish, with mean 4.08
     monkeypatch.setattr(oracle, "STREAM_CAP", 2_000_000)

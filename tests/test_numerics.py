@@ -510,16 +510,19 @@ class TestMessages:
         assert "np." not in str(exc.value)
         assert repr(exc.value.partial_value) in str(exc.value)
 
-    @pytest.mark.parametrize("width, jump, made", [(2, 1, 0), (16, 8, 2)])
-    def test_non_convergence_at_the_float_spacing_floor(self, width, jump, made):
+    @pytest.mark.parametrize("width, jump, made, budget", [(2, 1, 0, 2000), (16, 8, 2, 2000),
+                                                           (16, 8, 2, 3)])
+    def test_non_convergence_at_the_float_spacing_floor(self, width, jump, made, budget):
         # a jump of 1e30 on (1, 1 + width s), s the float spacing at 1: every
         # panel reaches the floor long before the budget; the wider interval
-        # also asks for collapsed panels below the floor
+        # also asks for collapsed panels below the floor.  Retiring a panel
+        # is not a subdivision, so a budget of 3 reaches the floor too
         s = np.spacing(1.0)
         with pytest.raises(NonConvergenceError) as exc:
-            integrate(lambda x: np.where(x > 1.0 + jump * s, 1e30, 0.0), (1.0, 1.0 + width * s))
+            integrate(lambda x: np.where(x > 1.0 + jump * s, 1e30, 0.0), (1.0, 1.0 + width * s),
+                      QuadratureConfig(max_subdivisions=budget))
         assert str(exc.value).startswith(
-            f"no convergence after {made} of 2000 subdivisions "
+            f"no convergence after {made} of {budget} subdivisions "
             "(every panel left is negligible or at the float-spacing floor): value ~ "
         )
 

@@ -39,9 +39,9 @@ PD = make_power_decreasing()
 
 
 def _reference_stream_record_sample(parent, side, k, n, reps, seed):
-    """The stream scan that maps every draw of each chunk through the
-    quantile: the bit-for-bit reference of ``oracle.stream_record_sample``,
-    which maps only the draws it reads."""
+    """The stream scan written plainly: the bit-for-bit reference of
+    ``oracle.stream_record_sample``, which draws into one buffer and moves
+    each new value into its top-k row by compare-swaps."""
     RecordSpec(side, n, k)
     sgn = 1.0 if side == "upper" else -1.0
     rng = np.random.default_rng(seed)
@@ -69,7 +69,7 @@ def _reference_stream_record_sample(parent, side, k, n, reps, seed):
     done = count >= n
 
     active = np.flatnonzero(~done)
-    chunk = 16
+    chunk = 4
     while active.size:
         zs = draw((active.size, chunk))
         hit = zs > z[active, 0][:, None]
@@ -83,11 +83,11 @@ def _reference_stream_record_sample(parent, side, k, n, reps, seed):
             record[rows] = z[rows, 0]
             finished = rows[count[rows] >= n]
             done[finished] = True
+        # the window doubles after a round in which most rows met no record,
+        # bounded by a few million draws per round
+        if any_hit.mean() < 0.5:
+            chunk = min(2 * chunk, max(4, 4_000_000 // active.size))
         active = np.flatnonzero(~done)
-        # heavy-tailed waiting times: widen the window for the stragglers,
-        # bounded so the chunk never exceeds a few million draws
-        if active.size:
-            chunk = min(2 * chunk, max(16, 4_000_000 // active.size))
     return sgn * record
 
 
@@ -199,8 +199,7 @@ def _scan_or_cap(sampler, *args):
 
 
 class TestStreamScanBits:
-    """The scan maps only the draws it reads, and returns the bits of the
-    scan that mapped every draw."""
+    """The scan returns the bits of the plainly written scan."""
 
     @pytest.mark.parametrize("side", ["upper", "lower"])
     @pytest.mark.parametrize("name", list(SCAN_PARENTS))
@@ -232,6 +231,26 @@ class TestStreamScanBits:
     ])
     def test_cap_refusal_matches_the_full_chunk_scan(self, monkeypatch, cap, args):
         monkeypatch.setattr(O, "STREAM_CAP", cap)
+        got = _scan_or_cap(O.stream_record_sample, *args)
+        want = _scan_or_cap(_reference_stream_record_sample, *args)
+        assert isinstance(want, tuple)
+        assert got == want
+
+    # past 4,000,000 draws, the draw buffer must hold the first round (4 per
+    # row of 1,100,000) and the first k per row (5 per row of 900,000)
+    @pytest.mark.parametrize("k, n, reps", [(1, 2, 1_100_000), (5, 1, 900_000)])
+    def test_draws_past_the_chunk_bound(self, k, n, reps):
+        args = (U, "upper", k, n, reps, 5)
+        got = O.stream_record_sample(*args)
+        assert got.tobytes() == _reference_stream_record_sample(*args).tobytes()
+
+    @pytest.mark.parametrize("cap", [1_100_000 + 4_400_000 - 1, 1_100_000 + 4_400_000 + 1])
+    def test_cap_reached_inside_the_first_large_round(self, monkeypatch, cap):
+        # the cap falls one draw short of the end of the first round of
+        # 4,400,000 draws, or one past it, so that the second round passes
+        # it: a refusal either way, never a buffer overrun
+        monkeypatch.setattr(O, "STREAM_CAP", cap)
+        args = (U, "upper", 1, 2, 1_100_000, 5)
         got = _scan_or_cap(O.stream_record_sample, *args)
         want = _scan_or_cap(_reference_stream_record_sample, *args)
         assert isinstance(want, tuple)
