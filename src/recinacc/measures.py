@@ -171,8 +171,9 @@ def _diverged(exc: QuadratureError, what: str) -> DivergenceError:
 
 
 def _quad_each(fn, intervals, config: QuadratureConfig, what: str, *, elementwise=True):
-    """Certify the tail of ``fn`` on each interval and integrate it there,
-    the integrals sharing integrand calls (``integrate_each``, which takes
+    """Certify the tail of ``fn`` on each interval with an infinite end
+    (``_certify_integrable_tail``) and integrate it there, the integrals
+    sharing integrand calls (``integrate_each``, which takes
     ``elementwise``); a failed integration becomes a DivergenceError
     (``_diverged``).
 
@@ -185,11 +186,12 @@ def _quad_each(fn, intervals, config: QuadratureConfig, what: str, *, elementwis
     certified = []
     failure = None
     for interval in intervals:
-        try:
-            _certify_integrable_tail(fn, interval, what)
-        except DivergenceError as exc:
-            failure = exc
-            break
+        if math.isinf(interval[0]) or math.isinf(interval[1]):
+            try:
+                _certify_integrable_tail(fn, interval, what)
+            except DivergenceError as exc:
+                failure = exc
+                break
         certified.append(interval)
     try:
         results = integrate_each(fn, certified, config, elementwise=elementwise)

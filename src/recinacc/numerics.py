@@ -261,10 +261,10 @@ def _half_line(a: float, sign: float, cfg: QuadratureConfig) -> list[_Piece]:
     return [_Piece(a, split, half, sign), _Piece(0.0, 1.0, half, sign, split)]
 
 
-def _pieces(interval: tuple[float, float], cfg: QuadratureConfig) -> list[_Piece]:
-    """An interval as one finite piece, or the two or four pieces of a half
-    or whole line (split at zero), each with its share of the tolerance."""
-    a, b = float(interval[0]), float(interval[1])
+def _pieces(a: float, b: float, cfg: QuadratureConfig) -> list[_Piece]:
+    """The two pieces of a half line or the four of the whole line (split
+    at zero), each with its share of the tolerance; an interval that is
+    not (a, b) with a < b raises DomainError."""
     if math.isnan(a) or math.isnan(b):
         raise DomainError("interval endpoints must not be NaN")
     if a >= b:
@@ -274,9 +274,7 @@ def _pieces(interval: tuple[float, float], cfg: QuadratureConfig) -> list[_Piece
         return _half_line(0.0, -1.0, half) + _half_line(0.0, 1.0, half)
     if math.isinf(a):
         return _half_line(-b, -1.0, cfg)
-    if math.isinf(b):
-        return _half_line(a, 1.0, cfg)
-    return [_Piece(a, b, cfg)]
+    return _half_line(a, 1.0, cfg)
 
 
 def _join(parts: list[IntegrationResult]) -> IntegrationResult:
@@ -318,26 +316,29 @@ def _subtree(
     return panels
 
 
-def _take(cache: dict, a: float, b: float) -> tuple[float, float]:
-    """Panel (a, b)'s (value, error), removed from ``cache``; a panel that
-    held a non-finite value raises its IntegrandError here."""
-    panel = cache.pop((a, b))
+def _checked(panel):
+    """A panel's (value, error); a panel that held a non-finite value
+    raises its IntegrandError here."""
     if isinstance(panel, IntegrandError):
         raise panel
     return panel
 
 
-def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
-    """One adaptive integral as a generator: it yields a list of (a, b)
-    panels it needs, first (a, b) alone and then the ``_subtree`` of each
-    bisected panel whose halves it does not hold yet.
+def _tolerance(value: float, cfg: QuadratureConfig) -> float:
+    """The error estimate an integral of ``value`` converges at."""
+    return max(cfg.abs_tol, cfg.rel_tol * abs(value))
+
+
+def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
+            value: float, err: float):
+    """One adaptive integral over (a, b) as a generator, from its first
+    panel's rule (value, err), which does not meet its tolerance: it
+    yields the ``_subtree`` of each bisected panel whose halves it does
+    not hold yet, a list of (a, b) panels.
     It is sent one (value, error) or IntegrandError per panel, keeps them
     by their edges until the refinement consumes them, and returns its
     IntegrationResult or raises IntegrandError or NonConvergenceError."""
     cache: dict = {}
-    asked = [(a, b)]
-    cache.update(zip(asked, (yield asked)))
-    value, err = _take(cache, a, b)
     evals = 15
     # Heap entries: (-error, tiebreak, a, b, value, error).  Panels that are
     # negligible or at the width floor are retired from the heap for good.
@@ -347,8 +348,7 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
     total_err = err
     tick = 1
     while evals < 15 + 30 * cfg.max_subdivisions:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if total_err <= tol:
+        if total_err <= _tolerance(total_val, cfg):
             return IntegrationResult(total_val, total_err, evals)
         if not heap:
             break
@@ -366,8 +366,8 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
         if (pa, pm) not in cache or (pm, pb) not in cache:
             asked = _subtree(a, b, pa, pb, elementwise)
             cache.update(zip(asked, (yield asked)))
-        lv, le = _take(cache, pa, pm)
-        rv, re = _take(cache, pm, pb)
+        lv, le = _checked(cache.pop((pa, pm)))
+        rv, re = _checked(cache.pop((pm, pb)))
         evals += 30
         total_val += lv + rv - pv
         total_err += le + re - pe
@@ -377,9 +377,9 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool):
         # the running totals keep a replaced panel's digits only to an ulp
         # of it; where that ulp could reach the tolerance (halves far
         # smaller than their panel), they restart from the panels' own sums
-        if max(abs(pv), pe) > 2.0**48 * max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+        if max(abs(pv), pe) > 2.0**48 * _tolerance(total_val, cfg):
             total_val, total_err = (math.fsum(col) for col in zip(*[e[4:] for e in heap], *retired))
-    if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+    if total_err <= _tolerance(total_val, cfg):
         return IntegrationResult(total_val, total_err, evals)
     floor = "" if heap else " (every panel left is negligible or at the float-spacing floor)"
     raise NonConvergenceError(
@@ -419,7 +419,10 @@ def _panel_rules(fp: np.ndarray, half: list, width: list) -> list[tuple[float, f
 def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
     """Run the adaptive integrals ``pieces`` together, one integrand call
     per round on the abscissae of the panels every live piece asks for
-    next: its first panel, then the ``_subtree`` of a bisected panel.
+    next.  Round 0 evaluates every piece's first panel, in piece order; a
+    piece whose first panel meets its tolerance settles there, with 15
+    evaluations, and only the others refine (``_refine``), each later
+    round evaluating the ``_subtree`` of a bisected panel.
 
     Each piece refines as it would alone.  Returns the pieces' results,
     in order, or raises the failure of the first one, in order, that
@@ -427,14 +430,15 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
     ones run to their end, so for an ``f`` that returns values the
     outcome is that of running the pieces one by one.  A panel holding a
     non-finite value fails its piece only once the refinement consumes
-    it, with the panel's first such abscissa, left to right in the
-    piece's variable, reported in x.  An exception ``f`` raises
-    propagates from the round it is raised in, whichever piece's
-    abscissae caused it, where a run one by one could first have stopped
-    on an earlier piece's failure, or have never asked for the panel.
+    it (a first panel in round 0), with the panel's first such abscissa,
+    left to right in the piece's variable, reported in x.  An exception
+    ``f`` raises propagates from the round it is raised in, whichever
+    piece's abscissae caused it, where a run one by one could first have
+    stopped on an earlier piece's failure, or have never asked for the
+    panel.
     """
-    refiners = [_refine(p.a, p.b, p.cfg, elementwise) for p in pieces]
-    asks = [next(r) for r in refiners]
+    refiners: list = [None] * len(pieces)
+    asks = [[(p.a, p.b)] for p in pieces]
     done: list[IntegrationResult | None] = [None] * len(pieces)
     stop, failure = len(pieces), None
     live = list(range(len(pieces)))
@@ -483,8 +487,18 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
                     f"integrand returned {float(fx[r, c])!r} at x={bad_x!r}", abscissa=bad_x
                 )
         for i, slots in zip(live, rows):
+            got = [(0.0, 0.0) if r is None else panels[r] for r in slots]
             try:
-                asks[i] = refiners[i].send([(0.0, 0.0) if r is None else panels[r] for r in slots])
+                if refiners[i] is None:  # round 0: the piece's first panel
+                    value, err = _checked(got[0])
+                    p = pieces[i]
+                    if err <= _tolerance(value, p.cfg):
+                        done[i] = IntegrationResult(value, err, 15)
+                    else:
+                        refiners[i] = _refine(p.a, p.b, p.cfg, elementwise, value, err)
+                        asks[i] = next(refiners[i])
+                else:
+                    asks[i] = refiners[i].send(got)
             except StopIteration as end:
                 done[i] = end.value
             except (IntegrandError, NonConvergenceError) as exc:
@@ -509,23 +523,31 @@ def integrate_each(
 
     Each integral's value, error estimate and evaluation count (of
     consumed points) are those it gets alone, with or without look-ahead:
-    however many panels below a bisection a call evaluates.  Returns the
-    results in order.  An interval that is not (a, b) with a < b raises
-    DomainError before any integral runs; otherwise the first integral,
-    in order, that fails raises its IntegrandError or
-    NonConvergenceError: for an ``f`` that returns values, the same
-    outcome as integrating them one after another.  An exception raised
-    by ``f`` itself propagates from the shared call, even where an
-    earlier integral would have failed first alone, or where it was
-    raised at an abscissa of a panel that is never consumed.
+    however many panels below a bisection a call evaluates.  The first
+    call evaluates every integral's first panel (each piece's, on an
+    infinite interval), and an integral whose first panel meets its
+    tolerance settles there, with 15 evaluations; a batch of such
+    integrals takes that one call.  Returns the results in order.  An
+    interval that is not (a, b) with a < b raises DomainError before any
+    integral runs; otherwise the first integral, in order, that fails
+    raises its IntegrandError or NonConvergenceError: for an ``f`` that
+    returns values, the same outcome as integrating them one after
+    another.  An exception raised by ``f`` itself propagates from the
+    shared call, even where an earlier integral would have failed first
+    alone, or where it was raised at an abscissa of a panel that is
+    never consumed.
     """
     pieces: list[_Piece] = []
     ends = [0]
     for interval in intervals:
-        pieces += _pieces(interval, cfg)
+        a, b = float(interval[0]), float(interval[1])
+        if -math.inf < a < b < math.inf:
+            pieces.append(_Piece(a, b, cfg))
+        else:
+            pieces += _pieces(a, b, cfg)
         ends.append(len(pieces))
     done = _advance(f, pieces, elementwise)
-    return [_join(done[a:b]) for a, b in zip(ends, ends[1:])]
+    return [done[a] if b - a == 1 else _join(done[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 def integrate(

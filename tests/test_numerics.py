@@ -453,6 +453,58 @@ class TestBatchedIntegrals:
             numerics.integrate_each(_piecewise, intervals, cfg)
         assert _outcome(failure.value) == _outcome(singles[failed[0]])
 
+    @staticmethod
+    def mixed(x):
+        # a log singularity at 0 and a sharp peak at 2.5, which refine; a
+        # cosine whose quarter-wide intervals settle on their first panel;
+        # the singularity again at 60, with NaN at the centres of its first
+        # halves; NaN at 50.5, the centre of (50, 51)'s first panel
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            return np.select(
+                [x < 1.5, x < 5.0, x < 45.0, x == 50.5, x < 55.0,
+                 np.abs(x - 60.5) % 0.5 == 0.25],
+                [-np.log(x) / np.sqrt(x), 1.0 / (1e-4 + (x - 2.5) ** 2), np.cos(x),
+                 np.nan, 1.0, np.nan],
+                -np.log(x - 60.0) / np.sqrt(x - 60.0),
+            )
+
+    ONE_PANEL = [(10.0 + 0.25 * i, 10.25 + 0.25 * i) for i in range(40)]
+
+    def test_one_panel_refining_and_failing_integrals_in_one_batch(self):
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return self.mixed(x)
+
+        ones, late, first_panel = self.ONE_PANEL, (60.0, 61.0), (50.0, 51.0)
+        ok = ones[:20] + [(0.0, 1.0)] + ones[20:30] + [(2.0, 3.0)] + ones[30:]
+        singles = [_alone(self.mixed, iv, DEFAULT) for iv in ok]
+        assert [i for i, r in enumerate(singles) if r.evaluations > 15] == [20, 31]
+        results = numerics.integrate_each(counted, ok)
+        assert [_outcome(r) for r in results] == [_outcome(r) for r in singles]
+        # the first call carries every first panel, the later ones the
+        # look-ahead of the two integrals that refine
+        assert calls == [15 * 42, 540] + [270] * 6 + [180] * 7
+        # a first panel that is not finite fails its integral in the first
+        # round, but an earlier integral that fails later still comes first
+        for batch, failing in (
+            (ok[:25] + [first_panel] + ok[25:], first_panel),
+            (ok[:21] + [late] + ok[21:25] + [first_panel] + ok[25:], late),
+        ):
+            with pytest.raises(IntegrandError) as failure:
+                numerics.integrate_each(self.mixed, batch)
+            alone = _alone(self.mixed, failing, DEFAULT)
+            assert isinstance(alone, IntegrandError)
+            assert _outcome(failure.value) == _outcome(alone)
+        # integrals that all settle on their first panel take one call
+        del calls[:]
+        results = numerics.integrate_each(counted, ones)
+        assert calls == [15 * len(ones)]
+        assert [_outcome(r) for r in results] == [
+            _outcome(_alone(self.mixed, iv, DEFAULT)) for iv in ones]
+
     def test_bad_interval_stops_the_batch_there(self):
         with pytest.raises(DomainError):
             numerics.integrate_each(_piecewise, [(0.0, 1.0), (2.0, 1.0), (1.0, 3.0)])

@@ -434,6 +434,41 @@ class TestResidualInaccuracy:
         RM.residual_inaccuracy_hazard_forms(PAR2, up(2, 1))
         assert 0 < sum(evaluations) < 100_000
 
+    @pytest.mark.parametrize(
+        "parent,n,k,pinned",
+        [
+            (E1, 2, 1, ("3.0", "1.3430762828809584e-10",
+                        "2.999999999999999", "2.2333070669299057e-10")),
+            (PAR2, 2, 1, ("10.0", "6.009051293934714e-10", "10.0", "2.0789121490064e-10")),
+            (W205, 2, 1, ("4.000000000000004", "1.0292860506651662e-08",
+                          "4.0", "8.010300155187742e-10")),
+            (W12, 2, 2, ("0.3916606679102916", "1.3498667498330512e-09",
+                         "0.39166066791109816", "1.4029808357422628e-10")),
+            (U, 2, 1, ("0.4999999999999999", "1.3334024642473908e-11",
+                       "0.5", "7.143188613359032e-11")),
+            (PD, 2, 2, ("0.1661807580174927", "1.2706603819907707e-11",
+                        "0.16618075801749219", "4.61180497729046e-10")),
+            (P2, 2, 1, ("0.342371497340786", "1.35310300624642e-09",
+                        "0.34237149734148997", "4.243809094196061e-10")),
+        ],
+        ids=["exponential", "pareto2", "weibull2_0.5", "weibull1_2", "uniform",
+             "power_decreasing", "power_increasing2"],
+    )
+    def test_hazard_forms_pinned_to_the_bit(self, parent, n, k, pinned):
+        # the outer integrands are stateful (knot chains), so how the
+        # integrator batches and settles its integrals must not move a bit
+        one, two = RM.residual_inaccuracy_hazard_forms(parent, up(n, k))
+        values = (one.value, one.abs_error_estimate, two.value, two.abs_error_estimate)
+        assert tuple(map(repr, values)) == pinned
+
+    def test_hazard_inner_integrand_calls_pinned(self, monkeypatch):
+        # a change in the inner integrand's calls is a change in the knots
+        # the outer nodes lay, and so in the values
+        log = _spy_integrands(monkeypatch)
+        RM.residual_inaccuracy_hazard_forms(PAR2, up(2, 1))
+        inner = [sizes for name, sizes, _ in log if name == "inner"]
+        assert (sum(map(len, inner)), sum(map(sum, inner))) == (24, 14925)
+
     @pytest.mark.parametrize("n", [100, 300])
     @pytest.mark.parametrize("k", [1, 2])
     def test_gamma_route_at_large_n(self, n, k):
