@@ -118,7 +118,7 @@ def _require_density_cover(actual: Distribution, assessed: Distribution, what: s
 _LADDER = 2.0 ** np.arange(201)
 
 
-def _certify_integrable_tail(fn, interval, what: str) -> float:
+def _certify_integrable_tail(fn, interval, what: str, *, whole_ladder=False) -> float:
     """Reject integrands that decay no faster than 1/x toward an infinite end.
 
     Floating-point underflow can truncate a divergent tail to exact zeros
@@ -127,9 +127,21 @@ def _certify_integrable_tail(fn, interval, what: str) -> float:
     number.  Probing x*f(x) on a geometric ladder catches this long before
     the underflow horizon.  Slowly convergent tails between x^-1 and
     roughly x^-1.04 are rejected too: they cannot be certified finite by
-    sampling, and the error type says so.  Returns the |x| of the rung
-    where |x f(x)| peaks on the last ladder probed (1 if none is).
+    sampling, and the error type says so.
+
+    The verdict and its message are the whole ladder's, 201 rungs per
+    infinite end, but ``fn`` is called first on the last five alone:
+    they decide the check, and where |x f| is 0 on all five it passes
+    without the other 196, which are otherwise evaluated in one more call
+    (no point twice).  ``whole_ladder`` evaluates all 201 in one call, for
+    a caller that reads the return value: the |x| of the rung where
+    |x f(x)| peaks on the last ladder probed (1 if none is).
     """
+
+    def scaled(xs):
+        t = np.abs(xs) * np.asarray(fn(xs), float)
+        return np.where(np.isfinite(t), np.abs(t), math.inf)
+
     lo, hi = interval
     rung = 1.0
     sides = []
@@ -137,12 +149,15 @@ def _certify_integrable_tail(fn, interval, what: str) -> float:
         sides.append(1.0)
     if math.isinf(lo):
         sides.append(-1.0)
+    first = 0 if whole_ladder else len(_LADDER) - 5
     for sign in sides:
         anchor = lo if sign > 0 else hi
         x0 = max(1.0, abs(anchor) + 1.0) if math.isfinite(anchor) else 1.0
         xs = sign * x0 * _LADDER
-        t = np.abs(xs) * np.asarray(fn(xs), float)
-        t = np.where(np.isfinite(t), np.abs(t), math.inf)
+        t = scaled(xs[first:])
+        if first and t.any():
+            t = np.concatenate([scaled(xs[:first]), t])
+        # five zeros give the first rung, as a ladder of zeros does
         rung = float(abs(xs[np.argmax(t)]))
         peak = float(np.max(t))
         if peak == 0.0:
@@ -172,10 +187,11 @@ def _diverged(exc: QuadratureError, what: str) -> DivergenceError:
 
 def _quad_each(fn, intervals, config: QuadratureConfig, what: str, *, elementwise=True):
     """Certify the tail of ``fn`` on each interval with an infinite end
-    (``_certify_integrable_tail``) and integrate it there, the integrals
-    sharing integrand calls (``integrate_each``, which takes
-    ``elementwise``); a failed integration becomes a DivergenceError
-    (``_diverged``).
+    (``_certify_integrable_tail``, which calls ``fn`` on the last five
+    rungs of the end's ladder, and on the 196 others only where one of
+    the five is not 0) and integrate it there, the integrals sharing
+    integrand calls (``integrate_each``, which takes ``elementwise``); a
+    failed integration becomes a DivergenceError (``_diverged``).
 
     Returns the IntegrationResults in order, or raises the failure of the
     first interval that fails its tail certification or its integration:

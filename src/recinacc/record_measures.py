@@ -189,7 +189,8 @@ def _cumulative_expectation(measure: str, parent: Distribution, spec: RecordSpec
     edges = gamma_mass_edges(n, k)
     with np.errstate(all="ignore"):
         try:
-            peak = _certify_integrable_tail(integrand, (0.0, math.inf), what)
+            peak = _certify_integrable_tail(integrand, (0.0, math.inf), what,
+                                            whole_ladder=True)
         except DivergenceError as exc:
             # a rung where log f is not finite refuses the route, as a node does
             finite = np.isfinite(parent.log_pdf_at_tail(side, _measures._LADDER))
@@ -390,15 +391,19 @@ def _knot_chain(integrals, anchor: float, cfg: QuadratureConfig):
     """Running integral between a fixed ``anchor`` and query points.
 
     Returns ``at(xs)``, the integrals over the spans between ``anchor``
-    and each of ``xs``, answered as if one by one in the order given.
-    Every answered query becomes a knot, and a new query only integrates
-    the gap to the nearest knot on the anchor's side of it, adding that
-    knot's value.  ``at`` plans every query's gap by that insertion
-    order, integrates all the gaps in one call of ``integrals``, and then
-    settles the values in query order.  ``integrals(spans)`` integrates
-    over each (a, b), a < b, and returns the results in order or raises
-    the first failure; an anchor of -inf or below all queries chains
-    upward, an anchor of +inf or above all queries chains downward.
+    and each of ``xs``, answered as if one by one in the order given, but
+    for knots of value 0.  Every answered query becomes a knot, and a new
+    query only integrates the gap to the nearest knot on the anchor's side
+    of it, adding that knot's value.  ``at`` plans every query's gap by
+    that insertion order, integrates all the gaps in one call of
+    ``integrals``, and then settles the values in query order.  A knot of
+    value 0 says no more than the anchor, and a gap up to it, however far,
+    would have to find the whole integral with one panel's nodes: it
+    serves the rest of the call that laid it, which planned on it, and is
+    then dropped.  ``integrals(spans)`` integrates over each (a, b),
+    a < b, and returns the results in order or raises the first failure;
+    an anchor of -inf or below all queries chains upward, an anchor of
+    +inf or above all queries chains downward.
 
     Each knot carries the summed error estimate of its chain.  Where a
     new knot's sum would exceed the tolerance ``cfg`` holds one direct
@@ -443,6 +448,8 @@ def _knot_chain(integrals, anchor: float, cfg: QuadratureConfig):
                 known[x] = (value, err)
             out.append(known[x][0])
         knots[:] = planned
+        for x in {x for x in xs if x != anchor and known[x][0] == 0.0}:
+            knots.remove(x)  # a knot of value 0 serves only its own call
         return out
 
     return at
@@ -490,11 +497,11 @@ def residual_inaccuracy_hazard_forms(
     integrand call are integrated as one batch (``integrate_each``), so
     they share their integrand calls; each gap's result, and so each
     node's value, is the one it gets when the nodes are visited one by
-    one.  A node's value depends, within the inner tolerance, on the
-    knots laid before it, so the outer integrands are elementwise only to
-    that tolerance, and they are integrated without look-ahead
-    (``elementwise=False``): a node of a panel the refinement never
-    consumed would lay a knot and move later values.
+    one (but for knots of value 0).  A node's value depends, within the
+    inner tolerance, on the knots laid before it, so the outer integrands
+    are elementwise only to that tolerance, and they are integrated
+    without look-ahead (``elementwise=False``): a node of a panel the
+    refinement never consumed would lay a knot and move later values.
 
     This is a change of variable, not Fubini: each form stays an outer
     integral of inner integrals over s, so both remain arithmetically
@@ -526,11 +533,13 @@ def residual_inaccuracy_hazard_forms(
         return outer_integrand
 
     # The outer head (0, 1) and mapped tail (1, inf) share integrand calls,
-    # so one call may hold nodes on both sides of s = 1.  Their values are
-    # still those of running head then tail only because the outer tail
-    # certification probes s = 1 first and so lays a knot at the split in
-    # each form's chain before either piece runs: no node then chains from
-    # a knot on the other side.
+    # so one call may hold nodes on both sides of s = 1, and a node may
+    # chain from a knot that a node of the other piece laid: the values are
+    # those of the batched calls, not of running head then tail.  Each knot
+    # is within the inner tolerance of its integral whichever knots came
+    # first.  The outer tail certification leaves no knot where its five last
+    # rungs (s ~ 1e59) read 0: form two's weight is 0 there, and form one's
+    # zero knots are dropped.
     one = _quad(outer(k + 1.0, 0, math.inf, np.ones_like, "hazard-form tail integral"),
                 (0.0, math.inf), config, "hazard-weighted form one", elementwise=False)
     two = _quad(outer(1.0, 1, 0.0, lambda s: np.exp(-k * s), "hazard-form head integral"),

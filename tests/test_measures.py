@@ -260,6 +260,101 @@ class TestErrorContracts:
         assert not np.any(xs < 0.0)  # the third never evaluated
 
 
+class TestTailCertification:
+    """``_certify_integrable_tail`` reads the last five rungs of each
+    infinite end first, and the other 196 only where one of those is not
+    0; its verdict is the whole ladder's."""
+
+    @staticmethod
+    def _whole_ladder(fn, interval, what):
+        """The check read off all 201 rungs of each infinite end: the
+        message of the DivergenceError it raises, or None, and the |x| of
+        the last end's peak rung."""
+        lo, hi = interval
+        rung = 1.0
+        for sign, end in ((1.0, hi), (-1.0, lo)):
+            if math.isfinite(end):
+                continue
+            anchor = lo if sign > 0 else hi
+            x0 = max(1.0, abs(anchor) + 1.0) if math.isfinite(anchor) else 1.0
+            xs = sign * x0 * M._LADDER
+            t = np.abs(xs * np.asarray(fn(xs), float))
+            t[~np.isfinite(t)] = math.inf
+            rung = float(abs(xs[np.argmax(t)]))
+            peak, tail = float(t.max()), float(t[-5:].max())
+            if peak > 0.0 and (tail > 1e-8 * peak or math.isinf(tail)):
+                return (f"{what} appears divergent: the integrand decays no faster than "
+                        f"1/x toward {'+' if sign > 0 else '-'}inf "
+                        f"(x*f at |x|={abs(xs[-1]):.3g} is {tail:.3g}, peak {peak:.3g})"), rung
+        return None, rung
+
+    @staticmethod
+    def _spiked(x):
+        # e^-x, but inf at the rung 2^100 and NaN at 2^101
+        out = np.exp(-x)
+        return np.where(x == 2.0**100, math.inf, np.where(x == 2.0**101, math.nan, out))
+
+    BATTERY = {
+        # name: (integrand, interval, whether each infinite end's last five rungs are 0)
+        "zero_past_a_point": (lambda x: np.where(x < 50.0, 1.0 / (1.0 + x * x), 0.0),
+                              (0.0, math.inf), True),
+        "exp": (lambda x: np.exp(-x), (0.0, math.inf), True),
+        "one_over_x": (lambda x: 1.0 / x, (1.0, math.inf), False),
+        "slow_power": (lambda x: x**-1.02, (0.0, math.inf), False),
+        "inf_and_nan_mid_ladder": (_spiked, (0.0, math.inf), True),
+        "whole_line": (lambda x: np.exp(-np.abs(x)), (-math.inf, math.inf), True),
+        "whole_line_cauchy": (lambda x: 1.0 / (1.0 + x * x), (-math.inf, math.inf), False),
+        "finite_anchor": (lambda x: 1.0 / x, (3.0, math.inf), False),
+        "finite_anchor_exp": (lambda x: np.exp(3.0 - x), (3.0, math.inf), True),
+        "negative_half_line": (lambda x: 1.0 / (x * x), (-math.inf, -2.0), False),
+        "negative_half_line_exp": (lambda x: np.exp(x), (-math.inf, -2.0), True),
+    }
+
+    @pytest.mark.parametrize("name", list(BATTERY))
+    def test_verdict_is_the_whole_ladders(self, name):
+        fn, interval, zero_tail = self.BATTERY[name]
+        ends = sum(map(math.isinf, interval))
+        calls = []
+
+        def seen(x):
+            calls.append(np.array(x))
+            return fn(x)
+
+        want, _ = self._whole_ladder(fn, interval, name)
+        if want is None:
+            M._certify_integrable_tail(seen, interval, name)
+        else:
+            with pytest.raises(DivergenceError) as exc:
+                M._certify_integrable_tail(seen, interval, name)
+            assert str(exc.value) == want
+        if zero_tail:
+            assert [c.size for c in calls] == [5] * ends
+        else:
+            # the ladder the verdict is read off, each point once
+            assert [c.size for c in calls][:2] == [5, 196]
+            assert sum(c.size for c in calls) == 201 * (ends if want is None else 1)
+            points = np.concatenate(calls)
+            assert np.unique(points).size == points.size
+
+    @pytest.mark.parametrize("name", list(BATTERY))
+    def test_whole_ladder_reads_every_rung_and_returns_the_peak(self, name):
+        fn, interval, _ = self.BATTERY[name]
+        calls = []
+
+        def seen(x):
+            calls.append(np.size(x))
+            return fn(x)
+
+        want, rung = self._whole_ladder(fn, interval, name)
+        if want is None:
+            assert M._certify_integrable_tail(seen, interval, name, whole_ladder=True) == rung
+            assert calls == [201] * sum(map(math.isinf, interval))
+        else:
+            with pytest.raises(DivergenceError, match="appears divergent"):
+                M._certify_integrable_tail(seen, interval, name, whole_ladder=True)
+            assert calls[0] == 201
+
+
 class TestFarTails:
     def test_entropy_of_a_custom_logistic_law(self):
         # a whole-line law: the tail ladder runs toward -inf as well

@@ -435,31 +435,33 @@ class TestResidualInaccuracy:
         assert 0 < sum(evaluations) < 100_000
 
     @pytest.mark.parametrize(
-        "parent,n,k,pinned",
+        "parent,n,k,exact,pinned",
         [
-            (E1, 2, 1, ("3.0", "1.3430762828809584e-10",
-                        "2.999999999999999", "2.2333070669299057e-10")),
-            (PAR2, 2, 1, ("10.0", "6.009051293934714e-10", "10.0", "2.0789121490064e-10")),
-            (W205, 2, 1, ("4.000000000000004", "1.0292860506651662e-08",
-                          "4.0", "8.010300155187742e-10")),
-            (W12, 2, 2, ("0.3916606679102916", "1.3498667498330512e-09",
-                         "0.39166066791109816", "1.4029808357422628e-10")),
-            (U, 2, 1, ("0.4999999999999999", "1.3334024642473908e-11",
-                       "0.5", "7.143188613359032e-11")),
-            (PD, 2, 2, ("0.1661807580174927", "1.2706603819907707e-11",
-                        "0.16618075801749219", "4.61180497729046e-10")),
-            (P2, 2, 1, ("0.342371497340786", "1.35310300624642e-09",
-                        "0.34237149734148997", "4.243809094196061e-10")),
+            (E1, 2, 1, 3.0, ("2.9999999999999996", "1.3430784491126639e-10",
+                             "2.9999999999999996", "2.2333073054787358e-10")),
+            (PAR2, 2, 1, 10.0, ("10.0", "6.009051464340803e-10",
+                                "10.0", "2.0789121940007901e-10")),
+            (W205, 2, 1, 4.0, ("4.000000000000008", "1.0292869717589474e-08",
+                               "4.0", "8.010301820522279e-10")),
+            (W12, 2, 2, 0.391660667911094, ("0.3916606679102916", "1.3498667606015796e-09",
+                                            "0.39166066791104565", "1.4029809226815425e-10")),
+            (U, 2, 1, 0.5, ("0.5", "1.3333988945435016e-11", "0.5", "7.143187919551698e-11")),
+            (PD, 2, 2, 0.166180758017493, ("0.16618075801749269", "1.2706606445133299e-11",
+                                           "0.16618075801749219", "4.61180497729046e-10")),
+            (P2, 2, 1, 0.342371497341588, ("0.342371497340786", "1.3531029871911962e-09",
+                                           "0.3423714973414513", "4.243809089139274e-10")),
         ],
         ids=["exponential", "pareto2", "weibull2_0.5", "weibull1_2", "uniform",
              "power_decreasing", "power_increasing2"],
     )
-    def test_hazard_forms_pinned_to_the_bit(self, parent, n, k, pinned):
+    def test_hazard_forms_pinned_to_the_bit(self, parent, n, k, exact, pinned):
         # the outer integrands are stateful (knot chains), so how the
         # integrator batches and settles its integrals must not move a bit
         one, two = RM.residual_inaccuracy_hazard_forms(parent, up(n, k))
         values = (one.value, one.abs_error_estimate, two.value, two.abs_error_estimate)
         assert tuple(map(repr, values)) == pinned
+        for res in (one, two):
+            assert abs(res.value - exact) <= res.abs_error_estimate
 
     def test_hazard_inner_integrand_calls_pinned(self, monkeypatch):
         # a change in the inner integrand's calls is a change in the knots
@@ -467,7 +469,37 @@ class TestResidualInaccuracy:
         log = _spy_integrands(monkeypatch)
         RM.residual_inaccuracy_hazard_forms(PAR2, up(2, 1))
         inner = [sizes for name, sizes, _ in log if name == "inner"]
-        assert (sum(map(len, inner)), sum(map(sum, inner))) == (24, 14925)
+        assert (sum(map(len, inner)), sum(map(sum, inner))) == (22, 11310)
+
+    def test_hazard_tail_certification_lays_no_ladder_of_knots(self, monkeypatch):
+        # form one's outer tail certification reads the ladder's last five
+        # rungs, where its inner integrand is 0, and not the 196 below them,
+        # each of which laid a knot and so ran an inner integral: reading
+        # them all took 525 inner integrals on 7,920 consumed points
+        inner = []
+        real = numerics.integrate_each
+
+        def counting(f, intervals, *args, **kwargs):
+            results = real(f, intervals, *args, **kwargs)
+            if f.__name__ == "inner":
+                inner.extend(r.evaluations for r in results)
+            return results
+
+        monkeypatch.setattr(measures, "integrate_each", counting)
+        RM.residual_inaccuracy_hazard_forms(E1, up(2, 1))
+        assert (len(inner), sum(inner)) == (330, 5100)
+
+    @pytest.mark.parametrize("parent, n, k", [(E1, 300, 1), (PAR2, 100, 1), (W12, 400, 2)],
+                             ids=["exponential", "pareto2", "weibull1_2"])
+    def test_hazard_forms_at_large_n(self, parent, n, k):
+        # the record mass lies past the first outer call's largest node
+        # (s ~ 238), and no knot stands between it and the tail
+        # certification's rungs (s ~ 1e59): chaining from those zero knots
+        # gave form one 29717.47 +- 9e-6 on exponential(1) n = 300
+        spec = up(n, k)
+        direct = RM.residual_record_inaccuracy(parent, spec)
+        for res in RM.residual_inaccuracy_hazard_forms(parent, spec):
+            assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
 
     @pytest.mark.parametrize("n", [100, 300])
     @pytest.mark.parametrize("k", [1, 2])
@@ -567,6 +599,23 @@ class TestHazardFormKnotChain:
                     for a, b in spans]
 
         return integrals
+
+    def test_a_zero_knot_serves_only_its_own_call(self):
+        # a knot where the running integral is 0 says no more than the
+        # anchor, and a finite gap up to it, however far, would have to
+        # find the whole integral with one panel's nodes
+        calls = []
+
+        def integrals(spans):
+            calls.extend(spans)
+            return [measures.MeasureResult(0.0 if a >= 100.0 else 1.0, "quadrature", 0.0)
+                    for a, b in spans]
+
+        at = RM._knot_chain(integrals, math.inf, self.INNER)
+        assert at([2.0**200, 2.0**199]) == [0.0, 0.0]
+        assert at([5.0, 4.0]) == [1.0, 2.0]
+        assert calls == [(2.0**200, math.inf), (2.0**199, 2.0**200),
+                         (5.0, math.inf), (4.0, 5.0)]
 
     def test_chained_error_past_tolerance_restarts_from_anchor(self):
         calls = []
@@ -698,8 +747,8 @@ class TestLookAhead:
         log = _spy_integrands(monkeypatch)
         one, two = RM.residual_inaccuracy_hazard_forms(W205, up(2, 1))
         assert [(r.value.hex(), r.abs_error_estimate.hex()) for r in (one, two)] == [
-            ("0x1.0000000000005p+2", "0x1.61a8f55f04c3ep-27"),
-            ("0x1.0000000000000p+2", "0x1.b85ef3d5d134ap-31"),
+            ("0x1.0000000000009p+2", "0x1.61a90a1cc343ep-27"),
+            ("0x1.0000000000000p+2", "0x1.b85ef9d5d134ap-31"),
         ]
         outer = [(sum(sizes), consumed) for name, sizes, consumed in log if "outer" in name]
         assert len(outer) == 2
