@@ -43,7 +43,12 @@ class ConsistencyError(RecinaccError):
 
 
 class QuadratureError(RecinaccError):
-    """Base class for numerical integration failures."""
+    """Base class for numerical integration failures.
+
+    ``interval`` is the index, in its batch, of the integral that failed.
+    """
+
+    interval: int = 0
 
 
 class IntegrandError(QuadratureError):

@@ -185,13 +185,17 @@ def _diverged(exc: QuadratureError, what: str) -> DivergenceError:
     return DivergenceError(f"{what} has a non-integrable singularity: {exc}")
 
 
-def _quad_each(fn, intervals, config: QuadratureConfig, what: str, *, elementwise=True):
+def _quad_each(fn, intervals, config: QuadratureConfig, what, *, elementwise=True,
+               indexed=False):
     """Certify the tail of ``fn`` on each interval with an infinite end
     (``_certify_integrable_tail``, which calls ``fn`` on the last five
     rungs of the end's ladder, and on the 196 others only where one of
     the five is not 0) and integrate it there, the integrals sharing
-    integrand calls (``integrate_each``, which takes ``elementwise``); a
-    failed integration becomes a DivergenceError (``_diverged``).
+    integrand calls (``integrate_each``, which takes ``elementwise`` and
+    ``indexed``); a failed integration becomes a DivergenceError
+    (``_diverged``).  With ``indexed`` the integral over interval j is
+    that of fn(x, j), whose tail is certified as such, and ``what`` is a
+    list of one name per interval for the messages.
 
     Returns the IntegrationResults in order, or raises the failure of the
     first interval that fails its tail certification or its integration:
@@ -199,20 +203,23 @@ def _quad_each(fn, intervals, config: QuadratureConfig, what: str, *, elementwis
     interval after another.  No interval after a failed certification is
     integrated.
     """
+    names = what if indexed else [what] * len(intervals)
     certified = []
     failure = None
-    for interval in intervals:
+    for j, interval in enumerate(intervals):
         if math.isinf(interval[0]) or math.isinf(interval[1]):
             try:
-                _certify_integrable_tail(fn, interval, what)
+                _certify_integrable_tail((lambda xs: fn(xs, j)) if indexed else fn,
+                                         interval, names[j])
             except DivergenceError as exc:
                 failure = exc
                 break
         certified.append(interval)
     try:
-        results = integrate_each(fn, certified, config, elementwise=elementwise)
+        results = integrate_each(fn, certified, config, elementwise=elementwise,
+                                 indexed=indexed)
     except QuadratureError as exc:
-        raise _diverged(exc, what) from exc
+        raise _diverged(exc, names[exc.interval]) from exc
     if failure is not None:
         raise failure
     return results

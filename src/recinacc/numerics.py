@@ -21,6 +21,12 @@ alone, as long as the integrand returns values rather than raising.
 ``evaluations`` counts consumed points, 15 plus 30 per bisection.  An
 integrand that is not elementwise passes ``elementwise=False``: a
 bisection then evaluates its two halves alone, 30 points.
+With the piece index, ``integrate_each(..., indexed=True)``, a batch
+integrates a different integrand on each interval: the integrand is
+called as f(x, j), j holding for each abscissa the index of its interval
+(both pieces of a half line share it), so that one call serves
+integrals of different integrands, each with its own refinement and
+result.
 Semi-infinite integrals over (a, inf) are mapped onto (0, 1) through
 u = 1/(1 + x - a), so tail behaviour is handled by the same adaptive
 machinery instead of an ad hoc truncation point; integrals over the
@@ -54,6 +60,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -233,15 +240,19 @@ class _Piece(NamedTuple):
     """One adaptive integral over (a, b) in its own variable v.  The
     integrand sees x = sign * v, or on a mapped tail (``split`` set)
     x = sign * y with y = split + (1 - v) / v, where its value is divided
-    by v^2."""
+    by v^2.  ``owner`` is the index of the interval it is a piece of."""
 
     a: float
     b: float
     cfg: QuadratureConfig
     sign: float = 1.0
     split: float | None = None
+    owner: int = 0
 
 
+# memoised: ``replace`` runs the config's checks again, and the batches
+# halve the same few configs for every half line they hold
+@lru_cache(maxsize=64)
 def _halved(cfg: QuadratureConfig) -> QuadratureConfig:
     return replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=0.5 * cfg.rel_tol)
 
@@ -316,14 +327,6 @@ def _subtree(
     return panels
 
 
-def _checked(panel):
-    """A panel's (value, error); a panel that held a non-finite value
-    raises its IntegrandError here."""
-    if isinstance(panel, IntegrandError):
-        raise panel
-    return panel
-
-
 def _tolerance(value: float, cfg: QuadratureConfig) -> float:
     """The error estimate an integral of ``value`` converges at."""
     return max(cfg.abs_tol, cfg.rel_tol * abs(value))
@@ -338,6 +341,12 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
     It is sent one (value, error) or IntegrandError per panel, keeps them
     by their edges until the refinement consumes them, and returns its
     IntegrationResult or raises IntegrandError or NonConvergenceError."""
+    # the loop runs once per bisection: its config fields and heap
+    # functions are locals, and the tolerance and the check that a panel
+    # held finite values (an IntegrandError in its place) are inline
+    abs_tol, rel_tol, budget = cfg.abs_tol, cfg.rel_tol, 15 + 30 * cfg.max_subdivisions
+    push, pop = heapq.heappush, heapq.heappop
+    floor_eps, mass_bound = 4.0 * _EPS, _TAIL_MASS_BOUND
     cache: dict = {}
     evals = 15
     # Heap entries: (-error, tiebreak, a, b, value, error).  Panels that are
@@ -347,18 +356,18 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
     total_val = value
     total_err = err
     tick = 1
-    while evals < 15 + 30 * cfg.max_subdivisions:
-        if total_err <= _tolerance(total_val, cfg):
+    while evals < budget:
+        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
             return IntegrationResult(total_val, total_err, evals)
         if not heap:
             break
-        _, _, pa, pb, pv, pe = heapq.heappop(heap)
+        _, _, pa, pb, pv, pe = pop(heap)
         scale = max(1.0, abs(total_val))
         # Refinement floor: stop once the endpoints are (nearly) adjacent
         # floats; panels hugging zero may legitimately get much narrower
         # than any span-relative cutoff.
-        width_floor = abs(pb - pa) <= 4.0 * _EPS * max(abs(pa), abs(pb), 1e-300)
-        negligible = abs(pv) <= _TAIL_MASS_BOUND * scale and pe <= _TAIL_MASS_BOUND * scale
+        width_floor = abs(pb - pa) <= floor_eps * max(abs(pa), abs(pb), 1e-300)
+        negligible = abs(pv) <= mass_bound * scale and pe <= mass_bound * scale
         if width_floor or negligible:
             retired.append((pv, pe))
             continue
@@ -366,18 +375,23 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
         if (pa, pm) not in cache or (pm, pb) not in cache:
             asked = _subtree(a, b, pa, pb, elementwise)
             cache.update(zip(asked, (yield asked)))
-        lv, le = _checked(cache.pop((pa, pm)))
-        rv, re = _checked(cache.pop((pm, pb)))
+        left = cache.pop((pa, pm))
+        if isinstance(left, IntegrandError):
+            raise left
+        right = cache.pop((pm, pb))
+        if isinstance(right, IntegrandError):
+            raise right
+        (lv, le), (rv, re) = left, right
         evals += 30
         total_val += lv + rv - pv
         total_err += le + re - pe
-        heapq.heappush(heap, (-le, tick, pa, pm, lv, le))
-        heapq.heappush(heap, (-re, tick + 1, pm, pb, rv, re))
+        push(heap, (-le, tick, pa, pm, lv, le))
+        push(heap, (-re, tick + 1, pm, pb, rv, re))
         tick += 2
         # the running totals keep a replaced panel's digits only to an ulp
         # of it; where that ulp could reach the tolerance (halves far
         # smaller than their panel), they restart from the panels' own sums
-        if max(abs(pv), pe) > 2.0**48 * _tolerance(total_val, cfg):
+        if max(abs(pv), pe) > 2.0**48 * max(abs_tol, rel_tol * abs(total_val)):
             total_val, total_err = (math.fsum(col) for col in zip(*[e[4:] for e in heap], *retired))
     if total_err <= _tolerance(total_val, cfg):
         return IntegrationResult(total_val, total_err, evals)
@@ -411,18 +425,21 @@ def _panel_rules(fp: np.ndarray, half: list, width: list) -> list[tuple[float, f
         err = abs(k - h * gs)
         rabs, rasc = abs(h) * rabs, abs(h) * rasc
         if rasc != 0.0 and err != 0.0:
-            err = rasc * min(1.0, (200.0 * err / rasc) ** 1.5)
+            # from a ratio of 1 on, min(1, ratio^1.5) is 1: no libm power
+            ratio = 200.0 * err / rasc
+            err = rasc * min(1.0, ratio**1.5) if ratio < 1.0 else rasc
         out.append((k, max(err, 50.0 * _EPS * rabs)))
     return out
 
 
-def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
+def _advance(f: Callable, pieces: list[_Piece], elementwise: bool, indexed: bool):
     """Run the adaptive integrals ``pieces`` together, one integrand call
     per round on the abscissae of the panels every live piece asks for
-    next.  Round 0 evaluates every piece's first panel, in piece order; a
-    piece whose first panel meets its tolerance settles there, with 15
-    evaluations, and only the others refine (``_refine``), each later
-    round evaluating the ``_subtree`` of a bisected panel.
+    next; with ``indexed`` the call is f(x, j), j the ``owner`` of each
+    abscissa's piece.  Round 0 evaluates every piece's first panel, in
+    piece order; a piece whose first panel meets its tolerance settles
+    there, with 15 evaluations, and only the others refine (``_refine``),
+    each later round evaluating the ``_subtree`` of a bisected panel.
 
     Each piece refines as it would alone.  Returns the pieces' results,
     in order, or raises the failure of the first one, in order, that
@@ -443,7 +460,7 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
     stop, failure = len(pieces), None
     live = list(range(len(pieces)))
     while live:
-        half, centre, width, rows, mapped = [], [], [], [], []
+        half, centre, width, rows, mapped, owner = [], [], [], [], [], []
         for i in live:
             first = len(half)
             slots = []
@@ -458,6 +475,8 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
                 width.append(b - a)
             rows.append(slots)
             p = pieces[i]
+            if indexed:
+                owner += [p.owner] * (len(half) - first)
             if (p.sign < 0.0 or p.split is not None) and len(half) > first:
                 mapped.append((slice(first, len(half)), p))
         if half:
@@ -470,7 +489,8 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
                     x[rs] = p.split + (1.0 - u) / u
                 if p.sign < 0.0:
                     x[rs] *= p.sign
-            fx = np.asarray(f(x.ravel()), dtype=float)
+            fx = f(x.ravel(), np.repeat(owner, 15)) if indexed else f(x.ravel())
+            fx = np.asarray(fx, dtype=float)
             fx = fx.reshape(x.shape) if fx.size == x.size else np.broadcast_to(fx, x.shape)
             if jacobians:
                 fx = fx.copy()
@@ -490,7 +510,9 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
             got = [(0.0, 0.0) if r is None else panels[r] for r in slots]
             try:
                 if refiners[i] is None:  # round 0: the piece's first panel
-                    value, err = _checked(got[0])
+                    if isinstance(got[0], IntegrandError):
+                        raise got[0]
+                    value, err = got[0]
                     p = pieces[i]
                     if err <= _tolerance(value, p.cfg):
                         done[i] = IntegrationResult(value, err, 15)
@@ -506,6 +528,7 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool):
                 break
         live = [i for i in live if i < stop and done[i] is None]
     if failure is not None:
+        failure.interval = pieces[stop].owner
         raise failure
     return done
 
@@ -516,10 +539,15 @@ def integrate_each(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
     elementwise: bool = True,
+    indexed: bool = False,
 ) -> list[IntegrationResult]:
     """Integrate ``f`` over each of ``intervals``, the integrals sharing
     integrand calls; see :func:`integrate` for one, and for ``f`` and
-    ``elementwise``.
+    ``elementwise``.  With ``indexed`` each integral has an integrand of
+    its own: ``f`` is called as f(x, j), where the integer array j holds,
+    for each abscissa, the index in ``intervals`` of the interval it
+    belongs to (shared by the pieces of an infinite interval), and the
+    integral over interval j is that of f(., j) alone, to the bit.
 
     Each integral's value, error estimate and evaluation count (of
     consumed points) are those it gets alone, with or without look-ahead:
@@ -530,23 +558,23 @@ def integrate_each(
     integrals takes that one call.  Returns the results in order.  An
     interval that is not (a, b) with a < b raises DomainError before any
     integral runs; otherwise the first integral, in order, that fails
-    raises its IntegrandError or NonConvergenceError: for an ``f`` that
-    returns values, the same outcome as integrating them one after
-    another.  An exception raised by ``f`` itself propagates from the
-    shared call, even where an earlier integral would have failed first
-    alone, or where it was raised at an abscissa of a panel that is
-    never consumed.
+    raises its IntegrandError or NonConvergenceError, whose ``interval``
+    is its index: for an ``f`` that returns values, the same outcome as
+    integrating them one after another.  An exception raised by ``f``
+    itself propagates from the shared call, even where an earlier
+    integral would have failed first alone, or where it was raised at an
+    abscissa of a panel that is never consumed.
     """
     pieces: list[_Piece] = []
     ends = [0]
-    for interval in intervals:
+    for j, interval in enumerate(intervals):
         a, b = float(interval[0]), float(interval[1])
         if -math.inf < a < b < math.inf:
-            pieces.append(_Piece(a, b, cfg))
+            pieces.append(_Piece(a, b, cfg, owner=j))
         else:
-            pieces += _pieces(a, b, cfg)
+            pieces += [p._replace(owner=j) for p in _pieces(a, b, cfg)]
         ends.append(len(pieces))
-    done = _advance(f, pieces, elementwise)
+    done = _advance(f, pieces, elementwise, indexed)
     return [done[a] if b - a == 1 else _join(done[a:b]) for a, b in zip(ends, ends[1:])]
 
 

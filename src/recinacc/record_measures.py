@@ -69,12 +69,7 @@ from .numerics import (
     gamma_mass_edges,
     integrate_each,
 )
-from .records import (
-    RecordSpec,
-    record_cdf,
-    record_distribution,
-    record_survival,
-)
+from .records import RecordSpec, _gamma_argument, record_distribution
 
 __all__ = [
     "RecordMeasureRequest",
@@ -338,21 +333,24 @@ def residual_inaccuracy_mean_difference_form(
 
     m_j is the integral of the j-th upper k-record's survival function;
     a common lower integration limit makes the differences shift-free.
+    The n + 1 means are one batch of n + 1 separate integrals sharing
+    their integrand calls (``integrate_each``'s piece index), each with
+    its own tail certification, refinement and error estimate, not one
+    integral of their weighted sum: that sum is the direct cri integrand
+    point by point, and the form would check nothing.
     """
     _require_side(spec, "upper", "mean-difference form")
     n, k = spec.n, spec.k
-    mu: list[float] = []
-    mu_err: list[float] = []
-    for j in range(1, n + 2):
-        rspec = RecordSpec("upper", j, k)
-        res = _quad(
-            lambda x, _rspec=rspec: np.asarray(record_survival(parent, _rspec, x), float),
-            parent.support,
-            config,
-            f"record mean (index {j})",
-        )
-        mu.append(res.value)
-        mu_err.append(res.abs_error_estimate)
+
+    def survivals(x, j):
+        # integral j is the mean of the (j + 1)-th record, whose survival
+        # is Q(j + 1, y): one parent call serves every order in the call
+        return _nx.gammaincc(j + 1, _gamma_argument(parent, "upper", k, x))
+
+    res = _quad_each(survivals, [parent.support] * (n + 1), config,
+                     [f"record mean (index {j})" for j in range(1, n + 2)], indexed=True)
+    mu = [r.value for r in res]
+    mu_err = [r.abs_error_estimate for r in res]
     total = sum((i + 1) / k * (mu[i + 1] - mu[i]) for i in range(n))
     err = sum((i + 1) / k * (mu_err[i + 1] + mu_err[i]) for i in range(n))
     return MeasureResult(total, "quadrature", err)
@@ -555,12 +553,12 @@ def past_inaccuracy_cdf_difference_form(
     """Representation through cdf gaps of successive lower records."""
     _require_side(spec, "lower", "cdf-difference form")
     n, k = spec.n, spec.k
-    specs = [RecordSpec("lower", j, k) for j in range(1, n + 2)]
+    orders = np.arange(1, n + 2)[:, None]
 
     def integrand(x):
-        x = np.asarray(x, float)
-        cdfs = [np.asarray(record_cdf(parent, s, x), float) for s in specs]
-        acc = np.zeros(x.shape)
+        # the lower records' cdfs Q(j, y) of one parent call's y, by order
+        cdfs = _nx.gammaincc(orders, _gamma_argument(parent, "lower", k, x))
+        acc = np.zeros(cdfs.shape[1:])
         for i in range(n):
             acc += (i + 1) / k * (cdfs[i + 1] - cdfs[i])
         return acc[()]

@@ -105,11 +105,17 @@ def _is_lower_gamma(spec: RecordSpec, cdf: bool) -> bool:
     return (spec.side == "upper") == cdf
 
 
+def _gamma_argument(parent: Distribution, side: str, k: int, x) -> np.ndarray:
+    """y = -k log g(x), clipped at 0: the record cdf and survival at x are
+    the incomplete gammas P and Q of (n, y) for records of every order n."""
+    log_g = np.asarray(_base_log_function(parent, side)(np.asarray(x, float)), float)
+    return np.maximum(-k * log_g, 0.0)
+
+
 def _record_tail(parent: Distribution, spec: RecordSpec, x, cdf: bool, log: bool = False):
     # the record cdf or survival function at x; with ``log``, its log, also
     # where the gamma tail underflows
-    log_g = np.asarray(_base_log_function(parent, spec.side)(np.asarray(x, float)), float)
-    y = np.maximum(-spec.k * log_g, 0.0)
+    y = _gamma_argument(parent, spec.side, spec.k, x)
     lower = _is_lower_gamma(spec, cdf)
     if log:
         return _nx.log_gamma_tail(spec.n, y, lower)

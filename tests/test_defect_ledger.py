@@ -288,6 +288,19 @@ def test_d23_hazard_forms_on_pareto_at_n_200():
         assert_within(res, truth, truth_error)
 
 
+@pytest.mark.xfail(strict=True, reason="D23: a false 'non-integrable singularity' where the head integrand overflows")
+@pytest.mark.parametrize("n, k, truth, truth_error", [
+    # the gamma route's values and estimates
+    (150, 1, 4.2531981242637645e47, 5.2e37),
+    (400, 1, 2.0606354027138794e123, 1.8e114),
+    (400, 2, 2.501461891576085e52, 4.2e42),
+    (400, 3, 7.432852352816397e33, 6.4e22),
+])
+def test_d23_hazard_forms_on_pareto_at_n_150_and_400(n, k, truth, truth_error):
+    for res in residual_inaccuracy_hazard_forms(make_pareto(2.0), RecordSpec("upper", n, k)):
+        assert_within(res, truth, truth_error)
+
+
 @pytest.mark.xfail(strict=True, reason="D24: the 3-sigma bar of an infinite-variance functional misses the truth")
 def test_d24_pareto_upper_cri_monte_carlo_bar():
     # S/f = x/2 has infinite variance at k = 1; 9.7605 +- 0.2347 at this seed

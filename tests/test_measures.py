@@ -259,6 +259,24 @@ class TestErrorContracts:
         assert np.any((xs > 0.0) & (xs < 0.25))  # the first interval was integrated
         assert not np.any(xs < 0.0)  # the third never evaluated
 
+    @pytest.mark.parametrize("bad, message", [
+        (1, "mean 1 appears divergent"),
+        (2, "mean 2 has a non-integrable singularity: integrand returned nan at x=1.5"),
+    ])
+    def test_indexed_batch_names_the_failing_interval(self, bad, message):
+        # integral j of x^-2 over (1, inf), but for interval ``bad``: a tail
+        # certified on fn(., 1) alone, and NaN at its head's first centre
+        def fn(x, j):
+            x = np.asarray(x, float)
+            out = np.where(j == 1, x**-0.5, x**-2.0) if bad == 1 else x**-2.0
+            return np.where((j == bad) & (x == 1.5), np.nan, out)
+
+        names = [f"mean {j}" for j in range(3)]
+        with pytest.raises(DivergenceError, match=message):
+            M._quad_each(fn, [(1.0, math.inf)] * 3, M.DEFAULT_QUADRATURE, names, indexed=True)
+        [res] = M._quad_each(fn, [(1.0, math.inf)], M.DEFAULT_QUADRATURE, names, indexed=True)
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+
 
 class TestTailCertification:
     """``_certify_integrable_tail`` reads the last five rungs of each

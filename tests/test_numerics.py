@@ -545,6 +545,85 @@ class TestBatchedIntegrals:
             assert numerics._panel_rules(fp, half, width) == per_panel(fp, half, width)
 
 
+class TestPieceIndex:
+    """integrate_each(..., indexed=True): integral j is that of f(., j) alone."""
+
+    # finite, half-line and whole-line intervals, overlapping, so that only
+    # the index tells their integrands apart: a piece of an infinite
+    # interval that saw another index would integrate another function
+    INTERVALS = [(0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf), (-math.inf, 0.5),
+                 (1.0, 3.0), (0.0, math.inf)]
+    INTEGRANDS = [
+        lambda x: -np.log(x) / np.sqrt(x),
+        lambda x: np.exp(-x) * np.cos(3.0 * x),
+        lambda x: np.exp(-0.5 * x * x) * np.cos(2.0 * x),
+        lambda x: np.exp(x),
+        lambda x: 1.0 / (1e-3 + (x - 2.0) ** 2),
+        lambda x: (1.0 + x) ** -1.5,
+    ]
+
+    @staticmethod
+    def indexed(integrands, seen=None):
+        def f(x, j):
+            assert x.shape == j.shape and j.dtype.kind == "i"
+            if seen is not None:
+                seen.append(sorted(set(j.tolist())))
+            out = np.empty_like(x)
+            with np.errstate(all="ignore"):
+                for i in np.unique(j).tolist():
+                    out[j == i] = integrands[i](x[j == i])
+            return out
+
+        return f
+
+    @pytest.mark.parametrize("elementwise", [True, False])
+    def test_each_result_is_its_own_integrands_alone(self, elementwise):
+        seen = []
+        f = self.indexed(self.INTEGRANDS, seen)
+        results = numerics.integrate_each(f, self.INTERVALS, elementwise=elementwise,
+                                          indexed=True)
+        singles = []
+        for g, iv in zip(self.INTEGRANDS, self.INTERVALS):
+            calls = []
+
+            def counted(x, g=g):
+                calls.append(np.size(x))
+                with np.errstate(all="ignore"):
+                    return g(x)
+
+            singles.append((_alone(counted, iv, DEFAULT, elementwise), len(calls)))
+        assert [_outcome(r) for r in results] == [_outcome(r) for r, _ in singles]
+        # one call per round: the batch takes as many calls as its longest
+        # integral alone, not their sum
+        assert len(seen) == max(n for _, n in singles) < sum(n for _, n in singles)
+        assert seen[0] == list(range(len(self.INTERVALS)))
+
+    @pytest.mark.parametrize("bad", [[4], [1, 3], [5, 0]])
+    def test_first_failure_in_order_is_raised_with_its_index(self, bad):
+        def failing(g):
+            # NaN near 0.3 and 2.3, inside every interval
+            return lambda x: np.where(np.abs(np.abs(x - 1.3) - 1.0) < 0.15, np.nan, g(x))
+
+        integrands = [failing(g) if i in bad else g for i, g in enumerate(self.INTEGRANDS)]
+        first = min(bad)
+        alone = _alone(integrands[first], self.INTERVALS[first], DEFAULT)
+        assert isinstance(alone, IntegrandError)
+        with pytest.raises(IntegrandError) as failure:
+            numerics.integrate_each(self.indexed(integrands), self.INTERVALS, indexed=True)
+        assert _outcome(failure.value) == _outcome(alone)
+        assert failure.value.interval == first
+
+    def test_non_convergence_carries_its_index(self):
+        cfg = QuadratureConfig(max_subdivisions=3)
+        with pytest.raises(NonConvergenceError) as failure:
+            numerics.integrate_each(self.indexed(self.INTEGRANDS), self.INTERVALS, cfg,
+                                    indexed=True)
+        singles = [_alone(g, iv, cfg) for g, iv in zip(self.INTEGRANDS, self.INTERVALS)]
+        first = next(i for i, r in enumerate(singles) if isinstance(r, Exception))
+        assert _outcome(failure.value) == _outcome(singles[first])
+        assert failure.value.interval == first
+
+
 class TestMessages:
     """Error messages print plain floats, not numpy reprs."""
 

@@ -716,9 +716,9 @@ def _spy_integrands(monkeypatch):
     def spy(f, intervals, *args, **kwargs):
         sizes = []
 
-        def counted(x):
+        def counted(x, *index):
             sizes.append(np.size(x))
-            return f(x)
+            return f(x, *index)
 
         results = real(counted, intervals, *args, **kwargs)
         log.append((f.__name__, sizes, sum(r.evaluations for r in results)))
@@ -755,6 +755,139 @@ class TestLookAhead:
         assert all(seen == consumed for seen, consumed in outer)
         # the inner integrals do look ahead
         assert any(sum(sizes) > consumed for name, sizes, consumed in log if "outer" not in name)
+
+
+# mean-difference (value, estimate) then cdf-difference (value, estimate) on
+# perfbench's seven parents at its identity grid, by repr
+_FORM_PARENTS = {"exp1": E1, "pareto2": PAR2, "weib2_0.5": W205, "weib1_2": W12, "uniform": U,
+                 "powdec": PD, "powinc2": P2}
+_FORM_PINS = {
+    ("exp1", 1, 1): (
+        "0.9999999999999996", "1.8188134135624548e-10",
+        "0.6449340668483137", "1.055311582307819e-10"),
+    ("exp1", 2, 1): (
+        "3.0000000000000004", "5.27561330538416e-10",
+        "1.0490478731675978", "2.5235045658546207e-10"),
+    ("exp1", 2, 2): (
+        "0.7499999999999998", "1.2919940112654564e-10",
+        "0.7031616794865996", "4.582192302343804e-11"),
+    ("exp1", 3, 2): (
+        "1.5", "1.8269384636103464e-10",
+        "0.9410404840202498", "8.636280770326914e-11"),
+    ("exp1", 2, 3): (
+        "0.3333333333333332", "1.3992969106646965e-11",
+        "0.5239421524724557", "2.785272899606654e-11"),
+    ("pareto2", 1, 1): (
+        "1.9999999999984235", "8.579075415506137e-10",
+        "0.7725887222398788", "4.2057911374946235e-11"),
+    ("pareto2", 2, 1): (
+        "9.999999999988702", "7.563069505710189e-09",
+        "1.0538783227667798", "2.411732782851595e-10"),
+    ("pareto2", 2, 2): (
+        "0.8148148148148006", "1.2089869133298137e-10",
+        "0.8373397989748499", "9.92583435962413e-11"),
+    ("pareto2", 3, 2): (
+        "1.9999999999999134", "7.940184010245234e-10",
+        "0.9963329903836822", "3.244233635893662e-11"),
+    ("pareto2", 2, 3): (
+        "0.2720000000000148", "1.1211868948117076e-10",
+        "0.7115974425963187", "5.8045171434768566e-11"),
+    ("weib2_0.5", 1, 1): (
+        "0.9999999999998248", "3.6198939571539356e-10",
+        "0.4234954850039488", "5.926138063270259e-11"),
+    ("weib2_0.5", 2, 1): (
+        "4.000000000000564", "1.429165593389808e-09",
+        "0.5410672634395719", "9.776189503712934e-11"),
+    ("weib2_0.5", 2, 2): (
+        "0.5000000000000705", "1.7841640671003806e-10",
+        "0.46939649517097504", "1.166236099143423e-10"),
+    ("weib2_0.5", 3, 2): (
+        "1.2499999999999976", "3.6183648543288855e-10",
+        "0.533344283430357", "1.1926422886456607e-10"),
+    ("weib2_0.5", 2, 3): (
+        "0.1481481481481815", "8.59844807104386e-11",
+        "0.4131060303338835", "3.471140853547073e-11"),
+    ("weib1_2", 1, 1): (
+        "0.4431134627263792", "4.094350425851031e-11",
+        "0.3796293753989259", "7.828570928968494e-11"),
+    ("weib1_2", 2, 1): (
+        "1.1077836568159478", "2.681950328307073e-10",
+        "0.7581023633752737", "7.783714178870196e-11"),
+    ("weib1_2", 2, 2): (
+        "0.39166066791109416", "1.4475502403690874e-10",
+        "0.3836677905264275", "4.471902965098737e-11"),
+    ("weib1_2", 3, 2): (
+        "0.6854061688444142", "5.644179154767372e-10",
+        "0.5866798655281176", "3.782523291379312e-11"),
+    ("weib1_2", 2, 3): (
+        "0.2131930641555184", "3.314084897139324e-10",
+        "0.24697531060582423", "6.60316645766355e-11"),
+    ("uniform", 1, 1): (
+        "0.2500000000003484", "3.3006363755144703e-10",
+        "0.25000000000008715", "8.405115853170657e-11"),
+    ("uniform", 2, 1): (
+        "0.5000000000003739", "1.9070505708638415e-09",
+        "0.5000000000001825", "2.3087014471555944e-10"),
+    ("uniform", 2, 2): (
+        "0.25925925925925364", "9.011624504788383e-10",
+        "0.2592592592592302", "1.9701483630717e-10"),
+    ("uniform", 3, 2): (
+        "0.407407407407356", "1.6869837760988702e-09",
+        "0.40740740740739545", "6.476803409579291e-11"),
+    ("uniform", 2, 3): (
+        "0.15624999999997416", "1.9458647819282316e-10",
+        "0.15624999999995534", "1.0800503736540571e-10"),
+    ("powdec", 1, 1): (
+        "0.18749999999993971", "8.826749264846289e-11",
+        "0.14638641366061025", "6.466916783153576e-11"),
+    ("powdec", 2, 1): (
+        "0.4687499999999225", "5.837594345784695e-10",
+        "0.2588360958657227", "1.72924398933916e-10"),
+    ("powdec", 2, 2): (
+        "0.16618075801750493", "4.970692025864554e-11",
+        "0.1577596501611632", "2.764914164688612e-11"),
+    ("powdec", 3, 2): (
+        "0.30112453144536766", "3.1450460883428974e-10",
+        "0.22457471045590524", "7.046454794331662e-11"),
+    ("powdec", 2, 3): (
+        "0.0839999999999981", "1.0501307987051741e-10",
+        "0.10885543576944812", "1.1476042067499074e-11"),
+    ("powinc2", 1, 1): (
+        "0.18691487036521415", "6.889745865456849e-10",
+        "0.22222222222221624", "5.746523322414226e-11"),
+    ("powinc2", 2, 1): (
+        "0.3423714973422747", "3.8959571346181614e-09",
+        "0.5185185185184604", "3.9402967261434e-10"),
+    ("powinc2", 2, 2): (
+        "0.19978307427151348", "1.1477556748503668e-09",
+        "0.20800000000000957", "1.5029130164306143e-11"),
+    ("powinc2", 3, 2): (
+        "0.2922858495658693", "2.5826465381028983e-09",
+        "0.3616000000001377", "2.5987189215838574e-10"),
+    ("powinc2", 2, 3): (
+        "0.13299067359693406", "1.0078003366594683e-10",
+        "0.11078717201166986", "3.29954470256806e-11"),
+}
+
+
+class TestDifferenceForms:
+    """The mean-difference and cdf-difference forms, pinned to the bit."""
+
+    @pytest.mark.parametrize("family, n, k", list(_FORM_PINS), ids=str)
+    def test_pinned_to_the_bit(self, family, n, k):
+        parent = _FORM_PARENTS[family]
+        md = RM.residual_inaccuracy_mean_difference_form(parent, up(n, k))
+        cd = RM.past_inaccuracy_cdf_difference_form(parent, low(n, k))
+        got = (md.value, md.abs_error_estimate, cd.value, cd.abs_error_estimate)
+        assert tuple(map(repr, got)) == _FORM_PINS[family, n, k]
+
+    def test_record_means_are_one_batch(self, monkeypatch):
+        # the n + 1 means share their integrand calls, one parent call each:
+        # one integral after another took 8 calls on the same 540 consumed points
+        log = _spy_integrands(monkeypatch)
+        RM.residual_inaccuracy_mean_difference_form(E1, up(3, 2))
+        [(_, sizes, consumed)] = log
+        assert (len(sizes), consumed) == (2, 540)
 
 
 class TestPastInaccuracy:
