@@ -8,10 +8,18 @@ unfinished integral's next panels.  That is 15 for its first panel and,
 where it bisects a panel whose halves it does not hold yet, the two
 halves and their four halves (look-ahead), 90 points; where that panel
 touches an end of its piece, also the halves of the panel at that end
-for 3 more levels (the spine), 90 points per end.  All are held until
-the refinement consumes them, so that most bisections need no call: the
-mass and singularities of record laws sit at the ends of their support,
-where the refinement chases a chain of panels toward one end.  One call
+for more levels (the spine), 30 points per level.  Each end's spine is
+2 levels deep at first and doubles each time the refinement asks at
+that end again, so that a chase of m bisections takes about log2(m)
+calls; it stops at a panel at the width floor, which the refinement
+never bisects.  A lone integral, one interval in a call with an
+elementwise integrand, asks in its first call for each piece's first
+panel and the panels below its first bisection as well, 225 points: a
+lone integral seldom settles on its first panel, and a batch of many
+mostly does.  All are held until the refinement consumes them, so that
+most bisections need no call: the mass and singularities of record
+laws sit at the ends of their support, where the refinement chases a
+chain of panels toward one end.  One call
 may so carry the abscissae of many integrals, and of panels that are
 never consumed, and the integrand must be elementwise, each value
 depending on its own abscissa only; each integral's result is then the
@@ -227,8 +235,9 @@ _LOOK_AHEAD = 2
 # Further levels, below those, of the one panel at the edge of its piece
 # where the bisected panel touches that edge: the record laws' mass and
 # singularities sit at the ends of their support, so the refinement
-# mostly chases a chain of panels toward one end.
-_SPINE = 3
+# mostly chases a chain of panels toward one end.  This is each end's
+# first depth; it doubles each time the refinement asks there again.
+_SPINE = 2
 
 # Panels whose content and error both fall below this fraction of the
 # running scale are accepted as-is; this is what bounds how far into a
@@ -301,29 +310,37 @@ def _join(parts: list[IntegrationResult]) -> IntegrationResult:
     )
 
 
-def _subtree(
-    a: float, b: float, pa: float, pb: float, elementwise: bool
-) -> list[tuple[float, float]]:
-    """The panels below (pa, pb), a panel of the piece (a, b), level by
-    level, each split at its midpoint as ``_refine`` splits it.
+def _at_floor(pa: float, pb: float) -> bool:
+    """Whether the panel (pa, pb) is at the width floor, where ``_refine``
+    retires it unbisected: its endpoints are (nearly) adjacent floats.
+    Panels hugging zero may legitimately get much narrower than any
+    span-relative cutoff."""
+    return abs(pb - pa) <= 4.0 * _EPS * max(abs(pa), abs(pb), 1e-300)
 
-    That is one level, the halves, for an integrand that is not
-    elementwise.  For an elementwise one it is ``_LOOK_AHEAD`` levels and,
-    where (pa, pb) shares an edge with its piece, ``_SPINE`` more levels of
-    the panel at that edge alone: its two halves per level, for both
-    edges when (pa, pb) is the whole piece.
-    """
-    depth, spine = (_LOOK_AHEAD, _SPINE) if elementwise else (1, 0)
+
+def _subtree(pa: float, pb: float, depth: int, left: int,
+             right: int) -> list[tuple[float, float]]:
+    """The panels below (pa, pb), each split at its midpoint as ``_refine``
+    splits it: ``depth`` levels of all of them, then ``left`` more levels
+    of the panel at the left edge alone and ``right`` of the one at the
+    right edge (the spines), two halves per level.  A spine stops at a
+    panel at the width floor, which the refinement never bisects."""
     panels, level = [], [(pa, pb)]
-    for i in range(depth + spine):
-        if i >= depth:
-            level = ([level[0]] if pa == a else []) + ([level[-1]] if pb == b else [])
+    for _ in range(depth):
         halves = []
         for qa, qb in level:
             qm = 0.5 * (qa + qb)
             halves += [(qa, qm), (qm, qb)]
         panels += halves
         level = halves
+    for (qa, qb), count, keep in ((level[0], left, 0), (level[-1], right, 1)):
+        for _ in range(count):
+            if _at_floor(qa, qb):
+                break
+            qm = 0.5 * (qa + qb)
+            halves = [(qa, qm), (qm, qb)]
+            panels += halves
+            qa, qb = halves[keep]
     return panels
 
 
@@ -333,11 +350,14 @@ def _tolerance(value: float, cfg: QuadratureConfig) -> float:
 
 
 def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
-            value: float, err: float):
+            value: float, err: float, cache: dict):
     """One adaptive integral over (a, b) as a generator, from its first
-    panel's rule (value, err), which does not meet its tolerance: it
+    panel's rule (value, err), which does not meet its tolerance, and the
+    rules of the panels it holds already, ``cache``, by their edges: it
     yields the ``_subtree`` of each bisected panel whose halves it does
-    not hold yet, a list of (a, b) panels.
+    not hold yet, a list of (a, b) panels.  For an elementwise integrand
+    each end of the piece has a spine depth, ``_SPINE`` at first, that
+    doubles each time a bisection touching that end has to ask again.
     It is sent one (value, error) or IntegrandError per panel, keeps them
     by their edges until the refinement consumes them, and returns its
     IntegrationResult or raises IntegrandError or NonConvergenceError."""
@@ -346,8 +366,9 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
     # held finite values (an IntegrandError in its place) are inline
     abs_tol, rel_tol, budget = cfg.abs_tol, cfg.rel_tol, 15 + 30 * cfg.max_subdivisions
     push, pop = heapq.heappush, heapq.heappop
-    floor_eps, mass_bound = 4.0 * _EPS, _TAIL_MASS_BOUND
-    cache: dict = {}
+    mass_bound = _TAIL_MASS_BOUND
+    depth, spine_a = (_LOOK_AHEAD, _SPINE) if elementwise else (1, 0)
+    spine_b = spine_a
     evals = 15
     # Heap entries: (-error, tiebreak, a, b, value, error).  Panels that are
     # negligible or at the width floor are retired from the heap for good.
@@ -363,18 +384,16 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
             break
         _, _, pa, pb, pv, pe = pop(heap)
         scale = max(1.0, abs(total_val))
-        # Refinement floor: stop once the endpoints are (nearly) adjacent
-        # floats; panels hugging zero may legitimately get much narrower
-        # than any span-relative cutoff.
-        width_floor = abs(pb - pa) <= floor_eps * max(abs(pa), abs(pb), 1e-300)
         negligible = abs(pv) <= mass_bound * scale and pe <= mass_bound * scale
-        if width_floor or negligible:
+        if negligible or _at_floor(pa, pb):
             retired.append((pv, pe))
             continue
         pm = 0.5 * (pa + pb)
         if (pa, pm) not in cache or (pm, pb) not in cache:
-            asked = _subtree(a, b, pa, pb, elementwise)
+            at_a, at_b = spine_a if pa == a else 0, spine_b if pb == b else 0
+            asked = _subtree(pa, pb, depth, at_a, at_b)
             cache.update(zip(asked, (yield asked)))
+            spine_a, spine_b = spine_a + at_a, spine_b + at_b  # doubled where asked
         left = cache.pop((pa, pm))
         if isinstance(left, IntegrandError):
             raise left
@@ -432,14 +451,17 @@ def _panel_rules(fp: np.ndarray, half: list, width: list) -> list[tuple[float, f
     return out
 
 
-def _advance(f: Callable, pieces: list[_Piece], elementwise: bool, indexed: bool):
+def _advance(f: Callable, pieces: list[_Piece], elementwise: bool, indexed: bool,
+             seeded: bool):
     """Run the adaptive integrals ``pieces`` together, one integrand call
     per round on the abscissae of the panels every live piece asks for
     next; with ``indexed`` the call is f(x, j), j the ``owner`` of each
     abscissa's piece.  Round 0 evaluates every piece's first panel, in
-    piece order; a piece whose first panel meets its tolerance settles
-    there, with 15 evaluations, and only the others refine (``_refine``),
-    each later round evaluating the ``_subtree`` of a bisected panel.
+    piece order, and where ``seeded`` (a lone elementwise integral) the
+    ``_subtree`` of its first bisection as well; a piece whose first
+    panel meets its tolerance settles there, with 15 evaluations, and
+    only the others refine (``_refine``), holding that subtree, each
+    later round evaluating the ``_subtree`` of a bisected panel.
 
     Each piece refines as it would alone.  Returns the pieces' results,
     in order, or raises the failure of the first one, in order, that
@@ -456,6 +478,9 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool, indexed: bool
     """
     refiners: list = [None] * len(pieces)
     asks = [[(p.a, p.b)] for p in pieces]
+    if seeded:  # with its first bisection's subtree
+        for ask, p in zip(asks, pieces):
+            ask += _subtree(p.a, p.b, _LOOK_AHEAD, _SPINE, _SPINE)
     done: list[IntegrationResult | None] = [None] * len(pieces)
     stop, failure = len(pieces), None
     live = list(range(len(pieces)))
@@ -481,25 +506,31 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool, indexed: bool
                 mapped.append((slice(first, len(half)), p))
         if half:
             x = np.array(centre)[:, None] + np.array(half)[:, None] * _NODES
+            # a spine may reach u so small that 1/u or u^2 leaves the double
+            # range, or values whose rule sums overflow: such a panel is not
+            # finite, and fails its piece only if the refinement consumes it,
+            # so the arithmetic here raises no floating-point warnings
             jacobians = []
             for rs, p in mapped:
                 if p.split is not None:
                     u = x[rs]
                     jacobians.append((rs, u * u))
-                    x[rs] = p.split + (1.0 - u) / u
+                    with np.errstate(over="ignore"):
+                        x[rs] = p.split + (1.0 - u) / u
                 if p.sign < 0.0:
                     x[rs] *= p.sign
             fx = f(x.ravel(), np.repeat(owner, 15)) if indexed else f(x.ravel())
             fx = np.asarray(fx, dtype=float)
             fx = fx.reshape(x.shape) if fx.size == x.size else np.broadcast_to(fx, x.shape)
-            if jacobians:
-                fx = fx.copy()
-                for rs, uu in jacobians:
-                    fx[rs] /= uu
-            finite = np.isfinite(fx)
-            bad = [] if finite.all() else np.flatnonzero(~finite.all(axis=1)).tolist()
-            # each row's rule is its own, so zeroing a bad row moves no other
-            panels = _panel_rules(np.where(finite, fx, 0.0) if bad else fx, half, width)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                if jacobians:
+                    fx = fx.copy()
+                    for rs, uu in jacobians:
+                        fx[rs] /= uu
+                finite = np.isfinite(fx)
+                bad = [] if finite.all() else np.flatnonzero(~finite.all(axis=1)).tolist()
+                # each row's rule is its own, so zeroing a bad row moves no other
+                panels = _panel_rules(np.where(finite, fx, 0.0) if bad else fx, half, width)
             for r in bad:
                 c = int(np.argmin(finite[r]))
                 bad_x = float(x[r, c])
@@ -517,7 +548,8 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool, indexed: bool
                     if err <= _tolerance(value, p.cfg):
                         done[i] = IntegrationResult(value, err, 15)
                     else:
-                        refiners[i] = _refine(p.a, p.b, p.cfg, elementwise, value, err)
+                        held = dict(zip(asks[i][1:], got[1:]))
+                        refiners[i] = _refine(p.a, p.b, p.cfg, elementwise, value, err, held)
                         asks[i] = next(refiners[i])
                 else:
                     asks[i] = refiners[i].send(got)
@@ -551,19 +583,21 @@ def integrate_each(
 
     Each integral's value, error estimate and evaluation count (of
     consumed points) are those it gets alone, with or without look-ahead:
-    however many panels below a bisection a call evaluates.  The first
-    call evaluates every integral's first panel (each piece's, on an
-    infinite interval), and an integral whose first panel meets its
-    tolerance settles there, with 15 evaluations; a batch of such
-    integrals takes that one call.  Returns the results in order.  An
+    however many panels below a bisection a call evaluates.  The first call
+    evaluates every integral's first panel (each piece's, on an infinite
+    interval), and an integral whose first panel meets its tolerance
+    settles there, with 15 evaluations; a batch of such integrals takes
+    that one call.  Only a lone integral (one interval, an elementwise
+    ``f``) asks in that call for the 14 panels below its first bisection
+    too, for it seldom settles there.  Returns the results in order.  An
     interval that is not (a, b) with a < b raises DomainError before any
     integral runs; otherwise the first integral, in order, that fails
     raises its IntegrandError or NonConvergenceError, whose ``interval``
     is its index: for an ``f`` that returns values, the same outcome as
     integrating them one after another.  An exception raised by ``f``
-    itself propagates from the shared call, even where an earlier
-    integral would have failed first alone, or where it was raised at an
-    abscissa of a panel that is never consumed.
+    itself propagates from the shared call, even where an earlier integral
+    would have failed first alone, or where it was raised at an abscissa
+    of a panel that is never consumed.
     """
     pieces: list[_Piece] = []
     ends = [0]
@@ -574,7 +608,7 @@ def integrate_each(
         else:
             pieces += [p._replace(owner=j) for p in _pieces(a, b, cfg)]
         ends.append(len(pieces))
-    done = _advance(f, pieces, elementwise, indexed)
+    done = _advance(f, pieces, elementwise, indexed, elementwise and len(ends) == 2)
     return [done[a] if b - a == 1 else _join(done[a:b]) for a, b in zip(ends, ends[1:])]
 
 
@@ -591,24 +625,29 @@ def integrate(
     An infinite interval is integrated in two pieces (a half line: a unit
     head and a mapped tail) or four (the whole line, split at zero), and
     every round of refinement makes one integrand call on the abscissae of
-    all pieces' next panels: 15 for a piece's first panel and, where a
-    piece bisects a panel whose halves were not evaluated yet, 90 for the
-    halves and their halves, plus 90 for each end of the piece that the
-    panel touches, the halves of the panel at that end for 3 more levels,
-    so that most later bisections need no call.  One call may so carry
-    the abscissae of many integrals (see :func:`integrate_each`), and the
-    integrand must accept numpy arrays and act on them elementwise: ``f``
-    may be called at abscissae of panels the refinement never consumes,
-    anywhere inside the interval.  With ``elementwise=False`` a bisection
-    evaluates its two halves only, 30 points, and ``f`` sees the
-    abscissae of consumed panels alone.  ``evaluations`` counts consumed
-    points, 15 plus 30 per bisection either way, and the value and error
-    estimate do not depend on ``elementwise``.  ``f`` is called inside the
-    closed interval.  Near a finite endpoint other than 0, refinement can
-    narrow a panel to about a hundred float spacings, where a node rounds
-    onto the endpoint: an integrand singular there must return a finite
-    value at the endpoint itself, or the integral raises IntegrandError.
-    Near 0 floats are dense enough that no node rounds onto it.
+    all pieces' next panels: 15 for a piece's first panel, and 210 for the
+    panels below its first bisection, which the first call holds as well;
+    where a piece bisects a panel whose halves were not evaluated yet, 90
+    for the halves and their halves, plus 30 per level for the halves of
+    the panel at the end of the piece that the panel touches, 2 levels at
+    first and twice as many each time that end asks again, down to the
+    float-spacing floor, so that most later bisections need no call and a
+    chase of m bisections toward an end takes about log2(m) calls.  One
+    call may so carry the abscissae of many integrals (see
+    :func:`integrate_each`), and the integrand must accept numpy arrays
+    and act on them elementwise: ``f`` may be called at abscissae of
+    panels the refinement never consumes, anywhere inside the
+    interval.  With ``elementwise=False`` the first call evaluates each
+    piece's first panel only and a bisection its two halves only, 30
+    points, and ``f`` sees the abscissae of consumed panels alone.
+    ``evaluations`` counts consumed points, 15 plus 30 per bisection
+    either way, and the value and error estimate do not depend on
+    ``elementwise``.  ``f`` is called inside the closed interval.  Near a
+    finite endpoint other than 0, refinement can narrow a panel to about a
+    hundred float spacings, where a node rounds onto the endpoint: an
+    integrand singular there must return a finite value at the endpoint
+    itself, or the integral raises IntegrandError.  Near 0 floats are
+    dense enough that no node rounds onto it.
 
     Raises :class:`IntegrandError` on a non-finite integrand value in a
     panel the refinement consumes (one in a panel it never consumes is

@@ -184,9 +184,13 @@ class TestPanelEvaluation:
 
     Without look-ahead (``elementwise=False``) a bisection asks for its
     two halves; with it (the default) for its halves and their halves,
-    and, where the bisected panel touches an end of its piece, for 3
-    more levels of the panel at that end (the spine), so that most later
-    bisections need no call.
+    and, where the bisected panel touches an end of its piece, for more
+    levels of the panel at that end (the spine), so that most later
+    bisections need no call.  Each end's spine is 2 levels deep at
+    first, doubles each time the refinement asks at that end again, and
+    stops at a panel at the width floor.  A lone integral's first call
+    holds each piece's first panel and the subtree of its first
+    bisection.
     """
 
     @staticmethod
@@ -220,14 +224,17 @@ class TestPanelEvaluation:
         wrapped, sizes = self.counted(f)
         r = integrate(wrapped, interval)
         bisections = (r.evaluations - 15 * starts) // 30
-        # the first call carries every tree's 15-point panel; a later call,
-        # for each tree that does not hold its halves yet, the 6 panels
-        # below a bisected panel and 2 per spine level at each end of the
-        # piece that the panel touches: 18 panels for a tree's first
-        # bisection (fewer where panels collapse); most bisections need no
-        # call
-        assert sizes[0] == 15 * starts
-        assert all(size % 15 == 0 and 0 < size <= 270 * starts for size in sizes[1:])
+        # the first call carries every tree's 15-point panel and the 14
+        # panels below its first bisection: 6 and 2 per spine level at
+        # each end.  A later call, for each tree that does not hold its
+        # halves yet, the 6 panels below a bisected panel and 2 per spine
+        # level at the end of the piece that the panel touches, the depth
+        # at each end 2, 4, 8, ... in turn; most bisections need no call
+        assert sizes[0] == 225 * starts
+        assert all(size % 15 == 0 and size > 0 for size in sizes[1:])
+        if starts == 1:
+            depths = [(size // 15 - 6) // 2 for size in sizes[1:]]
+            assert all(d == 0 or (d >= 2 and d & (d - 1) == 0) for d in depths)
         assert len(sizes) - 1 < bisections
         assert sum(sizes) >= r.evaluations
         # consumed points and the result are those without look-ahead
@@ -235,15 +242,88 @@ class TestPanelEvaluation:
         assert _outcome(r) == _outcome(alone)
 
     def test_end_chain_takes_fewer_calls_than_two_levels(self):
-        # 67 bisections chase the singularity at 0: one call each without
-        # look-ahead, 34 calls with two levels and no spine, 14 with it
+        # 67 bisections chase the singularity at 0: after the first call,
+        # one call each without look-ahead, 34 with two levels and no
+        # spine, 14 with a spine of 3 levels, 5 with one that doubles
         wrapped, sizes = self.counted(lambda x: -np.log(x) / np.sqrt(x))
         r = integrate(wrapped, (0.0, 1.0))
         assert r.evaluations == 15 + 30 * 67
-        # the root's first bisection reaches both ends, later ones at 0
-        # only: 6 panels plus 2 per spine level and end
-        assert sizes[:4] == [15, 270, 180, 180]
-        assert len(sizes) == 15
+        # the first call holds the first panel and its first bisection's
+        # subtree, which reaches both ends; later ones 6 panels plus 2 per
+        # spine level at 0, 2, 4, 8, 16 and 32 levels deep
+        assert sizes == [225, 150, 210, 330, 570, 1050]
+
+    @pytest.mark.parametrize(
+        "f,interval,cfg",
+        [
+            # toward 0: a chain of 290 bisections, and of 657 and 105 where
+            # the refinement also splits panels beside the chain
+            (lambda x: x**-0.9, (0.0, 1.0), DEFAULT),
+            (lambda x: -np.log(x) * x**-0.95, (0.0, 1.0), DEFAULT),
+            (lambda x: -np.log(x) / np.sqrt(x), (0.0, 1.0),
+             QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13)),
+            # toward 1, where floats run out: a node rounds onto 1 after
+            # 47 bisections, where the integrand is inf (IntegrandError);
+            # at a looser tolerance the chase stops after 38
+            (lambda x: (1.0 - x) ** -0.5, (0.0, 1.0), DEFAULT),
+            (lambda x: np.where(x < 1.0, (1.0 - x) ** -0.5, 0.0), (0.0, 1.0),
+             QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6)),
+            # down a mapped heavy tail, toward u = 0: 301 bisections.  The
+            # spine reaches u where u^2 underflows, which must raise no
+            # floating-point warning (an error under this suite's filters)
+            (lambda x: x**-1.1, (1.0, math.inf), DEFAULT),
+        ],
+    )
+    def test_deep_chase_calls_grow_logarithmically(self, f, interval, cfg):
+        # each end's spine doubles each time the chase asks there again,
+        # so a chase of m bisections takes about log2(m) calls, against
+        # m/5 with a spine of 3 levels; the outcome is that without
+        # look-ahead, to the bit
+        def quiet(x):
+            with np.errstate(divide="ignore"):
+                return f(x)
+
+        outcomes, calls = [], []
+        for elementwise in (False, True):
+            wrapped, sizes = self.counted(quiet)
+            try:
+                outcomes.append(_outcome(integrate(wrapped, interval, cfg,
+                                                   elementwise=elementwise)))
+            except IntegrandError as exc:
+                outcomes.append(_outcome(exc))
+            calls.append(len(sizes))
+        assert outcomes[0] == outcomes[1]
+        bisections = calls[0] - 1  # one per call without look-ahead
+        assert bisections >= 38
+        assert calls[1] <= 2.0 * math.log2(bisections)
+
+    def test_spine_stops_at_the_width_floor(self):
+        # below (1 - 64 s, 1) the panels at 1 reach the floor, 4 float
+        # spacings s wide, two levels below the quarters: a spine of 64
+        # levels stops there, where the refinement retires panels
+        s = np.spacing(1.0)
+        panels = numerics._subtree(1.0 - 64.0 * s, 1.0, 2, 0, 64)
+        assert len(panels) == 6 + 2 * 2
+        assert panels[-1] == (1.0 - 4.0 * s, 1.0)
+        assert numerics._at_floor(*panels[-1])
+        assert not any(numerics._at_floor(*p) for p in panels[:-2])
+
+    def test_first_call_of_a_lone_integral(self):
+        # a lone integral's first call holds its first panel and the 14
+        # panels below its first bisection; one that settles on its first
+        # panel makes no other call
+        wrapped, sizes = self.counted(lambda x: x**10)
+        r = integrate(wrapped, (0.0, 1.0))
+        assert (sizes, r.evaluations) == ([225], 15)
+        # a batch of more than one holds first panels only
+        wrapped, sizes = self.counted(lambda x: x**10)
+        numerics.integrate_each(wrapped, [(0.0, 1.0), (1.0, 2.0)])
+        assert sizes == [30]
+        # and so does an integrand that is not elementwise, alone, where
+        # the first panel does not settle
+        wrapped, sizes = self.counted(lambda x: -np.log(x))
+        integrate(wrapped, (0.0, 1.0), elementwise=False)
+        assert sizes[:2] == [15, 30]
 
     @staticmethod
     def nan_near_quarters(x):
@@ -259,12 +339,12 @@ class TestPanelEvaluation:
             integrate(wrapped, (0.0, 1.0), elementwise=False)
         assert sizes == [15, 30]
         assert exc.value.abscissa == 0.25
-        # with look-ahead the same call holds the quarters' halves and the
-        # spines at both ends too
+        # with look-ahead the first call holds the halves, the quarters'
+        # halves and the spines at both ends too
         wrapped, sizes = self.counted(self.nan_near_quarters)
         with pytest.raises(IntegrandError) as exc:
             integrate(wrapped, (0.0, 1.0))
-        assert sizes == [15, 270]
+        assert sizes == [225]
         assert exc.value.abscissa == 0.25
 
     def test_non_finite_panel_never_consumed_is_ignored(self):
@@ -285,17 +365,19 @@ class TestPanelEvaluation:
         assert _outcome(r) == _outcome(alone)
 
     @pytest.mark.parametrize(
-        "bad,consumed",
+        "bad,consumed,call",
         [
-            # the centre node of (31/32, 1), the last spine panel at the
-            # right end below the first bisection; -log x is smooth there
-            (63 / 64, False),
+            # the centre node of (15/16, 1), the last spine panel at the
+            # right end below the first bisection, which the first call
+            # holds; -log x is smooth there
+            (31 / 32, False, 0),
             # the centre node of (1/32, 1/16), on the spine at the left
-            # end, consumed when the refinement bisects (0, 1/16)
-            (3 / 64, True),
+            # end below the bisection of (0, 1/16), which asks for it and
+            # consumes it
+            (3 / 64, True, 1),
         ],
     )
-    def test_non_finite_spine_panel(self, bad, consumed):
+    def test_non_finite_spine_panel(self, bad, consumed, call):
         seen = []
 
         def f(x):
@@ -309,8 +391,8 @@ class TestPanelEvaluation:
                 outcomes.append(_outcome(integrate(f, (0.0, 1.0), elementwise=elementwise)))
             except IntegrandError as exc:
                 outcomes.append(_outcome(exc))
-            if elementwise:  # evaluated by the first bisection's call
-                assert seen.index(True) == 1
+            if elementwise:
+                assert seen.index(True) == call
             else:
                 assert any(seen) == consumed
         assert outcomes[0] == outcomes[1]
@@ -319,12 +401,12 @@ class TestPanelEvaluation:
             assert outcomes[0][2] == bad
 
     @pytest.mark.parametrize(
-        "interval,sign,last",
-        [((0.0, math.inf), 1.0, 30), ((-math.inf, 0.0), -1.0, 30),
-         ((-math.inf, math.inf), -1.0, 60)],
+        "interval,sign,trees",
+        [((0.0, math.inf), 1.0, 2), ((-math.inf, 0.0), -1.0, 2),
+         ((-math.inf, math.inf), -1.0, 4)],
     )
     def test_both_halves_non_finite_reported_in_x_on_infinite_intervals(self, interval, sign,
-                                                                         last):
+                                                                         trees):
         # the first tail bisection splits u in (0, 1); both halves fail at
         # their midpoints u = 1/4 and 3/4, i.e. |x| = 4 and 4/3.  The left
         # half in u, the far one in x, is reported, in x and with its sign.
@@ -332,14 +414,15 @@ class TestPanelEvaluation:
             u = 1.0 / np.abs(x)  # u = 1/(1 + |x| - 1) on the tail
             return np.where(np.isnan(self.nan_near_quarters(u)), np.nan, np.exp(-np.abs(x)))
 
-        # a tail's first bisection evaluates 18 panels with look-ahead
-        for elementwise, per_bisection in ((False, 1), (True, 9)):
+        # without look-ahead a second call holds the tails' halves; on the
+        # whole line both tails bisect in it and both fail, and the left
+        # one, first in order, is reported.  With look-ahead the first
+        # call holds every piece's first bisection
+        for elementwise, calls in ((False, [15 * trees, 15 * trees]), (True, [225 * trees])):
             wrapped, sizes = self.counted(f)
             with pytest.raises(IntegrandError) as exc:
                 integrate(wrapped, interval, elementwise=elementwise)
-            # on the whole line both tails bisect in the same call and both
-            # fail; the left one, first in order, is reported
-            assert sizes[-1] == last * per_bisection
+            assert sizes == calls
             assert exc.value.abscissa == sign * 4.0
             assert str(exc.value) == f"integrand returned nan at x={sign * 4.0!r}"
 
@@ -484,9 +567,10 @@ class TestBatchedIntegrals:
         assert [i for i, r in enumerate(singles) if r.evaluations > 15] == [20, 31]
         results = numerics.integrate_each(counted, ok)
         assert [_outcome(r) for r in results] == [_outcome(r) for r in singles]
-        # the first call carries every first panel, the later ones the
-        # look-ahead of the two integrals that refine
-        assert calls == [15 * 42, 540] + [270] * 6 + [180] * 7
+        # the first call carries every first panel (a batch of many is not
+        # seeded), the later ones the look-ahead of the two integrals that
+        # refine, with the spine at 0 doubling
+        assert calls == [15 * 42, 420, 300, 420, 660, 1140, 90, 90]
         # a first panel that is not finite fails its integral in the first
         # round, but an earlier integral that fails later still comes first
         for batch, failing in (
@@ -594,8 +678,10 @@ class TestPieceIndex:
             singles.append((_alone(counted, iv, DEFAULT, elementwise), len(calls)))
         assert [_outcome(r) for r in results] == [_outcome(r) for r, _ in singles]
         # one call per round: the batch takes as many calls as its longest
-        # integral alone, not their sum
-        assert len(seen) == max(n for _, n in singles) < sum(n for _, n in singles)
+        # integral alone, not their sum, or one more with look-ahead, where
+        # an integral alone holds its first bisection from its first call
+        longest = max(n for _, n in singles)
+        assert len(seen) - elementwise <= longest <= len(seen) < sum(n for _, n in singles)
         assert seen[0] == list(range(len(self.INTERVALS)))
 
     @pytest.mark.parametrize("bad", [[4], [1, 3], [5, 0]])
@@ -645,9 +731,10 @@ class TestMessages:
                                                            (16, 8, 2, 3)])
     def test_non_convergence_at_the_float_spacing_floor(self, width, jump, made, budget):
         # a jump of 1e30 on (1, 1 + width s), s the float spacing at 1: every
-        # panel reaches the floor long before the budget; the wider interval
-        # also asks for collapsed panels below the floor.  Retiring a panel
-        # is not a subdivision, so a budget of 3 reaches the floor too
+        # panel reaches the floor long before the budget; the narrower
+        # interval's first panel is at the floor, and its first call also
+        # holds collapsed panels below it.  Retiring a panel is not a
+        # subdivision, so a budget of 3 reaches the floor too
         s = np.spacing(1.0)
         with pytest.raises(NonConvergenceError) as exc:
             integrate(lambda x: np.where(x > 1.0 + jump * s, 1e30, 0.0), (1.0, 1.0 + width * s),

@@ -469,7 +469,7 @@ class TestResidualInaccuracy:
         log = _spy_integrands(monkeypatch)
         RM.residual_inaccuracy_hazard_forms(PAR2, up(2, 1))
         inner = [sizes for name, sizes, _ in log if name == "inner"]
-        assert (sum(map(len, inner)), sum(map(sum, inner))) == (22, 11310)
+        assert (sum(map(len, inner)), sum(map(sum, inner))) == (23, 10320)
 
     def test_hazard_tail_certification_lays_no_ladder_of_knots(self, monkeypatch):
         # form one's outer tail certification reads the ladder's last five
@@ -707,9 +707,10 @@ class TestHazardFormKnotChain:
         assert calls == [(0.0, 0.007), (0.01, 0.03), (0.0, 0.03)]
 
 
-def _spy_integrands(monkeypatch):
-    """Per integrate_each call of the measures: the integrand's name, its
-    call sizes and the points its results consumed."""
+def _spy_integrands(monkeypatch, modules=(measures,)):
+    """Per integrate_each call from ``modules`` (the measures' by default):
+    the integrand's name, its call sizes and the points its results
+    consumed."""
     log = []
     real = numerics.integrate_each
 
@@ -724,7 +725,8 @@ def _spy_integrands(monkeypatch):
         log.append((f.__name__, sizes, sum(r.evaluations for r in results)))
         return results
 
-    monkeypatch.setattr(measures, "integrate_each", spy)
+    for module in modules:
+        monkeypatch.setattr(module, "integrate_each", spy)
     return log
 
 
@@ -733,13 +735,34 @@ class TestLookAhead:
 
     def test_quadrature_call_and_point_counts(self, monkeypatch):
         # without look-ahead this cell took 34 calls on 1,200 points, with
-        # two levels and no spine 18 on 1,830
+        # two levels and no spine 18 on 1,830, with a spine of 3 levels 8
+        # on 1,830; a doubling spine and a seeded first call take 5
         log = _spy_integrands(monkeypatch)
         res = RM.kerridge_record(W205, up(2, 1), "quadrature")
         assert (res.value.hex(), res.abs_error_estimate.hex()) == (
             "0x1.bac98024b0b77p+0", "0x1.726e28ba4e09cp-33")
         [(_, sizes, consumed)] = log
-        assert (len(sizes), sum(sizes), consumed) == (8, 1830, 1200)
+        assert (len(sizes), sum(sizes), consumed) == (5, 1860, 1200)
+
+    def test_route_grid_integrand_rounds_pinned(self, monkeypatch):
+        # every integrand call of the quadrature and gamma routes of the
+        # four record measures on the seven catalog parents at two cells:
+        # a round costs a call and its bookkeeping whatever its size, so a
+        # regression in rounds shows here before it shows in wall time.
+        # A spine of 3 levels and no seeded first call took 417 calls on
+        # 84,630 points
+        log = _spy_integrands(monkeypatch, (measures, RM, numerics))
+        routes = {"kerridge": RM.kerridge_record, "cri": RM.residual_record_inaccuracy,
+                  "cpi": RM.past_record_inaccuracy}
+        for parent in (E1, PAR2, W205, W12, U, PD, P2):
+            for measure, side in (("kerridge", up), ("kerridge", low), ("cri", up),
+                                  ("cpi", low)):
+                for n, k in ((2, 1), (3, 2)):
+                    for route in ("quadrature", "gamma_expectation"):
+                        routes[measure](parent, side(n, k), route)
+        calls = sum(len(sizes) for _, sizes, _ in log)
+        points = sum(sum(sizes) for _, sizes, _ in log)
+        assert (calls, points) == (331, 89580)
 
     def test_hazard_outer_integrands_see_only_consumed_nodes(self, monkeypatch):
         # an outer node lays a knot in its chain, so a node of a panel the
