@@ -1,44 +1,37 @@
 """Adaptive quadrature and the small set of special functions the package needs.
 
 The integration core is a 15-point Gauss--Kronrod rule with bisection
-refinement driven by a worst-panel-first heap (QUADPACK's QAG scheme).
-Independent integrals advance together, each with its own heap and
-budget: every round makes one integrand call on the abscissae of every
-unfinished integral's next panels.  That is 15 for its first panel and,
-where it bisects a panel whose halves it does not hold yet, the two
-halves and their four halves (look-ahead), 90 points; where that panel
-touches an end of its piece, also the halves of the panel at that end
-for more levels (the spine), 30 points per level.  Each end's spine is
-2 levels deep at first and doubles each time the refinement asks at
-that end again, so that a chase of m bisections takes about log2(m)
-calls; it stops at a panel at the width floor, which the refinement
-never bisects.  A lone integral, one interval in a call with an
-elementwise integrand, asks in its first call for each piece's first
-panel and the panels below its first bisection as well, 225 points: a
-lone integral seldom settles on its first panel, and a batch of many
-mostly does.  All are held until the refinement consumes them, so that
-most bisections need no call: the mass and singularities of record
-laws sit at the ends of their support, where the refinement chases a
-chain of panels toward one end.  One call
-may so carry the abscissae of many integrals, and of panels that are
-never consumed, and the integrand must be elementwise, each value
-depending on its own abscissa only; each integral's result is then the
-one it gets alone and without look-ahead, to the bit, and a batch that
-fails raises the failure of its first integral, in order, that fails
-alone, as long as the integrand returns values rather than raising.
-``evaluations`` counts consumed points, 15 plus 30 per bisection.  An
-integrand that is not elementwise passes ``elementwise=False``: a
-bisection then evaluates its two halves alone, 30 points.
-With the piece index, ``integrate_each(..., indexed=True)``, a batch
-integrates a different integrand on each interval: the integrand is
-called as f(x, j), j holding for each abscissa the index of its interval
-(both pieces of a half line share it), so that one call serves
-integrals of different integrands, each with its own refinement and
-result.
-Semi-infinite integrals over (a, inf) are mapped onto (0, 1) through
-u = 1/(1 + x - a), so tail behaviour is handled by the same adaptive
-machinery instead of an ad hoc truncation point; integrals over the
-whole line are split at zero.
+refinement driven by a worst-panel-first heap (QUADPACK's QAG scheme).  A
+panel leaves the heap unbisected only at the width floor, where its ends
+are (nearly) adjacent floats.  The panel plan:
+
+- Batches.  Independent integrals advance together, each with its own
+  heap and budget: every round makes one integrand call on the abscissae
+  of every unfinished integral's next panels.  Round 0 evaluates each
+  piece's first panel, 15 points, and a piece whose first panel meets its
+  tolerance settles there.
+- Look-ahead.  A bisection of a panel whose halves are not held yet
+  evaluates the halves and their halves, 90 points, and where the panel
+  touches an end of its piece also the halves of the panel at that end
+  for more levels (the spine), 30 points per level.  Each end's spine is
+  2 levels deep at first and doubles each time the refinement asks there
+  again, so a chase of m bisections toward an end, where the record laws
+  keep their mass and singularities, takes about log2(m) calls.  A spine
+  stops at the width floor.  With ``elementwise=False`` a bisection
+  evaluates its two halves alone, 30 points.
+- Seeded first call.  A lone integral (one interval, an elementwise
+  integrand) asks in round 0 for the 14 panels below its first bisection
+  too, 225 points per piece: a lone integral seldom settles on its first
+  panel, and a batch of many mostly does.
+- Piece index.  With ``integrate_each(..., indexed=True)`` the integrand
+  is called as f(x, j), j holding for each abscissa the index of its
+  interval, so one call serves integrals of different integrands.
+- Mapped tails.  (a, inf) is a head (a, a + 1) in x and a tail mapped
+  onto (0, 1) through u = 1/(x - a), so the same adaptive machinery
+  handles it without a truncation point; the whole line is split at zero.
+
+Panels are held until the refinement consumes them, and each integral's
+result is the one it gets alone and without look-ahead, to the bit.
 
 Expectations under an integer-shape gamma weight are one batch of the
 same adaptive integrals, split where the mass starts, peaks and ends; the
@@ -227,22 +220,12 @@ _WKG = np.stack([_WK, _WGAUSS])
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-# Levels of panels below a bisected panel that one integrand call
-# evaluates for an elementwise integrand: its halves and their halves.
-# A third level gained 2-3% more speed for 1.6 times the points.
+# Look-ahead levels below a bisected panel: a third level gained 2-3%
+# more speed for 1.6 times the points.
 _LOOK_AHEAD = 2
 
-# Further levels, below those, of the one panel at the edge of its piece
-# where the bisected panel touches that edge: the record laws' mass and
-# singularities sit at the ends of their support, so the refinement
-# mostly chases a chain of panels toward one end.  This is each end's
-# first depth; it doubles each time the refinement asks there again.
+# Each end's first spine depth.
 _SPINE = 2
-
-# Panels whose content and error both fall below this fraction of the
-# running scale are accepted as-is; this is what bounds how far into a
-# mapped tail the refinement will chase negligible mass.
-_TAIL_MASS_BOUND = 1e-14
 
 
 class _Piece(NamedTuple):
@@ -297,17 +280,14 @@ def _pieces(a: float, b: float, cfg: QuadratureConfig) -> list[_Piece]:
     return _half_line(a, 1.0, cfg)
 
 
-def _join(parts: list[IntegrationResult]) -> IntegrationResult:
-    """Sum an interval's pieces pairwise: head + tail, then left + right."""
+def _join(parts: list[tuple[float, float, int]]) -> tuple[float, float, int]:
+    """Sum an interval's pieces' (value, error, evaluations) pairwise:
+    head + tail, then left + right."""
     if len(parts) == 1:
         return parts[0]
     mid = len(parts) // 2
-    left, right = _join(parts[:mid]), _join(parts[mid:])
-    return IntegrationResult(
-        left.value + right.value,
-        left.abs_error_estimate + right.abs_error_estimate,
-        left.evaluations + right.evaluations,
-    )
+    (lv, le, ln), (rv, re, rn) = _join(parts[:mid]), _join(parts[mid:])
+    return lv + rv, le + re, ln + rn
 
 
 def _at_floor(pa: float, pb: float) -> bool:
@@ -352,26 +332,21 @@ def _tolerance(value: float, cfg: QuadratureConfig) -> float:
 def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
             value: float, err: float, cache: dict):
     """One adaptive integral over (a, b) as a generator, from its first
-    panel's rule (value, err), which does not meet its tolerance, and the
-    rules of the panels it holds already, ``cache``, by their edges: it
-    yields the ``_subtree`` of each bisected panel whose halves it does
-    not hold yet, a list of (a, b) panels.  For an elementwise integrand
-    each end of the piece has a spine depth, ``_SPINE`` at first, that
-    doubles each time a bisection touching that end has to ask again.
-    It is sent one (value, error) or IntegrandError per panel, keeps them
-    by their edges until the refinement consumes them, and returns its
-    IntegrationResult or raises IntegrandError or NonConvergenceError."""
+    panel's rule (value, err), which misses its tolerance, and ``cache``,
+    the rules of the panels it holds already by their edges.  It yields
+    lists of (a, b) panels to evaluate, is sent one (value, error) or
+    IntegrandError per panel, and returns (value, error, evaluations) or
+    raises IntegrandError or NonConvergenceError."""
     # the loop runs once per bisection: its config fields and heap
     # functions are locals, and the tolerance and the check that a panel
     # held finite values (an IntegrandError in its place) are inline
     abs_tol, rel_tol, budget = cfg.abs_tol, cfg.rel_tol, 15 + 30 * cfg.max_subdivisions
     push, pop = heapq.heappush, heapq.heappop
-    mass_bound = _TAIL_MASS_BOUND
     depth, spine_a = (_LOOK_AHEAD, _SPINE) if elementwise else (1, 0)
     spine_b = spine_a
     evals = 15
-    # Heap entries: (-error, tiebreak, a, b, value, error).  Panels that are
-    # negligible or at the width floor are retired from the heap for good.
+    # Heap entries: (-error, tiebreak, a, b, value, error).  Panels at the
+    # width floor are retired from the heap for good.
     heap = [(-err, 0, a, b, value, err)]
     retired: list[tuple[float, float]] = []
     total_val = value
@@ -379,13 +354,11 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
     tick = 1
     while evals < budget:
         if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-            return IntegrationResult(total_val, total_err, evals)
+            return total_val, total_err, evals
         if not heap:
             break
         _, _, pa, pb, pv, pe = pop(heap)
-        scale = max(1.0, abs(total_val))
-        negligible = abs(pv) <= mass_bound * scale and pe <= mass_bound * scale
-        if negligible or _at_floor(pa, pb):
+        if _at_floor(pa, pb):
             retired.append((pv, pe))
             continue
         pm = 0.5 * (pa + pb)
@@ -413,8 +386,8 @@ def _refine(a: float, b: float, cfg: QuadratureConfig, elementwise: bool,
         if max(abs(pv), pe) > 2.0**48 * max(abs_tol, rel_tol * abs(total_val)):
             total_val, total_err = (math.fsum(col) for col in zip(*[e[4:] for e in heap], *retired))
     if total_err <= _tolerance(total_val, cfg):
-        return IntegrationResult(total_val, total_err, evals)
-    floor = "" if heap else " (every panel left is negligible or at the float-spacing floor)"
+        return total_val, total_err, evals
+    floor = "" if heap else " (every panel left is at the float-spacing floor)"
     raise NonConvergenceError(
         f"no convergence after {(evals - 15) // 30} of {cfg.max_subdivisions} subdivisions"
         f"{floor}: value ~ {total_val!r}, error ~ {total_err!r}",
@@ -453,35 +426,20 @@ def _panel_rules(fp: np.ndarray, half: list, width: list) -> list[tuple[float, f
 
 def _advance(f: Callable, pieces: list[_Piece], elementwise: bool, indexed: bool,
              seeded: bool):
-    """Run the adaptive integrals ``pieces`` together, one integrand call
-    per round on the abscissae of the panels every live piece asks for
-    next; with ``indexed`` the call is f(x, j), j the ``owner`` of each
-    abscissa's piece.  Round 0 evaluates every piece's first panel, in
-    piece order, and where ``seeded`` (a lone elementwise integral) the
-    ``_subtree`` of its first bisection as well; a piece whose first
-    panel meets its tolerance settles there, with 15 evaluations, and
-    only the others refine (``_refine``), holding that subtree, each
-    later round evaluating the ``_subtree`` of a bisected panel.
-
-    Each piece refines as it would alone.  Returns the pieces' results,
-    in order, or raises the failure of the first one, in order, that
-    fails: a piece is dropped once an earlier one fails, and the earlier
-    ones run to their end, so for an ``f`` that returns values the
-    outcome is that of running the pieces one by one.  A panel holding a
-    non-finite value fails its piece only once the refinement consumes
-    it (a first panel in round 0), with the panel's first such abscissa,
-    left to right in the piece's variable, reported in x.  An exception
-    ``f`` raises propagates from the round it is raised in, whichever
-    piece's abscissae caused it, where a run one by one could first have
-    stopped on an earlier piece's failure, or have never asked for the
-    panel.
-    """
+    """Run the adaptive integrals ``pieces`` together, ``seeded`` for a
+    lone elementwise integral; with ``indexed`` the integrand call is
+    f(x, j), j the ``owner`` of each abscissa's piece.  Returns each
+    piece's (value, error, evaluations), in order, or raises the failure
+    of the first piece, in order, that fails, as ``integrate_each`` does:
+    a piece is dropped once an earlier one fails.  A non-finite value is
+    reported at its panel's first such abscissa, left to right in the
+    piece's variable, given in x."""
     refiners: list = [None] * len(pieces)
     asks = [[(p.a, p.b)] for p in pieces]
     if seeded:  # with its first bisection's subtree
         for ask, p in zip(asks, pieces):
             ask += _subtree(p.a, p.b, _LOOK_AHEAD, _SPINE, _SPINE)
-    done: list[IntegrationResult | None] = [None] * len(pieces)
+    done: list[tuple[float, float, int] | None] = [None] * len(pieces)
     stop, failure = len(pieces), None
     live = list(range(len(pieces)))
     while live:
@@ -546,7 +504,7 @@ def _advance(f: Callable, pieces: list[_Piece], elementwise: bool, indexed: bool
                     value, err = got[0]
                     p = pieces[i]
                     if err <= _tolerance(value, p.cfg):
-                        done[i] = IntegrationResult(value, err, 15)
+                        done[i] = value, err, 15
                     else:
                         held = dict(zip(asks[i][1:], got[1:]))
                         refiners[i] = _refine(p.a, p.b, p.cfg, elementwise, value, err, held)
@@ -574,30 +532,20 @@ def integrate_each(
     indexed: bool = False,
 ) -> list[IntegrationResult]:
     """Integrate ``f`` over each of ``intervals``, the integrals sharing
-    integrand calls; see :func:`integrate` for one, and for ``f`` and
-    ``elementwise``.  With ``indexed`` each integral has an integrand of
-    its own: ``f`` is called as f(x, j), where the integer array j holds,
-    for each abscissa, the index in ``intervals`` of the interval it
-    belongs to (shared by the pieces of an infinite interval), and the
-    integral over interval j is that of f(., j) alone, to the bit.
+    integrand calls; :func:`integrate` gives the contract of one.  With
+    ``indexed`` ``f`` is called as f(x, j), the integer array j holding
+    for each abscissa the index in ``intervals`` of its interval, and
+    integral j is that of f(., j) alone, to the bit.
 
-    Each integral's value, error estimate and evaluation count (of
-    consumed points) are those it gets alone, with or without look-ahead:
-    however many panels below a bisection a call evaluates.  The first call
-    evaluates every integral's first panel (each piece's, on an infinite
-    interval), and an integral whose first panel meets its tolerance
-    settles there, with 15 evaluations; a batch of such integrals takes
-    that one call.  Only a lone integral (one interval, an elementwise
-    ``f``) asks in that call for the 14 panels below its first bisection
-    too, for it seldom settles there.  Returns the results in order.  An
-    interval that is not (a, b) with a < b raises DomainError before any
-    integral runs; otherwise the first integral, in order, that fails
-    raises its IntegrandError or NonConvergenceError, whose ``interval``
-    is its index: for an ``f`` that returns values, the same outcome as
-    integrating them one after another.  An exception raised by ``f``
-    itself propagates from the shared call, even where an earlier integral
-    would have failed first alone, or where it was raised at an abscissa
-    of a panel that is never consumed.
+    Returns the results in order, each the one its integral gets alone.
+    An interval that is not (a, b) with a < b raises DomainError before
+    any integral runs; otherwise the first integral, in order, that fails
+    raises its IntegrandError or NonConvergenceError, with its index as
+    ``interval``: for an ``f`` that returns values, the outcome of
+    integrating them one after another.  An exception ``f`` raises
+    propagates from the shared call, even where an earlier integral would
+    have failed first alone, or where it was raised at an abscissa of a
+    panel that is never consumed.
     """
     pieces: list[_Piece] = []
     ends = [0]
@@ -609,7 +557,7 @@ def integrate_each(
             pieces += [p._replace(owner=j) for p in _pieces(a, b, cfg)]
         ends.append(len(pieces))
     done = _advance(f, pieces, elementwise, indexed, elementwise and len(ends) == 2)
-    return [done[a] if b - a == 1 else _join(done[a:b]) for a, b in zip(ends, ends[1:])]
+    return [IntegrationResult(*_join(done[a:b])) for a, b in zip(ends, ends[1:])]
 
 
 def integrate(
@@ -619,40 +567,26 @@ def integrate(
     *,
     elementwise: bool = True,
 ) -> IntegrationResult:
-    """Integrate ``f`` over ``interval`` adaptively.
+    """Integrate ``f`` over ``interval``, an ``(a, b)`` pair whose ends
+    may be infinite, adaptively (the module docstring gives the plan).
 
-    ``interval`` is an ``(a, b)`` pair; either endpoint may be infinite.
-    An infinite interval is integrated in two pieces (a half line: a unit
-    head and a mapped tail) or four (the whole line, split at zero), and
-    every round of refinement makes one integrand call on the abscissae of
-    all pieces' next panels: 15 for a piece's first panel, and 210 for the
-    panels below its first bisection, which the first call holds as well;
-    where a piece bisects a panel whose halves were not evaluated yet, 90
-    for the halves and their halves, plus 30 per level for the halves of
-    the panel at the end of the piece that the panel touches, 2 levels at
-    first and twice as many each time that end asks again, down to the
-    float-spacing floor, so that most later bisections need no call and a
-    chase of m bisections toward an end takes about log2(m) calls.  One
-    call may so carry the abscissae of many integrals (see
-    :func:`integrate_each`), and the integrand must accept numpy arrays
-    and act on them elementwise: ``f`` may be called at abscissae of
-    panels the refinement never consumes, anywhere inside the
-    interval.  With ``elementwise=False`` the first call evaluates each
-    piece's first panel only and a bisection its two halves only, 30
-    points, and ``f`` sees the abscissae of consumed panels alone.
-    ``evaluations`` counts consumed points, 15 plus 30 per bisection
-    either way, and the value and error estimate do not depend on
-    ``elementwise``.  ``f`` is called inside the closed interval.  Near a
-    finite endpoint other than 0, refinement can narrow a panel to about a
+    ``f`` takes a numpy array and must act on it elementwise, each value
+    depending on its own abscissa only: it may be called at abscissae of
+    panels the refinement never consumes, anywhere inside the closed
+    interval.  With ``elementwise=False`` it sees the abscissae of
+    consumed panels alone, and the result is the same.  ``evaluations``
+    counts consumed points, 15 plus 30 per bisection.  Near a finite
+    endpoint other than 0, refinement can narrow a panel to about a
     hundred float spacings, where a node rounds onto the endpoint: an
     integrand singular there must return a finite value at the endpoint
     itself, or the integral raises IntegrandError.  Near 0 floats are
     dense enough that no node rounds onto it.
 
-    Raises :class:`IntegrandError` on a non-finite integrand value in a
-    panel the refinement consumes (one in a panel it never consumes is
-    ignored) and :class:`NonConvergenceError` (carrying the partial value)
-    when the subdivision budget runs out.
+    Raises :class:`DomainError` unless a < b, :class:`IntegrandError` on
+    a non-finite value in a panel the refinement consumes (one in a panel
+    it never consumes is ignored), and :class:`NonConvergenceError`
+    (carrying the partial value) when the subdivision budget runs out or
+    every panel left is at the width floor.
     """
     return integrate_each(f, [interval], cfg, elementwise=elementwise)[0]
 

@@ -76,6 +76,18 @@ class TestIntegrate:
                       (0.0, math.inf), cfg)
         assert abs(r.value - 2.0**202) <= r.abs_error_estimate <= 1e-8 * 2.0**202
 
+    @pytest.mark.parametrize("f, cfg, exact", [
+        (lambda x: 1e-15 * np.exp(-100.0 * (x - 3.0) ** 2),
+         QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12), 1e-15 * math.sqrt(math.pi) / 10.0),
+        (lambda x: 1e-16 * np.sin(x) ** 2, QuadratureConfig(abs_tol=1e-40, rel_tol=1e-13),
+         1e-16 * (5.0 - math.sin(20.0) / 4.0)),
+    ], ids=["gaussian", "sine-squared"])
+    def test_integral_below_1e14_refines_to_its_tolerance(self, f, cfg, exact):
+        # integrals far below 1: their panels are bisected down to the
+        # tolerance asked for, however little mass each holds
+        r = integrate(f, (0.0, 10.0), cfg)
+        assert abs(r.value - exact) <= r.abs_error_estimate <= cfg.rel_tol * abs(r.value)
+
     def test_polynomial_exactness(self):
         r = integrate(lambda x: x**10, (0.0, 1.0))
         assert r.value == pytest.approx(1.0 / 11.0, rel=1e-14)
@@ -589,6 +601,21 @@ class TestBatchedIntegrals:
         assert [_outcome(r) for r in results] == [
             _outcome(_alone(self.mixed, iv, DEFAULT)) for iv in ones]
 
+    def test_one_result_built_per_interval(self, monkeypatch):
+        # the four pieces of the whole line and the one of (0, 1) are
+        # summed as plain numbers: only each interval's result is built
+        def f(x):
+            return np.exp(-0.5 * x * x) * np.cos(2.0 * x)
+
+        intervals = [(-math.inf, math.inf), (0.0, 1.0)]
+        singles = [_outcome(_alone(f, iv, DEFAULT)) for iv in intervals]
+        built = []
+        check = IntegrationResult.__post_init__
+        monkeypatch.setattr(IntegrationResult, "__post_init__", lambda r: built.append(check(r)))
+        results = numerics.integrate_each(f, intervals)
+        assert len(built) == 2
+        assert [_outcome(r) for r in results] == singles
+
     def test_bad_interval_stops_the_batch_there(self):
         with pytest.raises(DomainError):
             numerics.integrate_each(_piecewise, [(0.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
@@ -727,21 +754,21 @@ class TestMessages:
         assert "np." not in str(exc.value)
         assert repr(exc.value.partial_value) in str(exc.value)
 
-    @pytest.mark.parametrize("width, jump, made, budget", [(2, 1, 0, 2000), (16, 8, 2, 2000),
-                                                           (16, 8, 2, 3)])
+    @pytest.mark.parametrize("width, jump, made, budget", [(2, 1, 0, 2000), (16, 8, 3, 2000),
+                                                           (16, 8, 3, 4)])
     def test_non_convergence_at_the_float_spacing_floor(self, width, jump, made, budget):
         # a jump of 1e30 on (1, 1 + width s), s the float spacing at 1: every
         # panel reaches the floor long before the budget; the narrower
         # interval's first panel is at the floor, and its first call also
         # holds collapsed panels below it.  Retiring a panel is not a
-        # subdivision, so a budget of 3 reaches the floor too
+        # subdivision, so a budget of 4 reaches the floor too
         s = np.spacing(1.0)
         with pytest.raises(NonConvergenceError) as exc:
             integrate(lambda x: np.where(x > 1.0 + jump * s, 1e30, 0.0), (1.0, 1.0 + width * s),
                       QuadratureConfig(max_subdivisions=budget))
         assert str(exc.value).startswith(
             f"no convergence after {made} of {budget} subdivisions "
-            "(every panel left is negligible or at the float-spacing floor): value ~ "
+            "(every panel left is at the float-spacing floor): value ~ "
         )
 
 
